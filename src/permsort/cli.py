@@ -29,7 +29,7 @@ from .costs import (
 from .errors import ContractError, CostParseError, InfeasibleError, SizeLimitError
 from .mld import min_cost_mld, std_decomposition
 from .multicycle import METHODS, decompose
-from .optimize import all_pairs_optimize, expand_decomposition, optimize_costs
+from .optimize import all_pairs_optimize, expand_decomposition, optimize_costs, shortest_swaps
 from .oracle import DEFAULT_LIMIT, mcd_exact
 from .permutation import (
     Cycle,
@@ -67,9 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("costs", help="cost table or defining-path file")
     p_opt.add_argument("-o", "--output", help="write the optimized table here")
     p_opt.add_argument("--method", choices=("substitution", "bellman-ford", "both"),
-                       default="substitution",
-                       help="substitution rewrites triples, bellman-ford runs "
-                            "the shortest-path solver, both cross-checks them")
+                       default="bellman-ford",
+                       help="bellman-ford (default) runs the all-pairs "
+                            "shortest-path engine, substitution rewrites "
+                            "triples, both cross-checks them")
 
     p_dec = sub.add_parser("decompose", help="sort a permutation cheaply")
     p_dec.add_argument("costs", help="cost table or defining-path file")
@@ -113,9 +114,13 @@ def _load_costs(path: str) -> tuple[CostMatrix, DefiningPath | None]:
 
 def _load_permutation(arg: str, n: int):
     text = arg
-    p = Path(arg)
-    if p.exists():
-        text = p.read_text()
+    # os.path.exists says False, not an error, for inline text too long to
+    # be a file name
+    if os.path.exists(arg):
+        try:
+            text = Path(arg).read_text()
+        except OSError as e:
+            raise CostParseError(f"cannot read {arg}: {e}") from None
     text = text.strip()
     perm = parse_cycles(text, n) if text.startswith("(") else parse_one_line(text)
     if perm.n != n:
@@ -151,10 +156,6 @@ def _env_limit() -> int:
         raise CostParseError(f"PERMSORT_LIMIT must be an integer, got {raw!r}") from None
 
 
-def _fmt(v: Number) -> str:
-    return _format_value(v)
-
-
 def _cmd_optimize(args) -> int:
     raw, _ = _load_costs(args.costs)
     if args.method == "substitution":
@@ -171,7 +172,7 @@ def _cmd_optimize(args) -> int:
         w = opt.cost(a, b)
         if w != v:
             changed += 1
-            print(f"{a} {b}: {_fmt(v)} -> {_fmt(w)}")
+            print(f"{a} {b}: {_format_value(v)} -> {_format_value(w)}")
     print(f"{changed} entries changed")
     if args.output:
         Path(args.output).write_text(format_cost_file(opt))
@@ -193,13 +194,12 @@ def _cmd_decompose(args) -> int:
         expander = None
     else:
         if args.trust_raw:
-            opt_report = None
+            expander = None
             phi = raw.assume_optimized()
         else:
-            opt_report = optimize_costs(raw)
-            phi = opt_report.optimized
+            expander = shortest_swaps(raw)
+            phi = expander.optimized
         report = decompose(p, phi, args.method, joins=joins)
-        expander = opt_report
 
     d = report.decomposition
     assert d is not None
@@ -209,8 +209,8 @@ def _cmd_decompose(args) -> int:
     print(f"permutation: {format_one_line(p)}")
     print(f"cycles: {format_cycles(cycles(p), skip_fixed=True)}")
     print(f"method: {report.method}")
-    print(f"lower bound: {_fmt(report.lower_bound)}")
-    print(f"cost: {_fmt(report.cost)}")
+    print(f"lower bound: {_format_value(report.lower_bound)}")
+    print(f"cost: {_format_value(report.cost)}")
     if report.alpha is not None:
         print(f"ratio: {report.alpha:.6f}")
     print("# transpositions are applied right-to-left")
@@ -228,7 +228,7 @@ def _cmd_decompose(args) -> int:
             raise ContractError("expanded decomposition failed validation")
         print("# same permutation in raw swaps, applied right-to-left")
         print(f"expansion: {expanded if len(expanded) else '(none)'}")
-        print(f"expansion cost: {_fmt(expanded.cost(raw))}")
+        print(f"expansion cost: {_format_value(expanded.cost(raw))}")
     return EXIT_OK
 
 
@@ -304,7 +304,7 @@ def _cmd_oracle(args) -> int:
         tol = 1e-9 * max(1.0, abs(m), abs(l_total), abs(s_total))
     ok = m <= l_total + tol and l_total <= s_total + tol and s_total <= 4 * m + tol
     verdict = "chain OK" if ok else "chain VIOLATED"
-    print(f"M={_fmt(m)} L={_fmt(l_total)} S={_fmt(s_total)} {verdict}")
+    print(f"M={_format_value(m)} L={_format_value(l_total)} S={_format_value(s_total)} {verdict}")
     if not ok:
         raise ContractError("M <= L <= S <= 4M failed")
     return EXIT_OK
@@ -324,10 +324,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except CostParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as e:
+    except ValueError as e:    # CostParseError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except SizeLimitError as e:

@@ -17,6 +17,7 @@ integer instances are exact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -228,20 +229,20 @@ def is_metric(costs: CostMatrix) -> bool:
 # '#' starts a comment; blank lines are skipped.
 
 def _parse_value(tok: str, lineno: int) -> Number:
+    """A non-negative int or float token, or the literal 'inf'."""
     if tok == "inf":
         return INF
     try:
         v = int(tok)
     except ValueError:
-        pass
-    else:
-        if not _is_valid_cost(v):
-            raise CostParseError(f"bad cost value {tok!r}", lineno)
-        return v
-    try:
-        v = float(tok)
-    except ValueError:
-        raise CostParseError(f"bad cost value {tok!r}", lineno) from None
+        try:
+            v = float(tok)
+        except ValueError:
+            raise CostParseError(f"bad cost value {tok!r}", lineno) from None
+    # catches '1e400' and 'Infinity', which float() reads as inf, and ints
+    # too large for a float
+    if v > sys.float_info.max:
+        raise CostParseError(f"cost value {tok!r} is out of range; only 'inf' means infinity", lineno)
     if not _is_valid_cost(v):
         raise CostParseError(f"bad cost value {tok!r}", lineno)
     return v

@@ -26,10 +26,11 @@ MLD is a true minimum cost decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .costs import INF, CostMatrix, DefiningPath, Number, metric_path
 from .errors import ContractError, InfeasibleError
-from .optimize import bellman_ford
+from .optimize import shortest_swaps
 from .permutation import Cycle, Decomposition, Transposition, validate_decomposition
 
 Edge = tuple[int, int]
@@ -156,25 +157,37 @@ def std_decomposition(cycle: Cycle, costs: CostMatrix) -> tuple[Decomposition | 
     return d, total
 
 
+def half_route_sum(cycle_list: Sequence[Cycle], costs: CostMatrix) -> float:
+    """Half the summed cheapest-path cost from each element to its successor.
+
+    Reads one all-pairs distance table; raises InfeasibleError when some
+    element cannot reach its successor at finite cost.
+    """
+    dist = shortest_swaps(costs).dist
+    total: Number = 0
+    for c in cycle_list:
+        labels = c.elements
+        if max(labels) > costs.n:
+            raise ValueError(f"cycle label {max(labels)} outside 1..{costs.n}")
+        for a, b in zip(labels, labels[1:] + labels[:1]):
+            d = dist[a - 1][b - 1]
+            if d == INF:
+                raise InfeasibleError(f"no finite swap route from {a} to {b}")
+            total += d
+    return total / 2
+
+
 def cycle_lower_bound(cycle: Cycle, costs: CostMatrix) -> float:
     """Half the total cheapest-path cost between each element and its successor.
 
     Any decomposition of the cycle pays at least this much. Works on raw or
-    optimized tables and gives the same number for both.
+    optimized tables and gives the same number for both; inf when some
+    successor is unreachable.
     """
-    labels = cycle.elements
-    k = cycle.k
-    if k == 1:
-        return 0.0
-    doubled: Number = 0
-    for t in range(k):
-        table = bellman_ford(costs, labels[t])
-        d2 = table.d2[labels[(t + 1) % k]]
-        if d2 == INF:
-            return INF
-        doubled += d2
-    # d2 is twice a path cost, so the bound of half the path sum is doubled/4.
-    return doubled / 4
+    try:
+        return half_route_sum([cycle], costs)
+    except InfeasibleError:
+        return INF
 
 
 def tree_decomposition(cycle: Cycle, edges: list[Edge]) -> Decomposition:

@@ -27,8 +27,7 @@ from typing import Sequence
 
 from .costs import INF, CostMatrix, DefiningPath, Number
 from .errors import ContractError, InfeasibleError
-from .mld import cycle_lower_bound, metric_path_mcd, min_cost_mld, std_decomposition
-from .optimize import bellman_ford
+from .mld import half_route_sum, metric_path_mcd, min_cost_mld, std_decomposition
 from .permutation import (
     Cycle,
     Decomposition,
@@ -73,19 +72,9 @@ def permutation_lower_bound(p: Permutation, costs: CostMatrix) -> float:
     """Half the summed cheapest-path cost from each moved element to its image.
 
     The same number comes out for a raw table and its optimized version.
+    Raises InfeasibleError when some element cannot reach its image.
     """
-    doubled: Number = 0
-    for c in nontrivial_cycles(p):
-        labels = c.elements
-        for t in range(c.k):
-            table = bellman_ford(costs, labels[t])
-            d2 = table.d2[labels[(t + 1) % c.k]]
-            if d2 == INF:
-                raise InfeasibleError(
-                    f"no finite swap route from {labels[t]} to {labels[(t + 1) % c.k]}"
-                )
-            doubled += d2
-    return doubled / 4
+    return half_route_sum(nontrivial_cycles(p), costs)
 
 
 def merge_cycles(

@@ -9,18 +9,33 @@ except one, so the achievable cost of a path p is
     swap_path_cost(p) = 2 * cost(p) - max edge of p,
 
 and the optimized cost phi*(a, b) is the minimum of that over all a-b paths.
+Charging the once-used edge (u, v) separately turns the minimum into
 
-Two routes compute phi*. ``optimize_costs`` keeps a list of all pairs sorted
-by cost and repeatedly substitutes the cheapest-so-far conjugations,
-recording which pair of swaps produced each improvement so the substitution
-can be replayed into an explicit sequence. ``bellman_ford`` runs a two-table
-relaxation from one source: d2[v] is twice the cheapest ordinary path cost,
-d1[v] the cheapest swap path cost, with predecessor links for recovery.
-Both must agree entrywise; tests enforce it.
+    phi*(a, b) = min over edges (u, v) of 2 D(a, u) + w(u, v) + 2 D(v, b)
+
+with D the ordinary shortest-path distance: a walk that is not simple never
+beats a simple path, so the walks this formula admits change nothing.
+
+The production route is ``shortest_swaps``: one Floyd-Warshall pass for D
+with next hops, then two min-plus passes for phi* and its argmin edge, O(n^3)
+in total. The same object serves the lower bounds (which read D) and the
+expansion of an optimized swap back into raw swaps (a palindrome along the
+argmin route, at most 2n - 3 swaps). ``all_pairs_optimize`` is its table.
+
+Two reference routes stay as test oracles. ``optimize_costs`` keeps a list
+of all pairs sorted by cost and repeatedly substitutes the cheapest-so-far
+conjugations, recording which pair of swaps produced each improvement so the
+substitution can be replayed into an explicit sequence. ``bellman_ford``
+runs a two-table relaxation from one source: d2[v] is twice the cheapest
+ordinary path cost, d1[v] the cheapest swap path cost, with predecessor
+links for recovery. All routes must agree entrywise; tests enforce it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, repeat
+from operator import add, lt
 from typing import Mapping, Sequence
 
 from .costs import INF, CostMatrix, Number, _freeze, _fresh
@@ -202,15 +217,131 @@ def recover_path(table: PathTable, v: int, *, which: int = 1) -> list[int]:
     return out
 
 
+def _min_plus_row(best: list[Number], arg: list, offset: Number, row: Sequence[Number], via) -> None:
+    """best[j] = min(best[j], offset + row[j]); arg[j] = via where it drops.
+
+    The comparison runs in C (map/compress); only improved entries are
+    visited in Python.
+    """
+    for j in compress(range(len(row)), map(lt, map(add, repeat(offset), row), best)):
+        best[j] = offset + row[j]
+        arg[j] = via
+
+
+class ShortestSwaps:
+    """All-pairs shortest paths of a raw table and its optimized swap costs.
+
+    ``dist[i][j]`` is the cheapest ordinary path cost between labels i+1 and
+    j+1 (0-based rows, the convention of ``CostMatrix.table``); ``hop[i][j]``
+    is the next vertex on one such path, None when j is unreachable. Both
+    come from ``shortest_swaps``. ``optimized`` (phi*) and the argmin edge
+    behind each entry are computed on first use, so callers that only need
+    distances never pay for them.
+    """
+
+    def __init__(self, raw: CostMatrix, dist: list[list[Number]], hop: list[list[int | None]]):
+        self.raw = raw
+        self.dist = dist
+        self.hop = hop
+
+    @cached_property
+    def _swap_tables(self) -> tuple[CostMatrix, list[list[int | None]], list[list[int | None]]]:
+        """phi*, and per pair the edge (u, v) attaining it as two argmin tables.
+
+        Pass one: left[a][v] = min over u of 2 D(a, u) + w(u, v), argmin u.
+        Pass two: phi*(a, b) = min over v of left[a][v] + 2 D(v, b), argmin v.
+        Ties keep the first candidate met.
+        """
+        n = self.raw.n
+        twice = [[2 * d for d in row] for row in self.dist]
+        edges = [list(row) for row in self.raw.table]
+        for i in range(n):
+            edges[i][i] = INF    # the zero diagonal is not an edge
+        left: list[list[Number]] = []
+        left_u: list[list[int | None]] = []
+        for a in range(n):
+            best: list[Number] = [INF] * n
+            arg: list[int | None] = [None] * n
+            for u, d in enumerate(twice[a]):
+                if d != INF:
+                    _min_plus_row(best, arg, d, edges[u], u)
+            left.append(best)
+            left_u.append(arg)
+        rows = _fresh(n, INF)
+        right_v: list[list[int | None]] = []
+        for a in range(n):
+            best = [INF] * n
+            arg = [None] * n
+            for v, e in enumerate(left[a]):
+                if e != INF:
+                    _min_plus_row(best, arg, e, twice[v], v)
+            right_v.append(arg)
+            # the upper triangle is kept and mirrored, so float rounding
+            # cannot make the table asymmetric
+            for b in range(a + 1, n):
+                rows[a][b] = rows[b][a] = best[b]
+        return _freeze(rows, "optimized"), left_u, right_v
+
+    @property
+    def optimized(self) -> CostMatrix:
+        return self._swap_tables[0]
+
+    def path(self, a: int, b: int) -> list[int]:
+        """Labels of a cheapest ordinary path from a to b, both ends included."""
+        i, j = a - 1, b - 1
+        if self.dist[i][j] == INF:
+            raise InfeasibleError(f"vertex {b} is unreachable from {a}")
+        out = [a]
+        while i != j:
+            if len(out) > self.raw.n:
+                raise ContractError(f"next-hop chain from {a} to {b} does not end")
+            i = self.hop[i][j]
+            out.append(i + 1)
+        return out
+
+    def route(self, a: int, b: int) -> list[int]:
+        """Simple path from a to b whose swap path cost is phi*(a, b).
+
+        The argmin walk a -> u, (u v), v -> b may revisit a vertex; every
+        loop is cut out, which cannot raise the swap path cost.
+        """
+        if a == b:
+            raise ValueError("need two distinct labels")
+        i, j = a - 1, b - 1
+        optimized, left_u, right_v = self._swap_tables
+        if optimized.table[i][j] == INF:
+            raise InfeasibleError(f"pair ({a}, {b}) has no finite-cost realisation")
+        v = right_v[i][j]
+        u = left_u[i][v]
+        simple: list[int] = []
+        for x in self.path(a, u + 1) + self.path(v + 1, b):
+            if x in simple:
+                del simple[simple.index(x) + 1:]
+            else:
+                simple.append(x)
+        return simple
+
+
+def shortest_swaps(raw: CostMatrix) -> ShortestSwaps:
+    """Floyd-Warshall with next hops: the all-pairs engine behind phi*, the
+    lower bounds and expansion."""
+    n = raw.n
+    dist = [list(row) for row in raw.table]
+    hop: list[list[int | None]] = [
+        [j if dist[i][j] != INF else None for j in range(n)] for i in range(n)
+    ]
+    for k in range(n):
+        row_k = dist[k]
+        for i in range(n):
+            d_ik = dist[i][k]
+            if d_ik != INF and i != k:
+                _min_plus_row(dist[i], hop[i], d_ik, row_k, hop[i][k])
+    return ShortestSwaps(raw, dist, hop)
+
+
 def all_pairs_optimize(costs: CostMatrix) -> CostMatrix:
-    """Optimized table via one relaxation per source vertex."""
-    n = costs.n
-    rows = _fresh(n, INF)
-    for s in range(1, n + 1):
-        table = bellman_ford(costs, s)
-        for v in range(s + 1, n + 1):
-            rows[s - 1][v - 1] = rows[v - 1][s - 1] = table.d1[v]
-    return _freeze(rows, "optimized")
+    """Optimized table phi* from the all-pairs engine."""
+    return shortest_swaps(costs).optimized
 
 
 def transposition_path_cost(path: Sequence[int], costs: CostMatrix) -> Number:
@@ -228,16 +359,15 @@ def transposition_path_cost(path: Sequence[int], costs: CostMatrix) -> Number:
     return 2 * total - top
 
 
-def _palindrome(path: Sequence[int], costs: CostMatrix) -> list[Transposition]:
+def _palindrome(path: Sequence[int], centre: int) -> list[Transposition]:
     """Swap sequence for (path[0] path[-1]) using each path edge twice
-    except the earliest maximum edge, which is used once."""
-    weights = [costs.cost(u, v) for u, v in zip(path, path[1:])]
-    i = weights.index(max(weights))
+    except edge ``centre`` (path[centre] -- path[centre + 1]), used once."""
+    i = centre
     last = len(path) - 1
     left = [Transposition(path[t], path[t + 1]) for t in range(i)]
     right = [Transposition(path[t + 1], path[t]) for t in range(last - 1, i, -1)]
-    centre = [Transposition(path[i], path[i + 1])]
-    return left + right + centre + right[::-1] + left[::-1]
+    middle = [Transposition(path[i], path[i + 1])]
+    return left + right + middle + right[::-1] + left[::-1]
 
 
 def _replay_witness(pair: Pair, witness: Mapping[Pair, tuple[Pair, Pair]], budget: int) -> list[Transposition]:
@@ -252,14 +382,18 @@ def _replay_witness(pair: Pair, witness: Mapping[Pair, tuple[Pair, Pair]], budge
     return inner2 + inner1 + inner2
 
 
-def expand_transposition(a: int, b: int, source: OptimizerReport | PathTable, raw: CostMatrix) -> Decomposition:
+def expand_transposition(a: int, b: int, source: OptimizerReport | PathTable | ShortestSwaps,
+                         raw: CostMatrix) -> Decomposition:
     """Concrete swap sequence realising the optimized cost of (a b).
 
     With an OptimizerReport the recorded substitutions are replayed. With a
     PathTable (whose source must be a or b) the recovered path is unrolled
-    into a palindrome around its earliest maximum edge. Either way the
-    product is exactly (a b), the length is odd, and the raw cost of the
-    sequence equals the optimized cost.
+    into a palindrome around its earliest maximum edge. With ShortestSwaps
+    the argmin route is unrolled around its maximum edge, ties going to the
+    lexicographically largest pair; the route is simple, so the sequence
+    has at most 2n - 3 swaps. Either way the product is exactly (a b), the
+    length is odd, and the raw cost of the sequence equals the optimized
+    cost.
     """
     if a == b:
         raise ValueError("need two distinct labels")
@@ -275,7 +409,12 @@ def expand_transposition(a: int, b: int, source: OptimizerReport | PathTable, ra
         path = recover_path(source, other)
         if path[0] != a:
             path.reverse()
-        seq = _palindrome(path, raw)
+        weights = [raw.cost(u, v) for u, v in zip(path, path[1:])]
+        seq = _palindrome(path, weights.index(max(weights)))
+    elif isinstance(source, ShortestSwaps):
+        path = source.route(*key)
+        steps = [(raw.cost(u, v), min(u, v), max(u, v)) for u, v in zip(path, path[1:])]
+        seq = _palindrome(path, steps.index(max(steps)))
     else:
         raise TypeError(f"cannot expand from {type(source).__name__}")
 
@@ -287,7 +426,8 @@ def expand_transposition(a: int, b: int, source: OptimizerReport | PathTable, ra
     return out
 
 
-def expand_decomposition(d: Decomposition, source: OptimizerReport | PathTable, raw: CostMatrix) -> Decomposition:
+def expand_decomposition(d: Decomposition, source: OptimizerReport | PathTable | ShortestSwaps,
+                         raw: CostMatrix) -> Decomposition:
     """Expand every entry of d; the product is unchanged."""
     seq: list[Transposition] = []
     for t in d:

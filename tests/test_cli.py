@@ -216,6 +216,31 @@ def test_missing_cost_file(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_permutation_directory_is_an_input_error(tmp_path, capsys):
+    src = cost_file(tmp_path, "sparse", sparse5_raw())
+    code, out, err = run(capsys, "decompose", src, str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {tmp_path}: ")
+
+
+def test_long_inline_permutation(tmp_path, capsys):
+    # longer than a file name may be, so it can only be inline text
+    n = 120
+    images = " ".join(str(i % n + 1) for i in range(1, n + 1))
+    src = cost_file(tmp_path, "chain", from_pairs(n, [(i, i + 1, 1) for i in range(1, n)]))
+    code, out, _ = run(capsys, "decompose", src, images, "--method", "std")
+    assert code == 0
+    assert out.startswith(f"permutation: {images}\n")
+
+
+def test_overflowing_cost_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "big.cost"
+    f.write_text("n 3\n1 2 1\n2 3 1e400\n")
+    code, out, err = run(capsys, "optimize", str(f))
+    assert (code, out) == (1, "")
+    assert "line 3" in err
+
+
 def test_mismatched_sizes(tmp_path, capsys):
     src = cost_file(tmp_path, "sparse", sparse5_raw())
     code, _, err = run(capsys, "decompose", src, "2 1 3")

@@ -105,6 +105,19 @@ def test_parse_errors_name_the_line(text, lineno):
     assert f"line {lineno}:" in str(err.value)
 
 
+def test_parse_rejects_overflowing_costs():
+    # float() reads all of these as inf; only the literal 'inf' may mean it
+    for tok in ("1e400", "Infinity", "INF", "1" + "0" * 400):
+        with pytest.raises(CostParseError) as err:
+            parse_cost_file(f"n 3\n1 2 5\n2 3 {tok}\n")
+        assert err.value.line == 3
+        assert "only 'inf' means infinity" in str(err.value)
+    with pytest.raises(CostParseError) as err:
+        parse_path_file("path\n1 2 3\n1 1e400\n")
+    assert err.value.line == 3
+    assert parse_cost_file("n 2\n1 2 1e308\n").cost(1, 2) == 1e308
+
+
 def test_parse_empty_file():
     with pytest.raises(CostParseError):
         parse_cost_file("# nothing here\n")
