@@ -19,17 +19,17 @@ from .costs import (
     CostMatrix,
     DefiningPath,
     INF,
-    Number,
     _format_value,
     format_cost_file,
     from_pairs,
     metric_path,
     parse_cost_input,
+    tolerance,
 )
 from .errors import ContractError, CostParseError, InfeasibleError, SizeLimitError
-from .mld import min_cost_mld, std_decomposition
-from .multicycle import METHODS, decompose
-from .optimize import all_pairs_optimize, expand_decomposition, optimize_costs, shortest_swaps
+from .mld import min_cost_mld
+from .multicycle import METHODS, decompose, mld_std_totals
+from .optimize import all_pairs_optimize, expand_decomposition, shortest_swaps
 from .oracle import DEFAULT_LIMIT, mcd_exact
 from .permutation import (
     Cycle,
@@ -66,11 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="replace expensive swaps by cheap routes")
     p_opt.add_argument("costs", help="cost table or defining-path file")
     p_opt.add_argument("-o", "--output", help="write the optimized table here")
-    p_opt.add_argument("--method", choices=("substitution", "bellman-ford", "both"),
-                       default="bellman-ford",
-                       help="bellman-ford (default) runs the all-pairs "
-                            "shortest-path engine, substitution rewrites "
-                            "triples, both cross-checks them")
 
     p_dec = sub.add_parser("decompose", help="sort a permutation cheaply")
     p_dec.add_argument("costs", help="cost table or defining-path file")
@@ -158,15 +153,7 @@ def _env_limit() -> int:
 
 def _cmd_optimize(args) -> int:
     raw, _ = _load_costs(args.costs)
-    if args.method == "substitution":
-        opt = optimize_costs(raw).optimized
-    elif args.method == "bellman-ford":
-        opt = all_pairs_optimize(raw)
-    else:
-        opt = optimize_costs(raw).optimized
-        other = all_pairs_optimize(raw)
-        if opt.table != other.table:
-            raise ContractError("substitution and shortest-path tables disagree")
+    opt = all_pairs_optimize(raw)
     changed = 0
     for a, b, v in raw.entries():
         w = opt.cost(a, b)
@@ -287,21 +274,12 @@ def _cmd_oracle(args) -> int:
     if not validate_decomposition(witness, p):
         raise ContractError("oracle witness failed validation")
 
-    phi = all_pairs_optimize(raw)
-    l_total: Number = 0
-    s_total: Number = 0
-    for c in [c for c in cycles(p) if c.k > 1]:
-        _, piece = min_cost_mld(c, phi)
-        l_total += piece
-        _, s_piece = std_decomposition(c, phi)
-        s_total += s_piece
+    l_total, s_total = mld_std_totals(p, all_pairs_optimize(raw))
 
     m = result.min_cost
     print(f"permutation: {format_one_line(p)}")
     print(f"witness: {witness if len(witness) else '(none)'}")
-    tol = 0.0
-    if not all(isinstance(x, int) for x in (m, l_total, s_total)):
-        tol = 1e-9 * max(1.0, abs(m), abs(l_total), abs(s_total))
+    tol = tolerance(m, l_total, s_total)
     ok = m <= l_total + tol and l_total <= s_total + tol and s_total <= 4 * m + tol
     verdict = "chain OK" if ok else "chain VIOLATED"
     print(f"M={_format_value(m)} L={_format_value(l_total)} S={_format_value(s_total)} {verdict}")

@@ -34,6 +34,17 @@ def _is_valid_cost(v) -> bool:
     return v == INF or (math.isfinite(v) and v >= 0)
 
 
+def tolerance(*values: Number) -> Number:
+    """Slack for comparing sums of these values: 0 when all are ints.
+
+    Integer costs compare exactly; any float makes it 1e-9 relative to the
+    largest magnitude, and at least 1e-9.
+    """
+    if all(isinstance(v, int) for v in values):
+        return 0
+    return 1e-9 * max(1.0, *(abs(v) for v in values))
+
+
 @dataclass(frozen=True)
 class CostMatrix:
     """Full symmetric table with a zero diagonal that is never read."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .costs import INF, CostMatrix, DefiningPath, Number, metric_path
+from .costs import INF, CostMatrix, DefiningPath, Number, metric_path, tolerance
 from .errors import ContractError, InfeasibleError
 from .optimize import shortest_swaps
 from .permutation import Cycle, Decomposition, Transposition, validate_decomposition
@@ -209,52 +209,60 @@ def tree_decomposition(cycle: Cycle, edges: list[Edge]) -> Decomposition:
 
 
 def _tree_rec(seq: list[int], edges: list[Edge]) -> list[Transposition]:
-    m = len(seq)
-    if len(edges) != m - 1:
-        raise ValueError(f"{len(edges)} edges cannot span {m} vertices")
-    if m == 1:
-        return []
-    if m == 2:
-        return [Transposition(seq[0], seq[1])]
-
-    degree = {v: 0 for v in seq}
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    start = next(i for i, v in enumerate(seq) if degree[v] >= 2)
-    seq = seq[start:] + seq[:start]
-    pos = {v: i + 1 for i, v in enumerate(seq)}
-
-    r = max(pos[u] + pos[v] - pos[seq[0]] for u, v in edges if seq[0] in (u, v))
-    cut = tuple(sorted((seq[0], seq[r - 1])))
-
-    # Component of position 1 once the cut edge is removed.
-    adj: dict[int, list[int]] = {v: [] for v in seq}
-    for u, v in edges:
-        if tuple(sorted((u, v))) == cut:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
-    comp = {seq[0]}
-    stack = [seq[0]]
+    """Split the tree depth-first with an explicit stack, second arc first."""
+    out: list[Transposition] = []
+    stack = [(seq, edges)]
     while stack:
-        for w in adj[stack.pop()]:
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-    s = max(pos[v] for v in comp)
-    if comp != set(seq[:s]):
-        raise ContractError("tree is not non-crossing for this cycle order")
+        seq, edges = stack.pop()
+        m = len(seq)
+        if len(edges) != m - 1:
+            raise ValueError(f"{len(edges)} edges cannot span {m} vertices")
+        if m == 1:
+            continue
+        if m == 2:
+            out.append(Transposition(seq[0], seq[1]))
+            continue
 
-    first = seq[:s]
-    second = seq[s:] + [seq[0]]
-    second_set = set(second)
-    first_edges = [e for e in edges if e[0] in comp and e[1] in comp]
-    second_edges = [e for e in edges if e not in first_edges]
-    for u, v in second_edges:
-        if u not in second_set or v not in second_set:
+        degree = {v: 0 for v in seq}
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        start = next(i for i, v in enumerate(seq) if degree[v] >= 2)
+        seq = seq[start:] + seq[:start]
+        pos = {v: i + 1 for i, v in enumerate(seq)}
+
+        r = max(pos[u] + pos[v] - pos[seq[0]] for u, v in edges if seq[0] in (u, v))
+        cut = tuple(sorted((seq[0], seq[r - 1])))
+
+        # Component of position 1 once the cut edge is removed.
+        adj: dict[int, list[int]] = {v: [] for v in seq}
+        for u, v in edges:
+            if (u, v) == cut:    # edges arrive sorted
+                continue
+            adj[u].append(v)
+            adj[v].append(u)
+        comp = {seq[0]}
+        todo = [seq[0]]
+        while todo:
+            for w in adj[todo.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    todo.append(w)
+        s = max(pos[v] for v in comp)
+        if comp != set(seq[:s]):
             raise ContractError("tree is not non-crossing for this cycle order")
-    return _tree_rec(second, second_edges) + _tree_rec(first, first_edges)
+
+        first = seq[:s]
+        second = seq[s:] + [seq[0]]
+        second_set = set(second)
+        first_edges = [e for e in edges if e[0] in comp and e[1] in comp]
+        second_edges = [e for e in edges if not (e[0] in comp and e[1] in comp)]
+        for u, v in second_edges:
+            if u not in second_set or v not in second_set:
+                raise ContractError("tree is not non-crossing for this cycle order")
+        stack.append((first, first_edges))
+        stack.append((second, second_edges))
+    return out
 
 
 def metric_path_mcd(cycle: Cycle, metric: CostMatrix, path: DefiningPath) -> tuple[Decomposition, Number]:
@@ -280,10 +288,7 @@ def metric_path_mcd(cycle: Cycle, metric: CostMatrix, path: DefiningPath) -> tup
     edges = _segment_tree(list(labels), pos)
     tree_cost: Number = sum(metric.cost(u, v) for u, v in edges)
     ring_sum: Number = sum(metric.cost(labels[t], labels[(t + 1) % k]) for t in range(k))
-    if metric.all_integer():
-        if 2 * tree_cost != ring_sum:
-            raise ContractError("segment tree misses the half-total floor")
-    elif abs(2 * tree_cost - ring_sum) > 1e-9 * max(1.0, abs(ring_sum)):
+    if abs(2 * tree_cost - ring_sum) > tolerance(2 * tree_cost, ring_sum):
         raise ContractError("segment tree misses the half-total floor")
     d = tree_decomposition(cycle, edges)
     return d, tree_cost
@@ -294,17 +299,25 @@ def _segment_tree(seq: list[int], pos: dict[int, int]) -> list[Edge]:
 
     Take the element earliest along the defining path; its nearest support
     vertex t splits the cycle written from that element into two arcs that
-    recurse independently.
+    are split the same way, depth-first with an explicit stack.
     """
-    if len(seq) == 1:
-        return []
-    if len(seq) == 2:
-        return [tuple(sorted(seq))]
-    leaf_idx = min(range(len(seq)), key=lambda i: pos[seq[i]])
-    seq = seq[leaf_idx:] + seq[:leaf_idx]
-    parent = min(seq[1:], key=lambda v: pos[v])
-    p = seq.index(parent)
-    return [tuple(sorted((seq[0], parent)))] + _segment_tree(seq[1:p + 1], pos) + _segment_tree(seq[p:], pos)
+    out: list[Edge] = []
+    stack = [seq]
+    while stack:
+        seq = stack.pop()
+        if len(seq) == 1:
+            continue
+        if len(seq) == 2:
+            out.append(tuple(sorted(seq)))
+            continue
+        leaf_idx = min(range(len(seq)), key=lambda i: pos[seq[i]])
+        seq = seq[leaf_idx:] + seq[:leaf_idx]
+        parent = min(seq[1:], key=lambda v: pos[v])
+        p = seq.index(parent)
+        out.append(tuple(sorted((seq[0], parent))))
+        stack.append(seq[p:])
+        stack.append(seq[1:p + 1])
+    return out
 
 
 def cycle_result(cycle: Cycle, phi_star: CostMatrix) -> CycleResult:

@@ -252,6 +252,18 @@ def sharpened_lower_bound(p: Permutation, raw: CostMatrix, lower_bound: float) -
     return target
 
 
+def mld_std_totals(p: Permutation, phi_star: CostMatrix) -> tuple[Number, Number]:
+    """Summed per-cycle costs of the cheapest MLD (L) and of the chain (S)."""
+    mld_total: Number = 0
+    std_total: Number = 0
+    for c in nontrivial_cycles(p):
+        _, piece = min_cost_mld(c, phi_star)
+        mld_total += piece
+        _, std_piece = std_decomposition(c, phi_star)
+        std_total += std_piece
+    return mld_total, std_total
+
+
 def _alpha_worst_case(p: Permutation, raw: CostMatrix) -> float | None:
     k = len(cycles(p))
     n = p.n
@@ -277,13 +289,7 @@ def bound_report(
     lb = permutation_lower_bound(p, raw)
     sharp = sharpened_lower_bound(p, raw, lb)
 
-    mld_total: Number = 0
-    std_total: Number = 0
-    for c in nontrivial_cycles(p):
-        _, piece = min_cost_mld(c, phi_star)
-        mld_total += piece
-        _, std_piece = std_decomposition(c, phi_star)
-        std_total += std_piece
+    mld_total, std_total = mld_std_totals(p, phi_star)
     try:
         merged_cost: Number = merged_decompose(p, phi_star, joins).cost
     except InfeasibleError:

@@ -1,8 +1,11 @@
 """Exhaustive reference answers for small instances.
 
-Two brute forces live here. ``mcd_exact`` runs Dijkstra over the whole
-Cayley graph of S_n with transpositions as edges, so it returns the true
+Two brute forces live here. ``mcd_exact`` runs Dijkstra over the Cayley
+graph of S_n with transpositions as edges, so it returns the true
 minimum-cost sorting of any permutation, no structural assumptions at all.
+The graph is never built: a permutation's neighbours are generated when it
+is popped, and the search stops at the identity, so it expands only the
+permutations cheaper than the target.
 ``mld_exact_enumeration`` checks the single-cycle decomposer a different
 way: every labeled tree on k vertices, filtered down to the non-crossing
 ones, each scored by its edge sum.
@@ -16,7 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations as _all_perms, product as _product
+from itertools import product as _product
 
 from .costs import INF, CostMatrix, Number
 from .errors import SizeLimitError
@@ -44,32 +47,6 @@ class TreeEnumeration:
     min_cost_any_tree: Number
 
 
-def lehmer_rank(images: tuple[int, ...]) -> int:
-    """Lexicographic index of an image tuple among all n! of them."""
-    rank = 0
-    n = len(images)
-    for i in range(n):
-        smaller = sum(1 for j in range(i + 1, n) if images[j] < images[i])
-        rank = rank * (n - i) + smaller
-    return rank
-
-
-@lru_cache(maxsize=None)
-def _cayley_graph(n: int):
-    """All image tuples in lex order plus, per tuple, the rank of each swap's result."""
-    perms = list(_all_perms(range(1, n + 1)))
-    rank_of = {images: r for r, images in enumerate(perms)}
-    pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
-    neighbors = []
-    for images in perms:
-        row = []
-        for a, b in pairs:
-            swapped = tuple(b if v == a else a if v == b else v for v in images)
-            row.append(rank_of[swapped])
-        neighbors.append(row)
-    return pairs, neighbors
-
-
 def _check_limit(n: int, limit: int):
     if n > limit:
         raise SizeLimitError(
@@ -79,57 +56,56 @@ def _check_limit(n: int, limit: int):
 
 
 def mcd_exact(p: Permutation, costs: CostMatrix, limit: int = DEFAULT_LIMIT) -> CayleySearchResult:
-    """True minimum-cost sorting by shortest path through all of S_n.
+    """True minimum-cost sorting by shortest path through S_n.
 
-    The witness multiplies back to p and its cost is exactly ``min_cost``.
-    Unreachable targets (infinite costs can disconnect the graph) come back
-    with cost inf and no witness.
+    Dijkstra from p over image tuples, expanding neighbours on demand and
+    stopping when the identity pops: only permutations cheaper than the
+    target are expanded. The witness multiplies back to p and its cost is
+    exactly ``min_cost``. Unreachable targets (infinite costs can disconnect
+    the graph) come back with cost inf and no witness.
     """
     n = p.n
     if costs.n != n:
         raise ValueError(f"cost table is for n={costs.n}, permutation has n={n}")
     _check_limit(n, limit)
-    pairs, neighbors = _cayley_graph(n)
-    weights = [costs.cost(a, b) for a, b in pairs]
+    # finite swaps in lexicographic pair order: the scan order of every pop
+    swaps = [(a, b, w) for a, b, w in costs.entries() if w != INF]
 
-    size = 1
-    for i in range(2, n + 1):
-        size *= i
-    start = lehmer_rank(p.images)
-    dist: list[Number] = [INF] * size
-    prev: list[tuple[int, int] | None] = [None] * size
-    dist[start] = 0
-    heap: list[tuple[Number, int]] = [(0, start)]
+    target = tuple(range(1, n + 1))
+    start = p.images
+    dist: dict[tuple[int, ...], Number] = {start: 0}
+    prev: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = {}
+    # image tuples compare lexicographically, so equal distances pop in
+    # lexicographic order of the permutations
+    heap: list[tuple[Number, tuple[int, ...]]] = [(0, start)]
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        if u == 0:
+        if u == target:
             break
-        row = neighbors[u]
-        for e, w in enumerate(weights):
-            if w == INF:
-                continue
-            v = row[e]
+        where = {v: i for i, v in enumerate(u)}
+        for a, b, w in swaps:
+            images = list(u)
+            images[where[a]], images[where[b]] = b, a
+            v = tuple(images)
             nd = d + w
-            if nd < dist[v]:
+            if nd < dist.get(v, INF):
                 dist[v] = nd
-                prev[v] = (u, e)
+                prev[v] = (u, a, b)
                 heapq.heappush(heap, (nd, v))
 
-    if dist[0] == INF:
+    if target not in dist:
         return CayleySearchResult(p, INF, None)
     labels: list[Transposition] = []
-    at = 0
+    at = target
     while at != start:
-        link = prev[at]
-        assert link is not None
-        at, e = link
-        labels.append(Transposition(*pairs[e]))
+        at, a, b = prev[at]
+        labels.append(Transposition(a, b))
     labels.reverse()
     witness = Decomposition(tuple(labels))
     assert witness.product(n) == p
-    return CayleySearchResult(p, dist[0], witness)
+    return CayleySearchResult(p, dist[target], witness)
 
 
 def transposition_min_cost_exact(a: int, b: int, costs: CostMatrix,

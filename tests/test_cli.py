@@ -46,25 +46,10 @@ def test_optimize_writes_output_file(tmp_path, capsys):
     assert text.startswith("n 4\n")
 
 
-def test_optimize_methods_agree(tmp_path, capsys):
-    src = cost_file(tmp_path, "t", opt4_raw())
-    base = run(capsys, "optimize", src)
-    for method in ("bellman-ford", "both"):
-        assert run(capsys, "optimize", src, "--method", method) == base
-
-
 def test_optimize_path_distances_are_fixed_point(tmp_path, capsys):
     code, out, _ = run(capsys, "optimize", path_file(tmp_path))
     assert code == 0
     assert out == "0 entries changed\n"
-
-
-def test_optimize_cross_check_disagreement(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("permsort.cli.all_pairs_optimize", lambda raw: raw.assume_optimized())
-    src = cost_file(tmp_path, "t", opt4_raw())
-    code, _, err = run(capsys, "optimize", src, "--method", "both")
-    assert code == 2
-    assert "substitution and shortest-path tables disagree" in err
 
 
 def test_decompose_with_expansion(tmp_path, capsys):

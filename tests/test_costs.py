@@ -17,6 +17,7 @@ from permsort import (
     parse_cost_input,
     parse_path_file,
 )
+from permsort.costs import tolerance
 from permsort.errors import CostParseError
 
 from frozen import mod5_raw, ring10_distance, ring10_raw
@@ -69,6 +70,12 @@ def test_helpers():
     assert from_pairs(3, [(1, 2, 5)]).all_integer()  # inf entries do not count
     opt = m.assume_optimized()
     assert opt.kind == "optimized" and opt.table == m.table
+
+
+def test_tolerance_is_exact_on_integers():
+    assert tolerance(3, 0, 12) == 0
+    assert tolerance(0.5, 0.25) == 1e-9
+    assert tolerance(2, -4e3) == 1e-9 * 4e3
 
 
 def test_parse_cost_file():

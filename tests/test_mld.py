@@ -237,6 +237,29 @@ def test_metric_path_mcd_frozen():
     assert cost == cycle_lower_bound(Cycle((1, 2, 3, 4, 5)), table)
 
 
+def test_metric_path_mcd_long_cycle_needs_no_recursion():
+    # the segment tree and its conversion nest about k deep here, past
+    # Python's default recursion limit
+    n = 1100
+    path = DefiningPath(tuple(range(1, n + 1)), (1,) * (n - 1))
+    cyc = Cycle(tuple(range(1, n + 1)))
+    d, cost = metric_path_mcd(cyc, metric_path(path), path)
+    assert cost == n - 1
+    assert len(d) == n - 1
+    assert validate_decomposition(d, cyc.as_permutation(n))
+
+
+def test_metric_path_mcd_float_weights_meet_the_floor():
+    # twice the tree sum is 5.3999999999999995 and the ring sum 5.4, so an
+    # exact comparison would reject the optimal tree
+    path = DefiningPath((3, 4, 5, 1, 2), (0.7, 0.7, 0.7, 0.6))
+    table = metric_path(path)
+    cyc = Cycle((1, 2, 3, 4, 5))
+    d, cost = metric_path_mcd(cyc, table, path)
+    assert validate_decomposition(d, cyc.as_permutation(5))
+    assert cost == pytest.approx(cycle_lower_bound(cyc, table))
+
+
 def test_metric_path_mcd_random_orders():
     rng = random.Random(54)
     for _ in range(30):

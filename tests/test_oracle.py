@@ -1,5 +1,4 @@
 """Exhaustive reference searches that the fast algorithms are checked against."""
-import itertools
 import random
 
 import pytest
@@ -22,17 +21,11 @@ from permsort import (
     validate_decomposition,
 )
 from permsort.costs import DefiningPath
-from permsort.oracle import _noncrossing, _trees_with_flags, lehmer_rank
+from permsort.oracle import _noncrossing, _trees_with_flags
 
 from frozen import OPT4_STAR, dp4_raw, mod5_raw, opt4_raw, random_table
 
 FIVE_CYCLE = parse_cycles("(1 2 3 4 5)", 5)
-
-
-def test_lehmer_rank_matches_sorted_order():
-    for n in range(1, 6):
-        for i, images in enumerate(sorted(itertools.permutations(range(1, n + 1)))):
-            assert lehmer_rank(images) == i
 
 
 def test_exact_search_mod_five():

@@ -1,9 +1,12 @@
-"""Generated-instance properties of the all-pairs engine.
+"""Generated-instance properties of the all-pairs engine and the paper's bounds.
 
 Random integer tables with zero and infinite entries, n <= 9. The engine's
 phi*, distances and expansions are checked against the reference routes
 (the substitution sweep and per-source Bellman-Ford) and against the
-2n - 3 length bound of a palindrome along a simple path.
+2n - 3 length bound of a palindrome along a simple path. For n <= 6 the
+exhaustive minimum M of ``mcd_exact`` checks the chain of bounds
+lower bound <= sharpened bound <= M <= L <= S <= 4M, the exactness of ``metric-exact`` on path
+distances, and its own witnesses.
 """
 import pytest
 
@@ -13,18 +16,24 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from permsort import (  # noqa: E402
     INF,
     Decomposition,
+    DefiningPath,
     Permutation,
     Transposition,
     bellman_ford,
     cycle_lower_bound,
+    decompose,
     expand_transposition,
     from_pairs,
+    mcd_exact,
+    metric_path,
     nontrivial_cycles,
     optimize_costs,
     permutation_lower_bound,
+    sharpened_lower_bound,
     shortest_swaps,
 )
 from permsort.errors import InfeasibleError  # noqa: E402
+from permsort.multicycle import mld_std_totals  # noqa: E402
 
 # deterministic and without an example database, so every run of the suite
 # checks the same instances
@@ -41,10 +50,19 @@ def tables(draw, max_n=9):
 
 
 @st.composite
-def tables_and_permutations(draw):
-    raw = draw(tables())
+def tables_and_permutations(draw, max_n=9):
+    raw = draw(tables(max_n))
     images = draw(st.permutations(range(1, raw.n + 1)))
     return raw, Permutation(tuple(images))
+
+
+@st.composite
+def paths_and_permutations(draw, max_n=6):
+    n = draw(st.integers(2, max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    weights = draw(st.lists(st.integers(0, 9), min_size=n - 1, max_size=n - 1))
+    images = draw(st.permutations(range(1, n + 1)))
+    return DefiningPath(tuple(order), tuple(weights)), Permutation(tuple(images))
 
 
 @PROPERTY
@@ -101,3 +119,37 @@ def test_expansions_multiply_back_at_optimized_cost(raw):
         assert d.product(n) == Decomposition((Transposition(a, b),)).product(n)
         assert d.cost(raw) == star.cost(a, b)
         assert len(d) <= 2 * n - 3
+
+
+@PROPERTY
+@given(tables_and_permutations(max_n=6))
+def test_bounds_chain_around_the_exhaustive_minimum(case):
+    raw, p = case
+    m = mcd_exact(p, raw).min_cost
+    if m == INF:
+        return
+    lb = permutation_lower_bound(p, raw)
+    sharp = sharpened_lower_bound(p, raw, lb)
+    big_l, big_s = mld_std_totals(p, shortest_swaps(raw).optimized)
+    assert lb <= sharp <= m <= big_l <= big_s <= 4 * m
+
+
+@PROPERTY
+@given(paths_and_permutations())
+def test_metric_exact_meets_the_exhaustive_minimum(case):
+    path, p = case
+    metric = metric_path(path)
+    report = decompose(p, metric, "metric-exact", defining_path=path)
+    assert report.cost == mcd_exact(p, metric).min_cost
+
+
+@PROPERTY
+@given(tables_and_permutations(max_n=6))
+def test_exhaustive_witness_multiplies_back_at_its_cost(case):
+    raw, p = case
+    result = mcd_exact(p, raw)
+    if result.min_cost == INF:
+        assert result.witness is None
+        return
+    assert result.witness.product(raw.n) == p
+    assert result.witness.cost(raw) == result.min_cost
