@@ -27,7 +27,7 @@ from .costs import (
     tolerance,
 )
 from .errors import ContractError, CostParseError, InfeasibleError, SizeLimitError
-from .mld import min_cost_mld
+from .mld import mld_cost
 from .multicycle import METHODS, decompose, mld_std_totals
 from .optimize import all_pairs_optimize, expand_decomposition, shortest_swaps
 from .oracle import DEFAULT_LIMIT, mcd_exact
@@ -235,10 +235,8 @@ def bench_rows(kmin: int, kmax: int, trials: int, seed: int) -> list[tuple[int, 
             entries = [(a, b, rng.random())
                        for a in range(1, k + 1) for b in range(a + 1, k + 1)]
             table = from_pairs(k, entries)
-            _, raw_cost = min_cost_mld(cyc, table.assume_optimized())
-            _, opt_cost = min_cost_mld(cyc, all_pairs_optimize(table))
-            raw_sum += raw_cost
-            opt_sum += opt_cost
+            raw_sum += mld_cost(cyc, table.assume_optimized())
+            opt_sum += mld_cost(cyc, all_pairs_optimize(table))
         rows.append((k, trials, raw_sum / trials, opt_sum / trials))
     return rows
 

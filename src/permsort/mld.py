@@ -11,8 +11,14 @@ cheapest MLD an interval problem: writing the cycle as positions 1..k,
               C(i, s) + C(s+1, r) + C(r, j) + phi(i, r)
 
 where C(i, j) is the cheapest MLD of the contiguous sub-cycle on positions
-i..j. ``min_cost_mld`` fills the table in O(k^4) and rebuilds an explicit
-sequence from the recorded splits.
+i..j. The first two terms depend on (i, r) only, so the table is filled
+through
+
+    B(i, r) = min over i <= s < r of C(i, s) + C(s+1, r)
+    C(i, j) = min over i < r <= j of B(i, r) + C(r, j) + phi(i, r)
+
+in O(k^3) time and O(k^2) memory. ``min_cost_mld`` rebuilds an explicit
+sequence from the recorded splits; ``mld_cost`` returns C(1, k) alone.
 
 ``std_decomposition`` is the cheap-and-cheerful alternative: chain the
 cycle's consecutive pairs, skipping the most expensive one.
@@ -26,6 +32,7 @@ MLD is a true minimum cost decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from .costs import INF, CostMatrix, DefiningPath, Number, metric_path, tolerance
@@ -69,47 +76,87 @@ def _require_optimized(costs: CostMatrix):
 
 
 def mld_table(cycle: Cycle, costs: CostMatrix) -> MldTable:
-    """Fill the interval table. Ties pick the smallest r, then smallest s."""
+    """Fill the interval table. Ties pick the smallest r, then smallest s.
+
+    Every stored cost is the sum ((C(i, s) + C(s+1, r)) + C(r, j)) + phi(i, r)
+    of its chosen split, added in that order. Float addition is monotone, so
+    minimising over s inside B(i, r) first gives the same minimum, and the
+    split is found by rescanning s for the chosen r only.
+    """
     _require_optimized(costs)
     labels = cycle.elements
     k = len(labels)
     if max(labels) > costs.n:
         raise ValueError(f"cycle label {max(labels)} outside 1..{costs.n}")
+    # phi[i][r] is the swap cost between cycle positions i and r, 1-based
+    phi = [[]] + [[0] + [costs.table[a - 1][b - 1] for b in labels] for a in labels]
     c: list[list[Number]] = [[0] * (k + 1) for _ in range(k + 1)]
+    ct: list[list[Number]] = [[0] * (k + 1) for _ in range(k + 1)]   # ct[j][i] = C(i, j)
+    b: list[list[Number]] = [[0] * (k + 1) for _ in range(k + 1)]    # B(i, i+1) = 0
     split: list[list[Edge | None]] = [[None] * (k + 1) for _ in range(k + 1)]
     for i in range(1, k):
-        c[i][i + 1] = costs.cost(labels[i - 1], labels[i])
+        c[i][i + 1] = ct[i + 1][i] = phi[i][i + 1]
     for span in range(2, k):
         for i in range(1, k - span + 1):
             j = i + span
-            best: Number = INF
-            best_split: Edge | None = None
-            for r in range(i + 1, j + 1):
-                edge = costs.cost(labels[i - 1], labels[r - 1])
-                if edge == INF:
-                    continue
-                for s in range(i, r):
-                    total = c[i][s] + c[s + 1][r] + c[r][j] + edge
-                    if total < best:
-                        best = total
-                        best_split = (s, r)
-            c[i][j] = best
-            split[i][j] = best_split
+            ci, bi, col = c[i], b[i], ct[j]
+            bi[j] = min(map(add, ci[i:j], col[i + 1:j + 1]))
+            totals = list(map(add, map(add, bi[i + 1:j + 1], col[i + 1:j + 1]), phi[i][i + 1:j + 1]))
+            best = min(totals)
+            if best == INF:
+                c[i][j] = ct[j][i] = INF
+                continue
+            r = i + 1 + totals.index(best)
+            tail = col[r]
+            edge = phi[i][r]
+            for s in range(i, r):
+                total = ci[s] + c[s + 1][r] + tail + edge
+                if total == best:
+                    break
+            c[i][j] = ct[j][i] = total
+            split[i][j] = (s, r)
     return MldTable(cycle, tuple(tuple(row) for row in c), tuple(tuple(row) for row in split))
 
 
 def _rebuild(table: MldTable, i: int, j: int) -> list[Transposition]:
+    """Sequence for positions i..j: (s+1..r), then (i r), then (r..j), then (i..s)."""
     labels = table.cycle.elements
-    if j <= i:
-        return []
-    if j == i + 1:
-        return [Transposition(labels[i - 1], labels[j - 1])]
-    chosen = table.split[i][j]
-    if chosen is None:
-        raise InfeasibleError(f"sub-cycle positions {i}..{j} admit no finite decomposition")
-    s, r = chosen
-    mid = [Transposition(labels[i - 1], labels[r - 1])]
-    return _rebuild(table, s + 1, r) + mid + _rebuild(table, r, j) + _rebuild(table, i, s)
+    out: list[Transposition] = []
+    stack: list[tuple[int, int] | Transposition] = [(i, j)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Transposition):
+            out.append(item)
+            continue
+        i, j = item
+        if j <= i:
+            continue
+        if j == i + 1:
+            out.append(Transposition(labels[i - 1], labels[j - 1]))
+            continue
+        chosen = table.split[i][j]
+        if chosen is None:
+            raise InfeasibleError(f"sub-cycle positions {i}..{j} admit no finite decomposition")
+        s, r = chosen
+        stack += [(i, s), (r, j), Transposition(labels[i - 1], labels[r - 1]), (s + 1, r)]
+    return out
+
+
+def _feasible_cost(table: MldTable) -> Number:
+    total = table.cost[1][table.cycle.k]
+    if total == INF:
+        raise InfeasibleError(f"cycle {table.cycle} admits no finite-cost decomposition")
+    return total
+
+
+def mld_cost(cycle: Cycle, costs: CostMatrix) -> Number:
+    """Cost C(1, k) of the cheapest minimum length decomposition, unbuilt.
+
+    Raises InfeasibleError when every spanning tree needs an infinite edge.
+    """
+    if cycle.k == 1:
+        return 0
+    return _feasible_cost(mld_table(cycle, costs))
 
 
 def min_cost_mld(cycle: Cycle, costs: CostMatrix) -> tuple[Decomposition, Number]:
@@ -122,9 +169,7 @@ def min_cost_mld(cycle: Cycle, costs: CostMatrix) -> tuple[Decomposition, Number
     if k == 1:
         return Decomposition(), 0
     table = mld_table(cycle, costs)
-    total = table.cost[1][k]
-    if total == INF:
-        raise InfeasibleError(f"cycle {cycle} admits no finite-cost decomposition")
+    total = _feasible_cost(table)
     d = Decomposition(tuple(_rebuild(table, 1, k)))
     _check(d, cycle, expected_len=k - 1)
     return d, total

@@ -6,8 +6,10 @@ the cycles into one big cycle with cheap extra transpositions, decomposing
 that, and prepending the joins' inverses can beat the per-cycle total
 because the bigger cycle has more routing freedom.
 
-``merge_cycles`` picks the joins greedily, always the cheapest swap linking
-two still-separate cycles, unless the caller dictates the joins. If tau' is
+``merge_cycles`` picks the joins by Kruskal's algorithm over phi*: the
+swaps between moved elements of different cycles are sorted once by cost,
+ties to the smaller pair, and taken in that order whenever they link two
+still-separate cycles, unless the caller dictates the joins. If tau' is
 the join product then sigma' = tau' * p is a single cycle and
 
     p = (tau')^-1 * sigma',
@@ -27,13 +29,13 @@ from typing import Sequence
 
 from .costs import INF, CostMatrix, DefiningPath, Number
 from .errors import ContractError, InfeasibleError
-from .mld import half_route_sum, metric_path_mcd, min_cost_mld, std_decomposition
+from .mld import half_route_sum, metric_path_mcd, min_cost_mld, mld_cost, std_decomposition
 from .permutation import (
     Cycle,
     Decomposition,
     Permutation,
     Transposition,
-    apply_transposition,
+    compose,
     cycles,
     nontrivial_cycles,
     validate_decomposition,
@@ -97,46 +99,51 @@ def merge_cycles(
         for e in c.elements:
             comp[e] = idx
     support = sorted(comp)
+    # union-find over cycle indices: parent[x] == x marks a root
+    parent = list(range(len(moved)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
     applied: list[Transposition] = []
-    current = p
-    remaining = len(moved) - 1
 
-    def bind(a: int, b: int):
-        nonlocal current
-        old, new = comp[b], comp[a]
-        for e in support:
-            if comp[e] == old:
-                comp[e] = new
+    def bind(a: int, b: int) -> bool:
+        ra, rb = find(comp[a]), find(comp[b])
+        if ra == rb:
+            return False
+        parent[rb] = ra
         applied.append(Transposition(a, b))
-        current = apply_transposition(current, Transposition(a, b))
+        return True
 
     if joins is not None:
         for a, b in joins:
             if a not in comp or b not in comp:
                 raise ValueError(f"join ({a}, {b}) touches a fixed element")
-            if comp[a] == comp[b]:
+            if not bind(a, b):
                 raise ValueError(f"join ({a}, {b}) does not link two separate cycles")
-            bind(a, b)
-        if len({comp[e] for e in support}) != 1:
+        if len(applied) != len(moved) - 1:
             raise ValueError("joins given do not merge all cycles")
-    else:
-        for _ in range(remaining):
-            best = None
-            for i, a in enumerate(support):
-                for b in support[i + 1:]:
-                    if comp[a] == comp[b]:
-                        continue
-                    key = (phi_star.cost(a, b), a, b)
-                    if best is None or key < best:
-                        best = key
-            assert best is not None
-            bind(best[1], best[2])
+    elif len(moved) > 1:
+        if support[-1] > phi_star.n:
+            raise ValueError(f"label {support[-1]} outside 1..{phi_star.n}")
+        rows = phi_star.table
+        links = sorted(
+            (rows[a - 1][b - 1], a, b)
+            for i, a in enumerate(support)
+            for b in support[i + 1:]
+            if comp[a] != comp[b]
+        )
+        for _, a, b in links:
+            bind(a, b)
 
-    merged_cycles = nontrivial_cycles(current)
+    tau = Decomposition(tuple(reversed(applied)))
+    merged_cycles = nontrivial_cycles(compose(tau.product(p.n), p))
     if len(merged_cycles) != 1 or set(merged_cycles[0].elements) != set(support):
         raise ContractError("joining product did not produce one cycle over the moved elements")
-    return Decomposition(tuple(reversed(applied))), merged_cycles[0]
+    return tau, merged_cycles[0]
 
 
 def merged_decompose(
@@ -148,14 +155,14 @@ def merged_decompose(
     if p.is_identity():
         return DecompositionReport(p, "merge", Decomposition(), 0, 0.0, None)
     tau, merged = merge_cycles(p, phi_star, joins)
-    mld, mld_cost = min_cost_mld(merged, phi_star)
+    mld, sigma_cost = min_cost_mld(merged, phi_star)
     join_cost = tau.cost(phi_star)
     seq = tuple(reversed(tau.transpositions)) + mld.transpositions
     d = Decomposition(seq)
     if not validate_decomposition(d, p):
         raise ContractError("merged decomposition does not multiply back to the input")
     lb = permutation_lower_bound(p, phi_star)
-    total = join_cost + mld_cost
+    total = join_cost + sigma_cost
     return DecompositionReport(p, "merge", d, total, lb, _ratio(total, lb))
 
 
@@ -257,8 +264,7 @@ def mld_std_totals(p: Permutation, phi_star: CostMatrix) -> tuple[Number, Number
     mld_total: Number = 0
     std_total: Number = 0
     for c in nontrivial_cycles(p):
-        _, piece = min_cost_mld(c, phi_star)
-        mld_total += piece
+        mld_total += mld_cost(c, phi_star)
         _, std_piece = std_decomposition(c, phi_star)
         std_total += std_piece
     return mld_total, std_total

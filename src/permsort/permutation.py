@@ -142,11 +142,21 @@ class Decomposition:
         return iter(self.transpositions)
 
     def product(self, n: int) -> Permutation:
-        """Multiply the sequence out, rightmost transposition acting first."""
-        p = Permutation.identity(n)
+        """Multiply the sequence out, rightmost transposition acting first.
+
+        Each swap exchanges two labels among the images, found through the
+        inverse, so the whole product takes O(len + n).
+        """
+        images = list(range(1, n + 1))
+        where = list(range(-1, n))    # where[v] is the index holding image v
         for t in reversed(self.transpositions):
-            p = apply_transposition(p, t)
-        return p
+            a, b = t.a, t.b
+            if b > n:
+                raise ValueError(f"label {b} outside 1..{n}")
+            ia, ib = where[a], where[b]
+            images[ia], images[ib] = b, a
+            where[a], where[b] = ib, ia
+        return Permutation(tuple(images))
 
     def cost(self, costs) -> float:
         """Total cost of the sequence under a cost table (entries may repeat)."""

@@ -22,6 +22,7 @@ from permsort import (
     validate_decomposition,
 )
 from permsort.errors import ContractError, InfeasibleError
+from permsort.mld import MldTable, _rebuild, mld_cost
 
 from frozen import (
     DP4_C,
@@ -78,6 +79,30 @@ def test_dp_tiny_cycles():
     assert [t.pair for t in d] == [(2, 4)] and cost == 3
     with pytest.raises(ValueError):
         min_cost_mld(Cycle((1, 5)), star)
+
+
+def test_mld_cost_matches_the_rebuilt_cost():
+    star = optimized(dp4_raw())
+    assert mld_cost(Cycle((1, 2, 3, 4)), star) == 8
+    assert mld_cost(Cycle((3,)), star) == 0
+    gap = from_pairs(4, [(1, 2, 1), (3, 4, 1)]).assume_optimized()
+    with pytest.raises(InfeasibleError):
+        mld_cost(Cycle((1, 2, 3, 4)), gap)
+    with pytest.raises(ValueError):
+        mld_cost(Cycle((1, 2, 3)), dp4_raw())
+
+
+def test_rebuild_follows_a_deep_split_chain():
+    # splitting every interval (i, k) at s = i, r = k rebuilds the star
+    # around position k through k - 2 nested intervals, past Python's
+    # default recursion limit
+    k = 1500
+    split = tuple((None,) * k + ((i, k),) for i in range(k + 1))
+    cyc = Cycle(tuple(range(1, k + 1)))
+    seq = _rebuild(MldTable(cyc, (), split), 1, k)
+    assert len(seq) == k - 1
+    assert [t.pair for t in seq[:2]] == [(k - 1, k), (k - 2, k)]
+    assert validate_decomposition(Decomposition(tuple(seq)), cyc.as_permutation())
 
 
 def test_dp_tie_break_prefers_small_r_then_small_s():

@@ -6,7 +6,9 @@ phi*, distances and expansions are checked against the reference routes
 2n - 3 length bound of a palindrome along a simple path. For n <= 6 the
 exhaustive minimum M of ``mcd_exact`` checks the chain of bounds
 lower bound <= sharpened bound <= M <= L <= S <= 4M, the exactness of ``metric-exact`` on path
-distances, and its own witnesses.
+distances, and its own witnesses. The interval DP, the cycle merge and the
+transposition product must equal their straightforward routes in
+``reference_routes`` exactly, floats and ties included.
 """
 import pytest
 
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from permsort import (  # noqa: E402
     INF,
+    Cycle,
     Decomposition,
     DefiningPath,
     Permutation,
@@ -25,9 +28,12 @@ from permsort import (  # noqa: E402
     expand_transposition,
     from_pairs,
     mcd_exact,
+    merge_cycles,
     metric_path,
+    mld_table,
     nontrivial_cycles,
     optimize_costs,
+    permutation_from_cycles,
     permutation_lower_bound,
     sharpened_lower_bound,
     shortest_swaps,
@@ -35,16 +41,18 @@ from permsort import (  # noqa: E402
 from permsort.errors import InfeasibleError  # noqa: E402
 from permsort.multicycle import mld_std_totals  # noqa: E402
 
+from reference_routes import merge_cycles_rescan, mld_table_quartic, product_by_fold  # noqa: E402
+
 # deterministic and without an example database, so every run of the suite
 # checks the same instances
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def tables(draw, max_n=9):
-    n = draw(st.integers(2, max_n))
+def tables(draw, max_n=9, values=st.integers(0, 30), min_n=2):
+    n = draw(st.integers(min_n, max_n))
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    costs = draw(st.lists(st.one_of(st.integers(0, 30), st.just(INF)),
+    costs = draw(st.lists(st.one_of(values, st.just(INF)),
                           min_size=len(pairs), max_size=len(pairs)))
     return from_pairs(n, [(a, b, v) for (a, b), v in zip(pairs, costs)])
 
@@ -153,3 +161,65 @@ def test_exhaustive_witness_multiplies_back_at_its_cost(case):
         return
     assert result.witness.product(raw.n) == p
     assert result.witness.cost(raw) == result.min_cost
+
+
+@st.composite
+def cycles_on_tables(draw, max_k=10):
+    values = draw(st.sampled_from([
+        st.integers(0, 6),
+        # tie-prone: many sums of these are equal, or equal after rounding
+        st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1]),
+        st.floats(0, 10, allow_nan=False, allow_infinity=False),
+    ]))
+    table = draw(tables(max_k, values)).assume_optimized()
+    k = draw(st.integers(2, table.n))
+    order = draw(st.permutations(range(1, table.n + 1)))
+    return Cycle(tuple(order[:k])), table
+
+
+@PROPERTY
+@given(cycles_on_tables())
+def test_interval_dp_equals_the_quartic_recurrence(case):
+    cycle, table = case
+    got = mld_table(cycle, table)
+    want = mld_table_quartic(cycle, table)
+    assert got.cost == want.cost
+    assert got.split == want.split
+
+
+@st.composite
+def multicycle_permutations(draw, max_n=9):
+    raw = draw(tables(max_n, st.integers(0, 3), min_n=4))
+    n = raw.n
+    order = draw(st.permutations(range(1, n + 1)))
+    blocks, used = [], 0
+    while n - used >= 2 and (len(blocks) < 2 or draw(st.booleans())):
+        # the first cycle leaves room for a second
+        top = n - used - (2 if not blocks else 0)
+        size = draw(st.integers(2, top))
+        blocks.append(order[used:used + size])
+        used += size
+    return raw, permutation_from_cycles(n, blocks)
+
+
+@PROPERTY
+@given(multicycle_permutations())
+def test_kruskal_merge_equals_the_pair_rescan(case):
+    table, p = case
+    assert len(nontrivial_cycles(p)) >= 2
+    assert merge_cycles(p, table) == merge_cycles_rescan(p, table)
+
+
+@st.composite
+def transposition_sequences(draw, max_n=12):
+    n = draw(st.integers(2, max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n - 1)), max_size=30))
+    # the second label skips the first, so the two always differ
+    return n, Decomposition(tuple(Transposition(a, b + (b >= a)) for a, b in pairs))
+
+
+@PROPERTY
+@given(transposition_sequences())
+def test_product_equals_the_fold_of_single_swaps(case):
+    n, d = case
+    assert d.product(n) == product_by_fold(d, n)
