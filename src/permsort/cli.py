@@ -210,7 +210,7 @@ def _cmd_decompose(args) -> int:
             # trusted table: every swap already is a raw swap
             expanded = d
         else:
-            expanded = expand_decomposition(d, expander, raw)
+            expanded = expand_decomposition(d, expander)
         if not validate_decomposition(expanded, p):
             raise ContractError("expanded decomposition failed validation")
         print("# same permutation in raw swaps, applied right-to-left")

@@ -55,18 +55,6 @@ class MldTable:
         return self.cost[i][j]
 
 
-@dataclass(frozen=True)
-class CycleResult:
-    """The three per-cycle quantities used in reports."""
-
-    cycle: Cycle
-    mld: Decomposition
-    mld_cost: Number
-    std: Decomposition | None
-    std_cost: Number
-    lower_bound: float
-
-
 def _require_optimized(costs: CostMatrix):
     if costs.kind != "optimized":
         raise ValueError(
@@ -363,13 +351,6 @@ def _segment_tree(seq: list[int], pos: dict[int, int]) -> list[Edge]:
         stack.append(seq[p:])
         stack.append(seq[1:p + 1])
     return out
-
-
-def cycle_result(cycle: Cycle, phi_star: CostMatrix) -> CycleResult:
-    """Bundle MLD, chain decomposition and lower bound for one cycle."""
-    mld, mld_cost = min_cost_mld(cycle, phi_star)
-    std, std_cost = std_decomposition(cycle, phi_star)
-    return CycleResult(cycle, mld, mld_cost, std, std_cost, cycle_lower_bound(cycle, phi_star))
 
 
 def _check(d: Decomposition, cycle: Cycle, expected_len: int):

@@ -21,200 +21,17 @@ with next hops, then two min-plus passes for phi* and its argmin edge, O(n^3)
 in total. The same object serves the lower bounds (which read D) and the
 expansion of an optimized swap back into raw swaps (a palindrome along the
 argmin route, at most 2n - 3 swaps). ``all_pairs_optimize`` is its table.
-
-Two reference routes stay as test oracles. ``optimize_costs`` keeps a list
-of all pairs sorted by cost and repeatedly substitutes the cheapest-so-far
-conjugations, recording which pair of swaps produced each improvement so the
-substitution can be replayed into an explicit sequence. ``bellman_ford``
-runs a two-table relaxation from one source: d2[v] is twice the cheapest
-ordinary path cost, d1[v] the cheapest swap path cost, with predecessor
-links for recovery. All routes must agree entrywise; tests enforce it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from operator import add, lt
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .costs import INF, CostMatrix, Number, _freeze, _fresh
 from .errors import ContractError, InfeasibleError
 from .permutation import Decomposition, Transposition
-
-Pair = tuple[int, int]
-
-# Predecessor link: (vertex, table) where table 1 means d1 and 2 means d2.
-Pred = tuple[int, int] | None
-
-
-@dataclass(frozen=True)
-class OptimizerReport:
-    """Optimized table plus, per improved pair, the two swaps that won.
-
-    ``witness[(a, b)] = (t1, t2)`` records that (a b) = t2 t1 t2 was the
-    final improvement applied to the pair, written with t2 the cheaper swap
-    used twice. Replaying witnesses recursively yields a concrete sequence
-    whose raw cost equals the optimized entry.
-    """
-
-    optimized: CostMatrix
-    witness: Mapping[Pair, tuple[Pair, Pair]]
-
-
-@dataclass(frozen=True)
-class PathTable:
-    """Single-source relaxation result over a cost table.
-
-    d1[v] is the cheapest swap path cost from the source to v, d2[v] twice
-    the cheapest ordinary path cost. Entries are indexed 1..n; index 0 is
-    padding. pred1/pred2 hold (vertex, table) links, None at the source and
-    at unreached vertices.
-    """
-
-    source: int
-    d1: tuple[Number, ...]
-    d2: tuple[Number, ...]
-    pred1: tuple[Pred, ...]
-    pred2: tuple[Pred, ...]
-
-
-def _third_pair(p: Pair, q: Pair) -> Pair | None:
-    """Symmetric difference when the pairs share exactly one label."""
-    shared = set(p) & set(q)
-    if len(shared) != 1:
-        return None
-    rest = (set(p) | set(q)) - shared
-    a, b = sorted(rest)
-    return (a, b)
-
-
-def optimize_costs(raw: CostMatrix) -> OptimizerReport:
-    """Sorted-list substitution sweep, repeated until no entry moves.
-
-    Each sweep walks pairs from cheap to expensive; for pair i it tries every
-    cheaper pair j as the doubled swap and improves the third pair when
-    cost(i) + 2 cost(j) beats it. The list is re-sorted after every i so
-    later iterations see fresh costs. A single sweep normally suffices; the
-    outer loop guards the fixpoint.
-    """
-    n = raw.n
-    cost: dict[Pair, Number] = {(a, b): v for a, b, v in raw.entries()}
-    witness: dict[Pair, tuple[Pair, Pair]] = {}
-    omega = sorted(cost)
-    sort_key = lambda p: (cost[p], p)
-
-    changed = True
-    while changed:
-        changed = False
-        omega.sort(key=sort_key)
-        for i in range(1, len(omega)):
-            t1 = omega[i]
-            phi1 = cost[t1]
-            for j in range(i):
-                t2 = omega[j]
-                third = _third_pair(t1, t2)
-                if third is None:
-                    continue
-                candidate = phi1 + 2 * cost[t2]
-                if candidate < cost[third]:
-                    cost[third] = candidate
-                    witness[third] = (t1, t2)
-                    changed = True
-            omega.sort(key=sort_key)
-
-    rows = _fresh(n, INF)
-    for (a, b), v in cost.items():
-        rows[a - 1][b - 1] = rows[b - 1][a - 1] = v
-    return OptimizerReport(_freeze(rows, "optimized"), witness)
-
-
-def bellman_ford(costs: CostMatrix, source: int) -> PathTable:
-    """Two-table relaxation from one source vertex.
-
-    Edges are scanned in lexicographic order for n-1 passes with an early
-    exit once a pass changes nothing. Only finite edges participate.
-    """
-    n = costs.n
-    if not 1 <= source <= n:
-        raise ValueError(f"source {source} outside 1..{n}")
-    d1: list[Number] = [INF] * (n + 1)
-    d2: list[Number] = [INF] * (n + 1)
-    pred1: list[Pred] = [None] * (n + 1)
-    pred2: list[Pred] = [None] * (n + 1)
-    d1[source] = d2[source] = 0
-    for u in range(1, n + 1):
-        if u == source:
-            continue
-        w = costs.cost(source, u)
-        if w != INF:
-            # The direct edge seeds both tables: counted once in d1, twice in d2.
-            d1[u] = w
-            d2[u] = 2 * w
-            pred1[u] = (source, 2)
-            pred2[u] = (source, 2)
-
-    edges = [(a, b, v) for a, b, v in costs.entries() if v != INF]
-    for _ in range(n - 1):
-        moved = False
-        for u, v, w in edges:
-            w2 = 2 * w
-            if d2[v] > d2[u] + w2:
-                d2[v] = d2[u] + w2
-                pred2[v] = (u, 2)
-                moved = True
-            if d2[u] > d2[v] + w2:
-                d2[u] = d2[v] + w2
-                pred2[u] = (v, 2)
-                moved = True
-            if d1[v] > d2[u] + w:
-                d1[v] = d2[u] + w
-                pred1[v] = (u, 2)
-                moved = True
-            if d1[u] > d2[v] + w:
-                d1[u] = d2[v] + w
-                pred1[u] = (v, 2)
-                moved = True
-            if d1[v] > d1[u] + w2:
-                d1[v] = d1[u] + w2
-                pred1[v] = (u, 1)
-                moved = True
-            if d1[u] > d1[v] + w2:
-                d1[u] = d1[v] + w2
-                pred1[u] = (v, 1)
-                moved = True
-        if not moved:
-            break
-
-    return PathTable(source, tuple(d1), tuple(d2), tuple(pred1), tuple(pred2))
-
-
-def recover_path(table: PathTable, v: int, *, which: int = 1) -> list[int]:
-    """Vertex sequence from the source to v behind d1[v] (or d2[v]).
-
-    Follows predecessor links; each (vertex, table) state may appear only
-    once, which the walk asserts.
-    """
-    d = table.d1 if which == 1 else table.d2
-    if v == table.source:
-        return [v]
-    if d[v] == INF:
-        raise InfeasibleError(f"vertex {v} is unreachable from {table.source}")
-    preds = (None, table.pred1, table.pred2)
-    state = (v, which)
-    out = [v]
-    seen = {state}
-    while state[0] != table.source:
-        link = preds[state[1]][state[0]]
-        if link is None:
-            raise ContractError(f"broken predecessor chain at {state}")
-        if link in seen:
-            raise ContractError(f"predecessor cycle at {link}")
-        seen.add(link)
-        out.append(link[0])
-        state = link
-    out.reverse()
-    return out
 
 
 def _min_plus_row(best: list[Number], arg: list, offset: Number, row: Sequence[Number], via) -> None:
@@ -370,55 +187,18 @@ def _palindrome(path: Sequence[int], centre: int) -> list[Transposition]:
     return left + right + middle + right[::-1] + left[::-1]
 
 
-def _replay_witness(pair: Pair, witness: Mapping[Pair, tuple[Pair, Pair]], budget: int) -> list[Transposition]:
-    if budget < 0:
-        raise ContractError("witness recursion exceeded its depth bound")
-    hit = witness.get(pair)
-    if hit is None:
-        return [Transposition(*pair)]
-    t1, t2 = hit
-    inner2 = _replay_witness(t2, witness, budget - 1)
-    inner1 = _replay_witness(t1, witness, budget - 1)
-    return inner2 + inner1 + inner2
+def expand_transposition(a: int, b: int, engine: ShortestSwaps) -> Decomposition:
+    """Concrete raw-swap sequence realising the optimized cost of (a b).
 
-
-def expand_transposition(a: int, b: int, source: OptimizerReport | PathTable | ShortestSwaps,
-                         raw: CostMatrix) -> Decomposition:
-    """Concrete swap sequence realising the optimized cost of (a b).
-
-    With an OptimizerReport the recorded substitutions are replayed. With a
-    PathTable (whose source must be a or b) the recovered path is unrolled
-    into a palindrome around its earliest maximum edge. With ShortestSwaps
-    the argmin route is unrolled around its maximum edge, ties going to the
-    lexicographically largest pair; the route is simple, so the sequence
-    has at most 2n - 3 swaps. Either way the product is exactly (a b), the
-    length is odd, and the raw cost of the sequence equals the optimized
-    cost.
+    The engine's argmin route is unrolled into a palindrome around its
+    maximum edge, ties going to the lexicographically largest pair. The
+    route is simple, so the sequence has at most 2n - 3 swaps; its product
+    is exactly (a b), its length is odd, and its raw cost equals phi*(a, b).
     """
-    if a == b:
-        raise ValueError("need two distinct labels")
     key = (min(a, b), max(a, b))
-    if isinstance(source, OptimizerReport):
-        if source.optimized.cost(*key) == INF:
-            raise InfeasibleError(f"pair {key} has no finite-cost realisation")
-        seq = _replay_witness(key, source.witness, raw.n * raw.n + 2)
-    elif isinstance(source, PathTable):
-        if source.source not in (a, b):
-            raise ValueError(f"path table rooted at {source.source} covers neither {a} nor {b}")
-        other = b if source.source == a else a
-        path = recover_path(source, other)
-        if path[0] != a:
-            path.reverse()
-        weights = [raw.cost(u, v) for u, v in zip(path, path[1:])]
-        seq = _palindrome(path, weights.index(max(weights)))
-    elif isinstance(source, ShortestSwaps):
-        path = source.route(*key)
-        steps = [(raw.cost(u, v), min(u, v), max(u, v)) for u, v in zip(path, path[1:])]
-        seq = _palindrome(path, steps.index(max(steps)))
-    else:
-        raise TypeError(f"cannot expand from {type(source).__name__}")
-
-    out = Decomposition(tuple(seq))
+    path = engine.route(*key)
+    steps = [(engine.raw.cost(u, v), min(u, v), max(u, v)) for u, v in zip(path, path[1:])]
+    out = Decomposition(tuple(_palindrome(path, steps.index(max(steps)))))
     n = max(key[1], out.max_label())
     target = Decomposition((Transposition(*key),)).product(n)
     if out.product(n) != target:
@@ -426,10 +206,9 @@ def expand_transposition(a: int, b: int, source: OptimizerReport | PathTable | S
     return out
 
 
-def expand_decomposition(d: Decomposition, source: OptimizerReport | PathTable | ShortestSwaps,
-                         raw: CostMatrix) -> Decomposition:
-    """Expand every entry of d; the product is unchanged."""
+def expand_decomposition(d: Decomposition, engine: ShortestSwaps) -> Decomposition:
+    """Expand every entry of d into raw swaps; the product is unchanged."""
     seq: list[Transposition] = []
     for t in d:
-        seq.extend(expand_transposition(t.a, t.b, source, raw).transpositions)
+        seq.extend(expand_transposition(t.a, t.b, engine).transpositions)
     return Decomposition(tuple(seq))

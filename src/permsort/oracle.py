@@ -108,14 +108,6 @@ def mcd_exact(p: Permutation, costs: CostMatrix, limit: int = DEFAULT_LIMIT) -> 
     return CayleySearchResult(p, dist[target], witness)
 
 
-def transposition_min_cost_exact(a: int, b: int, costs: CostMatrix,
-                                 limit: int = DEFAULT_LIMIT) -> Number:
-    """Exhaustively computed cheapest way to realize a single swap."""
-    images = list(range(1, costs.n + 1))
-    images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
-    return mcd_exact(Permutation(tuple(images)), costs, limit).min_cost
-
-
 def _decode_prufer(seq: tuple[int, ...], k: int) -> tuple[tuple[int, int], ...]:
     degree = [1] * (k + 1)
     for v in seq:

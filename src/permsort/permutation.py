@@ -257,6 +257,8 @@ def permutation_from_cycles(n: int, cycle_list: Iterable[Sequence[int] | Cycle])
     used: set[int] = set()
     for c in cycle_list:
         elems = c.elements if isinstance(c, Cycle) else tuple(c)
+        if len(set(elems)) != len(elems):
+            raise ValueError(f"repeated label in cycle {elems}")
         if used & set(elems):
             raise ValueError(f"cycles are not disjoint at {sorted(used & set(elems))}")
         used |= set(elems)
@@ -312,7 +314,7 @@ def parse_cycles(text: str, n: int) -> Permutation:
     from .errors import CostParseError
 
     body = text.strip()
-    if not re.fullmatch(r"(\(\s*\d+(\s+\d+)*\s*\)\s*)*", body):
+    if not re.fullmatch(r"(\(\s*(\d+(\s+\d+)*\s*)?\)\s*)*", body):
         raise CostParseError(f"bad cycle notation: {text!r}")
     groups = re.findall(r"\(([^()]*)\)", body)
     try:

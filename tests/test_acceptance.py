@@ -15,7 +15,6 @@ from permsort import (
     DefiningPath,
     Decomposition,
     all_pairs_optimize,
-    bellman_ford,
     cayley_length,
     decompose,
     expand_decomposition,
@@ -29,10 +28,10 @@ from permsort import (
     mld_exact_enumeration,
     mld_table,
     nontrivial_cycles,
-    optimize_costs,
     parse_cycles,
     permutation_from_cycles,
     permutation_lower_bound,
+    shortest_swaps,
     std_decomposition,
     transposition_parity,
     Transposition,
@@ -58,6 +57,7 @@ from frozen import (
     ring10_raw,
     sparse5_raw,
 )
+from reference_routes import bellman_ford, optimize_costs
 
 REGISTRY: list[tuple[str, Decomposition, Permutation]] = []
 
@@ -179,19 +179,19 @@ def test_criterion_06():
     raw = sparse5_raw()
     assert permutation_lower_bound(FIVE_CYCLE, raw) == 103.5
 
-    report = optimize_costs(raw)
-    rep = decompose(FIVE_CYCLE, report.optimized, "mld")
+    engine = shortest_swaps(raw)
+    rep = decompose(FIVE_CYCLE, engine.optimized, "mld")
     assert rep.cost == 105
     assert len(rep.decomposition) == 4
     emit("c6 mld", rep.decomposition, FIVE_CYCLE)
 
-    expanded = expand_decomposition(rep.decomposition, report, raw)
+    expanded = expand_decomposition(rep.decomposition, engine)
     assert len(expanded) == 6
     assert expanded.cost(raw) == 105
     assert validate_decomposition(expanded, FIVE_CYCLE)
     emit("c6 expanded", expanded, FIVE_CYCLE)
 
-    std_rep = decompose(FIVE_CYCLE, report.optimized, "std")
+    std_rep = decompose(FIVE_CYCLE, engine.optimized, "std")
     assert std_rep.cost == 111
     emit("c6 std", std_rep.decomposition, FIVE_CYCLE)
 

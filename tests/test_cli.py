@@ -226,6 +226,22 @@ def test_overflowing_cost_is_an_input_error(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_repeated_cycle_label_exits_one(tmp_path, capsys):
+    src = cost_file(tmp_path, "sparse", sparse5_raw())
+    for text in ("(1 2 1 2)", "(1 1)"):
+        code, out, err = run(capsys, "decompose", src, text)
+        assert (code, out) == (1, "")
+        assert "repeated label in cycle" in err
+
+
+def test_empty_cycle_is_the_identity(tmp_path, capsys):
+    src = cost_file(tmp_path, "sparse", sparse5_raw())
+    code, out, _ = run(capsys, "decompose", src, "()")
+    assert code == 0
+    assert "cycles: ()\n" in out
+    assert "cost: 0\n" in out
+
+
 def test_mismatched_sizes(tmp_path, capsys):
     src = cost_file(tmp_path, "sparse", sparse5_raw())
     code, _, err = run(capsys, "decompose", src, "2 1 3")

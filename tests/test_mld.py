@@ -10,7 +10,6 @@ from permsort import (
     DefiningPath,
     all_pairs_optimize,
     cycle_lower_bound,
-    cycle_result,
     from_pairs,
     metric_path,
     metric_path_mcd,
@@ -161,12 +160,13 @@ def test_ring10_cycle_quantities():
     for a, b in star.pairs():
         assert star.cost(a, b) == 2 * ring10_distance(a, b) - 1
     c = Cycle((1, 7, 3, 9, 5))
-    res = cycle_result(c, star)
-    assert res.mld_cost == 20
-    assert res.std_cost == 28
-    assert res.lower_bound == 10
-    assert validate_decomposition(res.mld, c.as_permutation(10))
-    assert validate_decomposition(res.std, c.as_permutation(10))
+    mld, mld_cost = min_cost_mld(c, star)
+    std, std_cost = std_decomposition(c, star)
+    assert mld_cost == 20
+    assert std_cost == 28
+    assert cycle_lower_bound(c, star) == 10
+    assert validate_decomposition(mld, c.as_permutation(10))
+    assert validate_decomposition(std, c.as_permutation(10))
 
 
 def test_cycle_lower_bound_values():

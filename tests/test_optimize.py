@@ -1,4 +1,10 @@
-"""The two optimizer routes and the expansion back into raw swaps."""
+"""phi* from the all-pairs engine against the reference routes, and the
+expansion of an optimized swap back into raw swaps.
+
+The substitution sweep ``optimize_costs``, the single-source relaxation
+``bellman_ford`` and their expansions live in ``reference_routes`` as test
+oracles; the package expands through ``shortest_swaps`` alone.
+"""
 import random
 
 import pytest
@@ -8,12 +14,9 @@ from permsort import (
     Decomposition,
     Transposition,
     all_pairs_optimize,
-    bellman_ford,
     expand_decomposition,
     expand_transposition,
-    optimize_costs,
-    recover_path,
-    transposition_min_cost_exact,
+    shortest_swaps,
     transposition_path_cost,
     validate_decomposition,
 )
@@ -29,6 +32,13 @@ from frozen import (
     random_table,
     relax6_raw,
     sparse5_raw,
+)
+from reference_routes import (
+    bellman_ford,
+    expand_by_reference,
+    optimize_costs,
+    recover_path,
+    transposition_min_cost_exact,
 )
 
 
@@ -156,11 +166,11 @@ def test_swap_path_cost():
 
 def test_expand_transposition_via_witnesses():
     report = optimize_costs(opt4_raw())
-    d = expand_transposition(1, 4, report, opt4_raw())
+    d = expand_by_reference(1, 4, report, opt4_raw())
     assert [t.pair for t in d] == [(3, 4), (1, 3), (3, 4)]
     assert d.cost(opt4_raw()) == 8
     # an unimproved pair expands to itself
-    plain = expand_transposition(1, 2, report, opt4_raw())
+    plain = expand_by_reference(1, 2, report, opt4_raw())
     assert [t.pair for t in plain] == [(1, 2)]
 
 
@@ -168,12 +178,12 @@ def test_expand_transposition_via_path_table():
     raw = sparse5_raw()
     table = bellman_ford(raw, 4)
     # path 4-2-5; the earliest maximum edge (4 2) becomes the single-use centre
-    d = expand_transposition(4, 5, table, raw)
+    d = expand_by_reference(4, 5, table, raw)
     assert [t.pair for t in d] == [(2, 5), (2, 4), (2, 5)]
     assert d.cost(raw) == 3
     # the witness route spells the same swap differently at the same cost
     report = optimize_costs(raw)
-    w = expand_transposition(4, 5, report, raw)
+    w = expand_by_reference(4, 5, report, raw)
     assert [t.pair for t in w] == [(2, 4), (2, 5), (2, 4)]
     assert w.cost(raw) == 3
 
@@ -184,21 +194,26 @@ def test_expansions_are_odd_valid_and_cost_equal():
         n = rng.randint(2, 7)
         raw = random_table(n, rng, inf_share=0.2)
         report = optimize_costs(raw)
+        engine = shortest_swaps(raw)
         star = report.optimized
         for a in range(1, n + 1):
             for b in range(a + 1, n + 1):
                 if star.cost(a, b) == INF:
                     with pytest.raises(InfeasibleError):
-                        expand_transposition(a, b, report, raw)
+                        expand_by_reference(a, b, report, raw)
+                    with pytest.raises(InfeasibleError):
+                        expand_transposition(a, b, engine)
                     continue
-                via_witness = expand_transposition(a, b, report, raw)
-                via_table = expand_transposition(a, b, bellman_ford(raw, a), raw)
+                via_witness = expand_by_reference(a, b, report, raw)
+                via_table = expand_by_reference(a, b, bellman_ford(raw, a), raw)
+                via_engine = expand_transposition(a, b, engine)
                 target = Decomposition((Transposition(a, b),)).product(n)
-                for d in (via_witness, via_table):
+                for d in (via_witness, via_table, via_engine):
                     assert len(d) % 2 == 1
                     assert validate_decomposition(d, target)
-                # the two constructions may differ but must tie on cost
+                # the constructions may differ but must tie on cost
                 assert via_witness.cost(raw) == via_table.cost(raw) == star.cost(a, b)
+                assert via_engine.cost(raw) == star.cost(a, b)
 
 
 def test_expand_against_exhaustive_minimum():
@@ -214,19 +229,21 @@ def test_expand_against_exhaustive_minimum():
 
 def test_expand_decomposition_preserves_product():
     raw = sparse5_raw()
-    report = optimize_costs(raw)
+    engine = shortest_swaps(raw)
     d = Decomposition((Transposition(4, 5), Transposition(2, 3)))
-    wide = expand_decomposition(d, report, raw)
+    wide = expand_decomposition(d, engine)
     assert wide.product(5) == d.product(5)
-    assert wide.cost(raw) == report.optimized.cost(4, 5) + report.optimized.cost(2, 3)
+    assert wide.cost(raw) == engine.optimized.cost(4, 5) + engine.optimized.cost(2, 3)
 
 
 def test_expand_guards():
     report = optimize_costs(opt4_raw())
     with pytest.raises(ValueError):
-        expand_transposition(2, 2, report, opt4_raw())
+        expand_by_reference(2, 2, report, opt4_raw())
     table = bellman_ford(opt4_raw(), 1)
     with pytest.raises(ValueError):
-        expand_transposition(2, 3, table, opt4_raw())
+        expand_by_reference(2, 3, table, opt4_raw())
     with pytest.raises(TypeError):
-        expand_transposition(1, 2, "nope", opt4_raw())
+        expand_by_reference(1, 2, "nope", opt4_raw())
+    with pytest.raises(ValueError):
+        expand_transposition(2, 2, shortest_swaps(opt4_raw()))

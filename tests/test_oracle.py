@@ -17,13 +17,13 @@ from permsort import (
     nontrivial_cycles,
     parse_cycles,
     permutation_from_cycles,
-    transposition_min_cost_exact,
     validate_decomposition,
 )
 from permsort.costs import DefiningPath
 from permsort.oracle import _noncrossing, _trees_with_flags
 
 from frozen import OPT4_STAR, dp4_raw, mod5_raw, opt4_raw, random_table
+from reference_routes import transposition_min_cost_exact
 
 FIVE_CYCLE = parse_cycles("(1 2 3 4 5)", 5)
 

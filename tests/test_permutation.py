@@ -158,7 +158,8 @@ def test_cycle_text_round_trip():
     assert parse_cycles(text, 5) == p
     assert parse_cycles("", 4) == Permutation.identity(4)
     assert format_cycles(cycles(Permutation.identity(3)), skip_fixed=True) == "()"
-    for text in ("(1 2)(2 3)", "(1, 2)", "(1 9)", "(1 2"):
+    assert parse_cycles("()", 3) == Permutation.identity(3)
+    for text in ("(1 2)(2 3)", "(1, 2)", "(1 9)", "(1 2", "(1 2 1 2)", "(1 1)"):
         with pytest.raises(CostParseError):
             parse_cycles(text, 5)
 
@@ -168,6 +169,10 @@ def test_permutation_from_cycles_rejects_bad_input():
         permutation_from_cycles(3, [(1, 4)])
     with pytest.raises(ValueError):
         permutation_from_cycles(4, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="repeated label"):
+        permutation_from_cycles(4, [(1, 2, 1, 2)])
+    with pytest.raises(ValueError, match="repeated label"):
+        permutation_from_cycles(4, [(1, 1)])
 
 
 def test_algebra_round_trips():

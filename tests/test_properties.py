@@ -1,14 +1,17 @@
 """Generated-instance properties of the all-pairs engine and the paper's bounds.
 
 Random integer tables with zero and infinite entries, n <= 9. The engine's
-phi*, distances and expansions are checked against the reference routes
-(the substitution sweep and per-source Bellman-Ford) and against the
-2n - 3 length bound of a palindrome along a simple path. For n <= 6 the
-exhaustive minimum M of ``mcd_exact`` checks the chain of bounds
-lower bound <= sharpened bound <= M <= L <= S <= 4M, the exactness of ``metric-exact`` on path
-distances, and its own witnesses. The interval DP, the cycle merge and the
-transposition product must equal their straightforward routes in
-``reference_routes`` exactly, floats and ties included.
+phi*, distances and expansions are checked against the reference routes in
+``reference_routes`` (the substitution sweep ``optimize_costs`` and the
+per-source ``bellman_ford``) and against the 2n - 3 length bound of a
+palindrome along a simple path. For n <= 6 the exhaustive minimum M of
+``mcd_exact`` checks the chain of bounds lower bound <= sharpened bound <=
+M <= L <= S <= 4M, its own witnesses, the exactness of ``metric-exact`` on
+path distances and L <= 2M on adjacent-only paths. The interval DP, the
+cycle merge and the transposition product must equal their straightforward
+routes in ``reference_routes`` exactly, floats and ties included. Cost
+files, path files, one-line and cycle notation must read back what was
+written.
 """
 import pytest
 
@@ -22,26 +25,44 @@ from permsort import (  # noqa: E402
     DefiningPath,
     Permutation,
     Transposition,
-    bellman_ford,
+    all_pairs_optimize,
     cycle_lower_bound,
+    cycles,
     decompose,
     expand_transposition,
+    extended_metric_path,
+    extended_metric_path_optimized,
+    format_cost_file,
+    format_cycles,
+    format_one_line,
+    format_path_file,
     from_pairs,
     mcd_exact,
     merge_cycles,
     metric_path,
     mld_table,
     nontrivial_cycles,
-    optimize_costs,
+    parse_cost_file,
+    parse_cost_input,
+    parse_cycles,
+    parse_one_line,
+    parse_path_file,
     permutation_from_cycles,
     permutation_lower_bound,
     sharpened_lower_bound,
     shortest_swaps,
 )
+from permsort.costs import tolerance  # noqa: E402
 from permsort.errors import InfeasibleError  # noqa: E402
 from permsort.multicycle import mld_std_totals  # noqa: E402
 
-from reference_routes import merge_cycles_rescan, mld_table_quartic, product_by_fold  # noqa: E402
+from reference_routes import (  # noqa: E402
+    bellman_ford,
+    merge_cycles_rescan,
+    mld_table_quartic,
+    optimize_costs,
+    product_by_fold,
+)
 
 # deterministic and without an example database, so every run of the suite
 # checks the same instances
@@ -121,9 +142,9 @@ def test_expansions_multiply_back_at_optimized_cost(raw):
     for a, b in star.pairs():
         if star.cost(a, b) == INF:
             with pytest.raises(InfeasibleError):
-                expand_transposition(a, b, engine, raw)
+                expand_transposition(a, b, engine)
             continue
-        d = expand_transposition(a, b, engine, raw)
+        d = expand_transposition(a, b, engine)
         assert d.product(n) == Decomposition((Transposition(a, b),)).product(n)
         assert d.cost(raw) == star.cost(a, b)
         assert len(d) <= 2 * n - 3
@@ -223,3 +244,78 @@ def transposition_sequences(draw, max_n=12):
 def test_product_equals_the_fold_of_single_swaps(case):
     n, d = case
     assert d.product(n) == product_by_fold(d, n)
+
+
+@st.composite
+def path_weights(draw, max_n=6):
+    n = draw(st.integers(2, max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    values = draw(st.sampled_from([st.integers(0, 9), st.floats(0, 10, allow_nan=False)]))
+    weights = draw(st.lists(values, min_size=n - 1, max_size=n - 1))
+    return DefiningPath(tuple(order), tuple(weights))
+
+
+@PROPERTY
+@given(path_weights(), st.data())
+def test_adjacent_only_paths_stay_within_twice_the_minimum(path, data):
+    raw = extended_metric_path(path)
+    star = all_pairs_optimize(raw)
+    closed = extended_metric_path_optimized(path)
+    for (_, _, got), (_, _, want) in zip(star.entries(), closed.entries()):
+        assert abs(got - want) <= tolerance(got, want)
+    p = Permutation(tuple(data.draw(st.permutations(range(1, path.n + 1)))))
+    m = mcd_exact(p, raw).min_cost
+    big_l, _ = mld_std_totals(p, star)
+    assert big_l <= 2 * m + tolerance(big_l, m)
+
+
+# Text round trips. Costs cover ints, floats down to the subnormals and up
+# to the largest double (written with repr), inf, and unlisted pairs.
+COST_VALUES = st.one_of(
+    st.integers(0, 10**15),
+    st.floats(0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e16,
+                     1.7976931348623157e308, INF]),
+)
+
+
+@st.composite
+def sparse_tables(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    listed = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return from_pairs(n, [(a, b, draw(COST_VALUES)) for a, b in listed])
+
+
+def _typed(matrix):
+    return [(a, b, type(v), v) for a, b, v in matrix.entries()]
+
+
+@PROPERTY
+@given(sparse_tables())
+def test_cost_file_round_trip(raw):
+    text = format_cost_file(raw)
+    for parsed in (parse_cost_file(text), parse_cost_input(text)):
+        assert _typed(parsed) == _typed(raw)
+        assert format_cost_file(parsed) == text
+
+
+@PROPERTY
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)),
+    st.lists(COST_VALUES.filter(lambda v: v != INF), min_size=n - 1, max_size=n - 1))))
+def test_path_file_round_trip(case):
+    path = DefiningPath(tuple(case[0]), tuple(case[1]))
+    text = format_path_file(path)
+    for parsed in (parse_path_file(text), parse_cost_input(text)):
+        assert parsed == path
+        assert [type(w) for w in parsed.weights] == [type(w) for w in path.weights]
+        assert format_path_file(parsed) == text
+
+
+@PROPERTY
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))), st.booleans())
+def test_permutation_text_round_trip(images, skip_fixed):
+    p = Permutation(tuple(images))
+    assert parse_one_line(format_one_line(p)) == p
+    assert parse_cycles(format_cycles(cycles(p), skip_fixed=skip_fixed), p.n) == p
