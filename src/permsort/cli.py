@@ -28,7 +28,7 @@ from .costs import (
 )
 from .errors import ContractError, CostParseError, InfeasibleError, SizeLimitError
 from .mld import mld_cost
-from .multicycle import METHODS, decompose, mld_std_totals
+from .multicycle import METHODS, decompose, mld_std_totals, permutation_lower_bound
 from .optimize import all_pairs_optimize, expand_decomposition, shortest_swaps
 from .oracle import DEFAULT_LIMIT, mcd_exact
 from .permutation import (
@@ -173,44 +173,38 @@ def _cmd_decompose(args) -> int:
     joins = _parse_joins(args.join) if args.join is not None else None
     if joins is not None and args.method != "merge":
         raise CostParseError("--join only makes sense with --method merge")
+    if args.expand and args.method == "metric-exact":
+        raise CostParseError("--expand applies to optimized-table methods only")
 
     if args.method == "metric-exact":
         if path is None:
             raise CostParseError("metric-exact needs a defining-path file")
-        report = decompose(p, raw, "metric-exact", defining_path=path)
-        expander = None
+        d, cost = decompose(p, raw, "metric-exact", defining_path=path)
+        dist = raw.table    # a path metric is its own distance table
     else:
-        if args.trust_raw:
-            expander = None
-            phi = raw.assume_optimized()
-        else:
-            expander = shortest_swaps(raw)
-            phi = expander.optimized
-        report = decompose(p, phi, args.method, joins=joins)
-
-    d = report.decomposition
-    assert d is not None
+        engine = shortest_swaps(raw)
+        phi = raw.assume_optimized() if args.trust_raw else engine.optimized
+        d, cost = decompose(p, phi, args.method, joins=joins)
+        dist = engine.dist
+    lower_bound = permutation_lower_bound(p, dist)
     if not validate_decomposition(d, p):
         raise ContractError("decomposition failed validation")
 
     print(f"permutation: {format_one_line(p)}")
     print(f"cycles: {format_cycles(cycles(p), skip_fixed=True)}")
-    print(f"method: {report.method}")
-    print(f"lower bound: {_format_value(report.lower_bound)}")
-    print(f"cost: {_format_value(report.cost)}")
-    if report.alpha is not None:
-        print(f"ratio: {report.alpha:.6f}")
+    print(f"method: {args.method}")
+    print(f"lower bound: {_format_value(lower_bound)}")
+    print(f"cost: {_format_value(cost)}")
+    if lower_bound > 0:
+        print(f"ratio: {cost / lower_bound:.6f}")
+    elif cost == 0 and not p.is_identity():
+        print("ratio: 0.000000")    # free swaps meet a zero bound
     print("# transpositions are applied right-to-left")
     print(f"decomposition: {d if len(d) else '(none)'}")
 
     if args.expand:
-        if args.method == "metric-exact":
-            raise CostParseError("--expand applies to optimized-table methods only")
-        if expander is None:
-            # trusted table: every swap already is a raw swap
-            expanded = d
-        else:
-            expanded = expand_decomposition(d, expander)
+        # a trusted table's swaps already are raw swaps
+        expanded = d if args.trust_raw else expand_decomposition(d, engine)
         if not validate_decomposition(expanded, p):
             raise ContractError("expanded decomposition failed validation")
         print("# same permutation in raw swaps, applied right-to-left")

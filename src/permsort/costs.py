@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import CostParseError
@@ -106,6 +106,11 @@ class DefiningPath:
 
     order: tuple[int, ...]
     weights: tuple[Number, ...]
+    # 0-based position of each label, and prefix[i] = weight sum up to
+    # position i; the distance between two labels is the difference of
+    # their prefix sums
+    positions: dict[int, int] = field(init=False, repr=False, compare=False)
+    prefix: tuple[Number, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.order, tuple):
@@ -122,6 +127,11 @@ class DefiningPath:
         for w in self.weights:
             if not _is_valid_cost(w) or w == INF:
                 raise ValueError(f"bad path weight {w!r}")
+        prefix: list[Number] = [0]
+        for w in self.weights:
+            prefix.append(prefix[-1] + w)
+        object.__setattr__(self, "positions", {label: i for i, label in enumerate(self.order)})
+        object.__setattr__(self, "prefix", tuple(prefix))
 
     @property
     def n(self) -> int:
@@ -129,7 +139,15 @@ class DefiningPath:
 
     def position(self, label: int) -> int:
         """0-based position of a label along the path."""
-        return self.order.index(label)
+        return self.positions[label]
+
+    def distance(self, a: int, b: int) -> Number:
+        """Weight sum along the path between a and b.
+
+        The prefix sums never decrease and y - x is exactly -(x - y) in
+        floating point, so this is prefix[j] - prefix[i] for positions i <= j.
+        """
+        return abs(self.prefix[self.positions[b]] - self.prefix[self.positions[a]])
 
     def segment(self, a: int, b: int) -> tuple[Number, Number]:
         """(weight sum, largest single weight) strictly between a and b."""
@@ -172,16 +190,11 @@ def from_pairs(n: int, entries: Iterable[tuple[int, int, Number]], kind: str = "
 
 def metric_path(path: DefiningPath) -> CostMatrix:
     """Charge every pair the weight sum between its labels along the path."""
-    n = path.n
-    prefix = [0]
-    for w in path.weights:
-        prefix.append(prefix[-1] + w)
-    pos = {label: i for i, label in enumerate(path.order)}
-    rows = _fresh(n, INF)
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            i, j = sorted((pos[a], pos[b]))
-            rows[a - 1][b - 1] = rows[b - 1][a - 1] = prefix[j] - prefix[i]
+    # the row-wise form of DefiningPath.distance
+    at = [path.prefix[path.positions[label]] for label in range(1, path.n + 1)]
+    rows = [[abs(y - x) for y in at] for x in at]
+    for i, row in enumerate(rows):
+        row[i] = 0
     return _freeze(rows, "raw")
 
 

@@ -24,20 +24,20 @@ sequence from the recorded splits; ``mld_cost`` returns C(1, k) alone.
 cycle's consecutive pairs, skipping the most expensive one.
 
 ``metric_path_mcd`` handles the one family where the overall optimum is
-known exactly: costs that are path distances. It builds a non-crossing
-spanning tree out of path segments whose total is half the sum of the
-per-element costs, which meets the general lower bound, so the resulting
-MLD is a true minimum cost decomposition.
+known exactly: costs that are path distances. It reads every distance off
+the defining path's prefix sums and builds a non-crossing spanning tree out
+of path segments whose total is half the sum of the per-element distances.
+That meets the general lower bound, so the resulting MLD is a true minimum
+cost decomposition. The lower bound itself lives in ``multicycle``; it
+reads a distance table and never computes one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Sequence
 
-from .costs import INF, CostMatrix, DefiningPath, Number, metric_path, tolerance
+from .costs import INF, CostMatrix, DefiningPath, Number, tolerance
 from .errors import ContractError, InfeasibleError
-from .optimize import shortest_swaps
 from .permutation import Cycle, Decomposition, Transposition, validate_decomposition
 
 Edge = tuple[int, int]
@@ -58,8 +58,8 @@ class MldTable:
 def _require_optimized(costs: CostMatrix):
     if costs.kind != "optimized":
         raise ValueError(
-            "this routine needs optimized costs; run all_pairs_optimize or "
-            "use assume_optimized() to trust the table as is"
+            "this routine needs optimized costs; optimize the table first "
+            "or use assume_optimized() to trust it as is"
         )
 
 
@@ -190,39 +190,6 @@ def std_decomposition(cycle: Cycle, costs: CostMatrix) -> tuple[Decomposition | 
     return d, total
 
 
-def half_route_sum(cycle_list: Sequence[Cycle], costs: CostMatrix) -> float:
-    """Half the summed cheapest-path cost from each element to its successor.
-
-    Reads one all-pairs distance table; raises InfeasibleError when some
-    element cannot reach its successor at finite cost.
-    """
-    dist = shortest_swaps(costs).dist
-    total: Number = 0
-    for c in cycle_list:
-        labels = c.elements
-        if max(labels) > costs.n:
-            raise ValueError(f"cycle label {max(labels)} outside 1..{costs.n}")
-        for a, b in zip(labels, labels[1:] + labels[:1]):
-            d = dist[a - 1][b - 1]
-            if d == INF:
-                raise InfeasibleError(f"no finite swap route from {a} to {b}")
-            total += d
-    return total / 2
-
-
-def cycle_lower_bound(cycle: Cycle, costs: CostMatrix) -> float:
-    """Half the total cheapest-path cost between each element and its successor.
-
-    Any decomposition of the cycle pays at least this much. Works on raw or
-    optimized tables and gives the same number for both; inf when some
-    successor is unreachable.
-    """
-    try:
-        return half_route_sum([cycle], costs)
-    except InfeasibleError:
-        return INF
-
-
 def tree_decomposition(cycle: Cycle, edges: list[Edge]) -> Decomposition:
     """Turn a non-crossing spanning tree on the cycle's elements into an MLD.
 
@@ -298,29 +265,23 @@ def _tree_rec(seq: list[int], edges: list[Edge]) -> list[Transposition]:
     return out
 
 
-def metric_path_mcd(cycle: Cycle, metric: CostMatrix, path: DefiningPath) -> tuple[Decomposition, Number]:
-    """Exact minimum cost decomposition when costs are path distances.
+def metric_path_mcd(cycle: Cycle, path: DefiningPath) -> tuple[Decomposition, Number]:
+    """Exact minimum cost decomposition when costs are distances along ``path``.
 
-    Checks that ``metric`` really is the distance table of ``path`` and then
-    builds the segment tree whose cost is half the sum of the per-element
-    costs, the unbeatable floor.
+    Builds the segment tree whose cost is half the sum of the per-element
+    distances, the unbeatable floor. Every edge cost is the path's own
+    prefix-sum difference, the number ``metric_path`` stores for that pair.
     """
-    if metric.n != path.n:
-        raise ContractError("metric size does not match the defining path")
-    reference = metric_path(path)
-    if metric.table != reference.table:
-        raise ContractError("cost table is not the distance table of the given path")
     labels = cycle.elements
     k = cycle.k
     if k == 1:
         return Decomposition(), 0
-    if max(labels) > metric.n:
-        raise ValueError(f"cycle label {max(labels)} outside 1..{metric.n}")
+    if max(labels) > path.n:
+        raise ValueError(f"cycle label {max(labels)} outside 1..{path.n}")
 
-    pos = {label: path.position(label) for label in labels}
-    edges = _segment_tree(list(labels), pos)
-    tree_cost: Number = sum(metric.cost(u, v) for u, v in edges)
-    ring_sum: Number = sum(metric.cost(labels[t], labels[(t + 1) % k]) for t in range(k))
+    edges = _segment_tree(list(labels), path.positions)
+    tree_cost: Number = sum(path.distance(u, v) for u, v in edges)
+    ring_sum: Number = sum(path.distance(labels[t], labels[(t + 1) % k]) for t in range(k))
     if abs(2 * tree_cost - ring_sum) > tolerance(2 * tree_cost, ring_sum):
         raise ContractError("segment tree misses the half-total floor")
     d = tree_decomposition(cycle, edges)

@@ -17,9 +17,12 @@ the join product then sigma' = tau' * p is a single cycle and
 so the emitted sequence is the joins in application order followed by an
 MLD of sigma'.
 
-``bound_report`` collects the cost of every strategy next to the universal
-floor of half the total cheapest-path cost, plus the ceiling-sharpened
-integer variant when every cost is an integer.
+``permutation_lower_bound`` is the universal floor: half the summed
+shortest-path distances from each moved element to its image. It reads a
+distance table it is handed, ``ShortestSwaps.dist`` or a path metric, which
+already is one, and never computes one. ``bound_report`` collects the cost
+of every strategy next to that floor, plus the ceiling-sharpened integer
+variant when every cost is an integer, all from one ``ShortestSwaps``.
 """
 from __future__ import annotations
 
@@ -27,9 +30,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .costs import INF, CostMatrix, DefiningPath, Number
+from .costs import INF, CostMatrix, DefiningPath, Number, metric_path
 from .errors import ContractError, InfeasibleError
-from .mld import half_route_sum, metric_path_mcd, min_cost_mld, mld_cost, std_decomposition
+from .mld import metric_path_mcd, min_cost_mld, mld_cost, std_decomposition
+from .optimize import ShortestSwaps
 from .permutation import (
     Cycle,
     Decomposition,
@@ -42,18 +46,6 @@ from .permutation import (
 )
 
 METHODS = ("mld", "std", "merge", "metric-exact")
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """What a decomposition run produced for one permutation."""
-
-    permutation: Permutation
-    method: str
-    decomposition: Decomposition | None
-    cost: Number
-    lower_bound: float
-    alpha: float | None
 
 
 @dataclass(frozen=True)
@@ -70,13 +62,23 @@ class BoundReport:
     m_equals_l: bool
 
 
-def permutation_lower_bound(p: Permutation, costs: CostMatrix) -> float:
-    """Half the summed cheapest-path cost from each moved element to its image.
+def permutation_lower_bound(p: Permutation, dist: Sequence[Sequence[Number]]) -> float:
+    """Half the summed distance from each moved element to its image.
 
-    The same number comes out for a raw table and its optimized version.
-    Raises InfeasibleError when some element cannot reach its image.
+    ``dist`` holds 0-based rows of shortest-path distances. Raises
+    InfeasibleError when some element cannot reach its image.
     """
-    return half_route_sum(nontrivial_cycles(p), costs)
+    total: Number = 0
+    for c in nontrivial_cycles(p):
+        labels = c.elements
+        if max(labels) > len(dist):
+            raise ValueError(f"cycle label {max(labels)} outside 1..{len(dist)}")
+        for a, b in zip(labels, labels[1:] + labels[:1]):
+            d = dist[a - 1][b - 1]
+            if d == INF:
+                raise InfeasibleError(f"no finite swap route from {a} to {b}")
+            total += d
+    return total / 2
 
 
 def merge_cycles(
@@ -150,20 +152,16 @@ def merged_decompose(
     p: Permutation,
     phi_star: CostMatrix,
     joins: Sequence[tuple[int, int]] | None = None,
-) -> DecompositionReport:
+) -> tuple[Decomposition, Number]:
     """Merge the cycles, decompose the merged cycle, undo the joins up front."""
     if p.is_identity():
-        return DecompositionReport(p, "merge", Decomposition(), 0, 0.0, None)
+        return Decomposition(), 0
     tau, merged = merge_cycles(p, phi_star, joins)
     mld, sigma_cost = min_cost_mld(merged, phi_star)
-    join_cost = tau.cost(phi_star)
-    seq = tuple(reversed(tau.transpositions)) + mld.transpositions
-    d = Decomposition(seq)
+    d = Decomposition(tuple(reversed(tau.transpositions)) + mld.transpositions)
     if not validate_decomposition(d, p):
         raise ContractError("merged decomposition does not multiply back to the input")
-    lb = permutation_lower_bound(p, phi_star)
-    total = join_cost + sigma_cost
-    return DecompositionReport(p, "merge", d, total, lb, _ratio(total, lb))
+    return d, tau.cost(phi_star) + sigma_cost
 
 
 def decompose(
@@ -173,8 +171,8 @@ def decompose(
     *,
     defining_path: DefiningPath | None = None,
     joins: Sequence[tuple[int, int]] | None = None,
-) -> DecompositionReport:
-    """Decompose a permutation with the chosen strategy.
+) -> tuple[Decomposition, Number]:
+    """Decompose a permutation with the chosen strategy; returns it and its cost.
 
     'mld' and 'std' work cycle by cycle on an optimized table, 'merge' glues
     the cycles first, 'metric-exact' needs the defining path whose distance
@@ -183,9 +181,14 @@ def decompose(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
     if p.is_identity():
-        return DecompositionReport(p, method, Decomposition(), 0, 0.0, None)
+        return Decomposition(), 0
     if method == "merge":
         return merged_decompose(p, costs, joins)
+    if method == "metric-exact":
+        if defining_path is None:
+            raise ValueError("metric-exact needs the defining path")
+        if costs.table != metric_path(defining_path).table:
+            raise ContractError("cost table is not the distance table of the given path")
 
     seq: list[Transposition] = []
     total: Number = 0
@@ -198,22 +201,13 @@ def decompose(
                 raise InfeasibleError(f"cycle {c} has an unreachable consecutive pair")
             d = maybe
         else:
-            if defining_path is None:
-                raise ValueError("metric-exact needs the defining path")
-            d, piece = metric_path_mcd(c, costs, defining_path)
+            d, piece = metric_path_mcd(c, defining_path)
         seq.extend(d.transpositions)
         total += piece
     out = Decomposition(tuple(seq))
     if not validate_decomposition(out, p):
         raise ContractError("per-cycle decomposition does not multiply back to the input")
-    lb = permutation_lower_bound(p, costs)
-    return DecompositionReport(p, method, out, total, lb, _ratio(total, lb))
-
-
-def _ratio(cost: Number, lb: float) -> float | None:
-    if lb > 0:
-        return cost / lb
-    return None if cost > 0 else 0.0
+    return out, total
 
 
 def _attainable(target: int, values: list[int], want_parity: int) -> bool:
@@ -285,19 +279,23 @@ def _alpha_worst_case(p: Permutation, raw: CostMatrix) -> float | None:
 
 def bound_report(
     p: Permutation,
-    raw: CostMatrix,
-    phi_star: CostMatrix,
+    engine: ShortestSwaps,
     joins: Sequence[tuple[int, int]] | None = None,
 ) -> BoundReport:
-    """Compare every strategy against the lower bounds for one permutation."""
+    """Compare every strategy against the lower bounds for one permutation.
+
+    The raw table, phi* and the distances all come from ``engine``.
+    """
     if p.is_identity():
         return BoundReport(p, 0.0, 0, 0, 0, 0, None, True)
-    lb = permutation_lower_bound(p, raw)
+    raw = engine.raw
+    phi_star = engine.optimized
+    lb = permutation_lower_bound(p, engine.dist)
     sharp = sharpened_lower_bound(p, raw, lb)
 
     mld_total, std_total = mld_std_totals(p, phi_star)
     try:
-        merged_cost: Number = merged_decompose(p, phi_star, joins).cost
+        _, merged_cost = merged_decompose(p, phi_star, joins)
     except InfeasibleError:
         merged_cost = INF
 

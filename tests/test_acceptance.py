@@ -177,43 +177,43 @@ def test_criterion_06():
     # sparse five-element instance: fractional floor, short decomposition,
     # and its rewrite into raw swaps of equal cost
     raw = sparse5_raw()
-    assert permutation_lower_bound(FIVE_CYCLE, raw) == 103.5
-
     engine = shortest_swaps(raw)
-    rep = decompose(FIVE_CYCLE, engine.optimized, "mld")
-    assert rep.cost == 105
-    assert len(rep.decomposition) == 4
-    emit("c6 mld", rep.decomposition, FIVE_CYCLE)
+    assert permutation_lower_bound(FIVE_CYCLE, engine.dist) == 103.5
 
-    expanded = expand_decomposition(rep.decomposition, engine)
+    d, cost = decompose(FIVE_CYCLE, engine.optimized, "mld")
+    assert cost == 105
+    assert len(d) == 4
+    emit("c6 mld", d, FIVE_CYCLE)
+
+    expanded = expand_decomposition(d, engine)
     assert len(expanded) == 6
     assert expanded.cost(raw) == 105
     assert validate_decomposition(expanded, FIVE_CYCLE)
     emit("c6 expanded", expanded, FIVE_CYCLE)
 
-    std_rep = decompose(FIVE_CYCLE, engine.optimized, "std")
-    assert std_rep.cost == 111
-    emit("c6 std", std_rep.decomposition, FIVE_CYCLE)
+    std, std_cost = decompose(FIVE_CYCLE, engine.optimized, "std")
+    assert std_cost == 111
+    emit("c6 std", std, FIVE_CYCLE)
 
 
 def test_criterion_07():
     # ten-element ring, two interleaved cycles
-    raw = ring10_raw()
-    star = all_pairs_optimize(raw)
+    engine = shortest_swaps(ring10_raw())
+    star = engine.optimized
     for a, b in star.pairs():
         assert star.cost(a, b) == 2 * ring10_distance(a, b) - 1
     p = Permutation(RING10_IMAGES)
 
-    mld = decompose(p, star, "mld")
-    assert mld.cost == 40
-    emit("c7 mld", mld.decomposition, p)
-    std = decompose(p, star, "std")
-    assert std.cost == 56
-    emit("c7 std", std.decomposition, p)
-    merged = merged_decompose(p, star, joins=[(1, 2)])
-    assert merged.cost == 38
-    emit("c7 merged", merged.decomposition, p)
-    assert permutation_lower_bound(p, raw) == 20.0
+    mld, mld_cost = decompose(p, star, "mld")
+    assert mld_cost == 40
+    emit("c7 mld", mld, p)
+    std, std_cost = decompose(p, star, "std")
+    assert std_cost == 56
+    emit("c7 std", std, p)
+    merged, merged_cost = merged_decompose(p, star, joins=[(1, 2)])
+    assert merged_cost == 38
+    emit("c7 merged", merged, p)
+    assert permutation_lower_bound(p, engine.dist) == 20.0
 
 
 def test_criterion_08():
@@ -232,7 +232,7 @@ def test_criterion_08():
         cyc = Cycle(tuple(rng.sample(range(1, n + 1), k)))
         p = permutation_from_cycles(n, [cyc])
 
-        d, cost = metric_path_mcd(cyc, metric, path)
+        d, cost = metric_path_mcd(cyc, path)
         emit("c8 segment", d, p)
         half = sum(metric.cost(i, p.images[i - 1]) for i in cyc.elements) / 2
         assert cost == half
@@ -286,7 +286,8 @@ def test_criterion_10():
         m = exact.min_cost
         emit("c10 exact", exact.witness, p)
 
-        star = all_pairs_optimize(raw)
+        engine = shortest_swaps(raw)
+        star = engine.optimized
         l_total = 0
         s_total = 0
         for cyc in nontrivial_cycles(p):
@@ -298,7 +299,7 @@ def test_criterion_10():
             emit("c10 std", sd, permutation_from_cycles(n, [cyc]))
 
         assert m <= l_total <= s_total <= 4 * m
-        assert s_total <= 4 * permutation_lower_bound(p, raw)
+        assert s_total <= 4 * permutation_lower_bound(p, engine.dist)
 
 
 def test_criterion_11():

@@ -112,6 +112,30 @@ def test_decompose_metric_exact(tmp_path, capsys):
         """)
 
 
+def test_decompose_metric_exact_unit_path_400_cycle(tmp_path, capsys):
+    # the path metric is its own distance table: no O(n^3) pass for the bound
+    n = 400
+    f = tmp_path / "unit.path"
+    f.write_text(format_path_file(DefiningPath(tuple(range(1, n + 1)), (1,) * (n - 1))))
+    cycle = "(" + " ".join(str(i) for i in range(1, n + 1)) + ")"
+    code, out, err = run(capsys, "decompose", str(f), cycle, "--method", "metric-exact")
+    assert (code, err) == (0, "")
+    assert "lower bound: 399.0\ncost: 399\nratio: 1.000000\n" in out
+
+
+def test_decompose_runs_one_floyd_warshall(tmp_path, capsys, engines_built):
+    src = cost_file(tmp_path, "sparse", sparse5_raw())
+    for method in ("mld", "std", "merge"):
+        for flags in ((), ("--trust-raw",), ("--expand",), ("--trust-raw", "--expand")):
+            engines_built.clear()
+            code, _, _ = run(capsys, "decompose", src, "(1 2 3)(4 5)", "--method", method, *flags)
+            assert (code, len(engines_built)) == (0, 1), (method, flags)
+    engines_built.clear()
+    code, _, _ = run(capsys, "decompose", path_file(tmp_path), "(1 2 3 4 5)",
+                     "--method", "metric-exact")
+    assert (code, len(engines_built)) == (0, 0)
+
+
 def test_decompose_identity(tmp_path, capsys):
     src = cost_file(tmp_path, "sparse", sparse5_raw())
     code, out, _ = run(capsys, "decompose", src, "1 2 3 4 5")
@@ -181,9 +205,10 @@ def test_join_parse_errors(tmp_path, capsys):
 
 
 def test_expand_rejected_for_metric_exact(tmp_path, capsys):
-    code, _, err = run(capsys, "decompose", path_file(tmp_path), "(1 2 3 4 5)",
+    code, out, err = run(capsys, "decompose", path_file(tmp_path), "(1 2 3 4 5)",
                        "--method", "metric-exact", "--expand")
     assert code == 1
+    assert out == ""
     assert "--expand applies to optimized-table methods only" in err
 
 

@@ -9,13 +9,15 @@ from permsort import (
     Decomposition,
     DefiningPath,
     all_pairs_optimize,
-    cycle_lower_bound,
+    decompose,
     from_pairs,
     metric_path,
     metric_path_mcd,
     min_cost_mld,
     mld_exact_enumeration,
     mld_table,
+    permutation_lower_bound,
+    shortest_swaps,
     std_decomposition,
     tree_decomposition,
     validate_decomposition,
@@ -37,6 +39,11 @@ from frozen import (
 
 def optimized(table):
     return all_pairs_optimize(table)
+
+
+def cycle_floor(cycle, table):
+    # the permutation lower bound of one cycle, over the table's distances
+    return permutation_lower_bound(cycle.as_permutation(table.n), shortest_swaps(table).dist)
 
 
 def pairs_dict(matrix):
@@ -164,18 +171,19 @@ def test_ring10_cycle_quantities():
     std, std_cost = std_decomposition(c, star)
     assert mld_cost == 20
     assert std_cost == 28
-    assert cycle_lower_bound(c, star) == 10
+    assert cycle_floor(c, star) == 10
     assert validate_decomposition(mld, c.as_permutation(10))
     assert validate_decomposition(std, c.as_permutation(10))
 
 
 def test_cycle_lower_bound_values():
-    assert cycle_lower_bound(Cycle((1, 2, 3, 4, 5)), sparse5_raw()) == 103.5
+    assert cycle_floor(Cycle((1, 2, 3, 4, 5)), sparse5_raw()) == 103.5
     # same number on the optimized table
-    assert cycle_lower_bound(Cycle((1, 2, 3, 4, 5)), optimized(sparse5_raw())) == 103.5
-    assert cycle_lower_bound(Cycle((3,)), sparse5_raw()) == 0.0
+    assert cycle_floor(Cycle((1, 2, 3, 4, 5)), optimized(sparse5_raw())) == 103.5
+    assert cycle_floor(Cycle((3,)), sparse5_raw()) == 0.0
     gap = from_pairs(4, [(1, 2, 1), (3, 4, 1)])
-    assert cycle_lower_bound(Cycle((1, 2, 3, 4)), gap) == INF
+    with pytest.raises(InfeasibleError):
+        cycle_floor(Cycle((1, 2, 3, 4)), gap)
 
 
 def test_dp_beats_nothing_below_the_lower_bound():
@@ -185,12 +193,13 @@ def test_dp_beats_nothing_below_the_lower_bound():
         table = random_table(k, rng, inf_share=0.1, hi=30)
         star = optimized(table)
         cyc = Cycle(tuple(range(1, k + 1)))
-        lb = cycle_lower_bound(cyc, table)
         try:
             _, cost = min_cost_mld(cyc, star)
         except InfeasibleError:
-            assert lb == INF
+            with pytest.raises(InfeasibleError):
+                cycle_floor(cyc, table)
             continue
+        lb = cycle_floor(cyc, table)
         _, std_cost = std_decomposition(cyc, star)
         assert lb <= cost <= std_cost
 
@@ -255,11 +264,11 @@ def test_tree_decomposition_random_noncrossing_trees():
 def test_metric_path_mcd_frozen():
     path = DefiningPath((1, 2, 3, 4, 5), (1, 2, 1, 3))
     table = metric_path(path)
-    d, cost = metric_path_mcd(Cycle((1, 2, 3, 4, 5)), table, path)
+    d, cost = metric_path_mcd(Cycle((1, 2, 3, 4, 5)), path)
     assert cost == 7
     assert validate_decomposition(d, Cycle((1, 2, 3, 4, 5)).as_permutation())
     # half the ring sum: (1+2+1+3+7) / 2
-    assert cost == cycle_lower_bound(Cycle((1, 2, 3, 4, 5)), table)
+    assert cost == cycle_floor(Cycle((1, 2, 3, 4, 5)), table)
 
 
 def test_metric_path_mcd_long_cycle_needs_no_recursion():
@@ -268,7 +277,7 @@ def test_metric_path_mcd_long_cycle_needs_no_recursion():
     n = 1100
     path = DefiningPath(tuple(range(1, n + 1)), (1,) * (n - 1))
     cyc = Cycle(tuple(range(1, n + 1)))
-    d, cost = metric_path_mcd(cyc, metric_path(path), path)
+    d, cost = metric_path_mcd(cyc, path)
     assert cost == n - 1
     assert len(d) == n - 1
     assert validate_decomposition(d, cyc.as_permutation(n))
@@ -280,9 +289,9 @@ def test_metric_path_mcd_float_weights_meet_the_floor():
     path = DefiningPath((3, 4, 5, 1, 2), (0.7, 0.7, 0.7, 0.6))
     table = metric_path(path)
     cyc = Cycle((1, 2, 3, 4, 5))
-    d, cost = metric_path_mcd(cyc, table, path)
+    d, cost = metric_path_mcd(cyc, path)
     assert validate_decomposition(d, cyc.as_permutation(5))
-    assert cost == pytest.approx(cycle_lower_bound(cyc, table))
+    assert cost == pytest.approx(cycle_floor(cyc, table))
 
 
 def test_metric_path_mcd_random_orders():
@@ -295,9 +304,9 @@ def test_metric_path_mcd_random_orders():
         table = metric_path(path)
         k = rng.randint(2, n)
         cyc = Cycle(tuple(rng.sample(range(1, n + 1), k)))
-        d, cost = metric_path_mcd(cyc, table, path)
+        d, cost = metric_path_mcd(cyc, path)
         assert validate_decomposition(d, cyc.as_permutation(n))
-        assert cost == cycle_lower_bound(cyc, table)
+        assert cost == cycle_floor(cyc, table)
         # the DP on the same table can do no better than the exact floor
         _, dp_cost = min_cost_mld(cyc, optimized(table))
         assert dp_cost == cost
@@ -307,4 +316,4 @@ def test_metric_path_mcd_rejects_mismatched_tables():
     path = DefiningPath((1, 2, 3), (1, 1))
     other = from_pairs(3, [(1, 2, 9), (2, 3, 9), (1, 3, 9)])
     with pytest.raises(ContractError):
-        metric_path_mcd(Cycle((1, 2, 3)), other, path)
+        decompose(Cycle((1, 2, 3)).as_permutation(), other, "metric-exact", defining_path=path)

@@ -21,6 +21,7 @@ from permsort import (
     parse_cycles,
     permutation_lower_bound,
     sharpened_lower_bound,
+    shortest_swaps,
     validate_decomposition,
 )
 from permsort.multicycle import _alpha_worst_case, _attainable
@@ -37,19 +38,19 @@ def complete(n, v):
 
 def test_lower_bound_two_rings():
     raw = ring10_raw()
-    assert permutation_lower_bound(TWO_RINGS, raw) == 20.0
+    assert permutation_lower_bound(TWO_RINGS, shortest_swaps(raw).dist) == 20.0
     # optimizing first must not move the bound
-    assert permutation_lower_bound(TWO_RINGS, all_pairs_optimize(raw)) == 20.0
+    assert permutation_lower_bound(TWO_RINGS, shortest_swaps(all_pairs_optimize(raw)).dist) == 20.0
 
 
 def test_lower_bound_five_cycle():
-    assert permutation_lower_bound(FIVE_CYCLE, sparse5_raw()) == 103.5
+    assert permutation_lower_bound(FIVE_CYCLE, shortest_swaps(sparse5_raw()).dist) == 103.5
 
 
 def test_lower_bound_disconnected():
     holes = from_pairs(4, [(1, 2, 1), (3, 4, 1)])
     with pytest.raises(InfeasibleError, match="from 1 to 3"):
-        permutation_lower_bound(parse_cycles("(1 3)", 4), holes)
+        permutation_lower_bound(parse_cycles("(1 3)", 4), shortest_swaps(holes).dist)
 
 
 def test_merge_greedy_two_rings():
@@ -89,26 +90,25 @@ def test_merge_identity_rejected():
 
 
 def test_merged_decompose_two_rings():
-    star = all_pairs_optimize(ring10_raw())
-    rep = merged_decompose(TWO_RINGS, star)
-    assert rep.method == "merge"
-    assert rep.cost == 38  # one join at 1 plus a length-10 chain at 37
-    assert rep.lower_bound == 20.0
-    assert rep.alpha == 1.9
-    assert validate_decomposition(rep.decomposition, TWO_RINGS)
+    engine = shortest_swaps(ring10_raw())
+    d, cost = merged_decompose(TWO_RINGS, engine.optimized)
+    assert cost == 38  # one join at 1 plus a length-10 chain at 37
+    lower_bound = permutation_lower_bound(TWO_RINGS, engine.dist)
+    assert lower_bound == 20.0
+    assert cost / lower_bound == 1.9
+    assert validate_decomposition(d, TWO_RINGS)
     # first written factor is the join's inverse, which is the join itself
-    assert rep.decomposition.transpositions[0].pair == (1, 2)
+    assert d.transpositions[0].pair == (1, 2)
 
 
 def test_decompose_identity_every_method():
     p = Permutation((1, 2, 3))
-    star = all_pairs_optimize(complete(3, 1))
+    engine = shortest_swaps(complete(3, 1))
     for method in ("mld", "std", "merge"):
-        rep = decompose(p, star, method)
-        assert rep.decomposition == Decomposition()
-        assert rep.cost == 0
-        assert rep.lower_bound == 0.0
-        assert rep.alpha is None
+        d, cost = decompose(p, engine.optimized, method)
+        assert d == Decomposition()
+        assert cost == 0
+        assert permutation_lower_bound(p, engine.dist) == 0.0
 
 
 def test_decompose_rejects_unknown_method():
@@ -130,22 +130,24 @@ def test_decompose_std_unreachable():
 
 def test_decompose_frozen_costs():
     ring_star = all_pairs_optimize(ring10_raw())
-    assert decompose(TWO_RINGS, ring_star, "mld").cost == 40
-    assert decompose(TWO_RINGS, ring_star, "std").cost == 56
-    assert decompose(TWO_RINGS, ring_star, "merge").cost == 38
+    assert decompose(TWO_RINGS, ring_star, "mld")[1] == 40
+    assert decompose(TWO_RINGS, ring_star, "std")[1] == 56
+    assert decompose(TWO_RINGS, ring_star, "merge")[1] == 38
     sparse_star = all_pairs_optimize(sparse5_raw())
-    assert decompose(FIVE_CYCLE, sparse_star, "mld").cost == 105
-    assert decompose(FIVE_CYCLE, sparse_star, "std").cost == 111
+    assert decompose(FIVE_CYCLE, sparse_star, "mld")[1] == 105
+    assert decompose(FIVE_CYCLE, sparse_star, "std")[1] == 111
 
 
 def test_decompose_metric_exact_path():
     path = DefiningPath((1, 2, 3, 4, 5), (1, 2, 1, 3))
     table = metric_path(path)
-    rep = decompose(FIVE_CYCLE, table, "metric-exact", defining_path=path)
-    assert rep.cost == 7
-    assert rep.lower_bound == 7.0
-    assert rep.alpha == 1.0
-    assert validate_decomposition(rep.decomposition, FIVE_CYCLE)
+    d, cost = decompose(FIVE_CYCLE, table, "metric-exact", defining_path=path)
+    assert cost == 7
+    # a path metric is its own distance table
+    lower_bound = permutation_lower_bound(FIVE_CYCLE, table.table)
+    assert lower_bound == 7.0
+    assert cost / lower_bound == 1.0
+    assert validate_decomposition(d, FIVE_CYCLE)
 
 
 def test_attainable():
@@ -167,9 +169,11 @@ def test_attainable():
 
 def test_sharpened_lower_bound_frozen():
     sp = sparse5_raw()
-    assert sharpened_lower_bound(FIVE_CYCLE, sp, permutation_lower_bound(FIVE_CYCLE, sp)) == 104
+    lb = permutation_lower_bound(FIVE_CYCLE, shortest_swaps(sp).dist)
+    assert sharpened_lower_bound(FIVE_CYCLE, sp, lb) == 104
     ring = ring10_raw()
-    assert sharpened_lower_bound(TWO_RINGS, ring, permutation_lower_bound(TWO_RINGS, ring)) == 20
+    lb = permutation_lower_bound(TWO_RINGS, shortest_swaps(ring).dist)
+    assert sharpened_lower_bound(TWO_RINGS, ring, lb) == 20
 
 
 def test_sharpened_lower_bound_parity_bump():
@@ -177,7 +181,7 @@ def test_sharpened_lower_bound_parity_bump():
     # but 9 = 3+3+3 forces an odd count while the permutation is even
     t = complete(6, 3)
     p = parse_cycles("(1 2 3)(4 5 6)", 6)
-    lb = permutation_lower_bound(p, t)
+    lb = permutation_lower_bound(p, shortest_swaps(t).dist)
     assert lb == 9.0
     assert sharpened_lower_bound(p, t, lb) == 10
 
@@ -185,7 +189,7 @@ def test_sharpened_lower_bound_parity_bump():
 def test_sharpened_lower_bound_non_integer_table():
     t = from_pairs(3, [(1, 2, 1.5), (1, 3, 1.5), (2, 3, 1.5)])
     p = parse_cycles("(1 2 3)", 3)
-    assert sharpened_lower_bound(p, t, permutation_lower_bound(p, t)) is None
+    assert sharpened_lower_bound(p, t, permutation_lower_bound(p, shortest_swaps(t).dist)) is None
 
 
 def test_alpha_worst_case():
@@ -199,13 +203,13 @@ def test_alpha_worst_case():
 
 def test_bound_report_two_rings():
     raw = ring10_raw()
-    rep = bound_report(TWO_RINGS, raw, all_pairs_optimize(raw))
+    rep = bound_report(TWO_RINGS, shortest_swaps(raw))
     assert rep == BoundReport(TWO_RINGS, 20.0, 20, 40, 56, 38, INF, False)
 
 
 def test_bound_report_five_cycle():
     raw = sparse5_raw()
-    rep = bound_report(FIVE_CYCLE, raw, all_pairs_optimize(raw))
+    rep = bound_report(FIVE_CYCLE, shortest_swaps(raw))
     assert rep == BoundReport(FIVE_CYCLE, 103.5, 104, 105, 111, 105, 129.0, False)
 
 
@@ -214,16 +218,24 @@ def test_bound_report_path_certificate():
     # cheapest decomposition meets the sharpened bound
     path = DefiningPath((1, 2, 3, 4, 5), (1, 2, 1, 3))
     raw = metric_path(path)
-    rep = bound_report(FIVE_CYCLE, raw, all_pairs_optimize(raw))
+    rep = bound_report(FIVE_CYCLE, shortest_swaps(raw))
     assert rep == BoundReport(FIVE_CYCLE, 7.0, 7, 7, 7, 7, 12.75, True)
 
 
 def test_bound_report_identity():
     p = Permutation((1, 2, 3, 4))
     t = complete(4, 2)
-    assert bound_report(p, t, all_pairs_optimize(t)) == BoundReport(
+    assert bound_report(p, shortest_swaps(t)) == BoundReport(
         p, 0.0, 0, 0, 0, 0, None, True
     )
+
+
+def test_bound_report_reads_the_engine_it_is_handed(engines_built):
+    engine = shortest_swaps(ring10_raw())
+    engines_built.clear()
+    rep = bound_report(TWO_RINGS, engine)
+    assert engines_built == []
+    assert rep.lower_bound == 20.0
 
 
 def test_bound_report_merge_infeasible_is_inf():
@@ -231,7 +243,7 @@ def test_bound_report_merge_infeasible_is_inf():
     # finite way to join them, so merging reports an infinite cost
     raw = from_pairs(4, [(1, 2, 1), (3, 4, 1)])
     p = Permutation((2, 1, 4, 3))
-    rep = bound_report(p, raw, all_pairs_optimize(raw))
+    rep = bound_report(p, shortest_swaps(raw))
     assert rep.mld_cost == 2
     assert rep.std_cost == 2
     assert rep.merged_cost == INF
@@ -241,12 +253,12 @@ def test_random_strategies_respect_bounds():
     rng = random.Random(417)
     for _ in range(30):
         n = rng.randint(2, 7)
-        raw = random_table(n, rng)
-        star = all_pairs_optimize(raw)
+        engine = shortest_swaps(random_table(n, rng))
+        star = engine.optimized
         images = list(range(1, n + 1))
         rng.shuffle(images)
         p = Permutation(tuple(images))
-        rep = bound_report(p, raw, star)
+        rep = bound_report(p, engine)
         assert rep.lower_bound <= rep.mld_cost <= rep.std_cost
         assert rep.lower_bound <= rep.merged_cost
         if rep.sharpened_lower_bound is not None and not p.is_identity():
@@ -255,8 +267,8 @@ def test_random_strategies_respect_bounds():
             ceil = math.ceil(rep.lower_bound)
             assert ceil <= rep.sharpened_lower_bound <= ceil + 1
         for method in ("mld", "std", "merge"):
-            out = decompose(p, star, method)
-            assert validate_decomposition(out.decomposition, p)
-            assert out.cost == {
+            d, cost = decompose(p, star, method)
+            assert validate_decomposition(d, p)
+            assert cost == {
                 "mld": rep.mld_cost, "std": rep.std_cost, "merge": rep.merged_cost,
             }[method]

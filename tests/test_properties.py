@@ -26,7 +26,6 @@ from permsort import (  # noqa: E402
     Permutation,
     Transposition,
     all_pairs_optimize,
-    cycle_lower_bound,
     cycles,
     decompose,
     expand_transposition,
@@ -122,15 +121,21 @@ def _bellman_ford_floor(p, raw):
 def test_lower_bound_matches_bellman_ford_route(case):
     raw, p = case
     want = _bellman_ford_floor(p, raw)
-    star = shortest_swaps(raw).optimized
-    for table in (raw, star):
+    engine = shortest_swaps(raw)
+    # phi* has the raw table's distances, entry for entry, so the bound can
+    # read the engine's D wherever it used to run Floyd-Warshall on phi*
+    star_dist = shortest_swaps(engine.optimized).dist
+    assert star_dist == engine.dist
+    for dist in (engine.dist, star_dist):
         if want == INF:
             with pytest.raises(InfeasibleError):
-                permutation_lower_bound(p, table)
+                permutation_lower_bound(p, dist)
         else:
-            assert permutation_lower_bound(p, table) == want
-    per_cycle = [cycle_lower_bound(c, raw) for c in nontrivial_cycles(p)]
-    assert sum(per_cycle) == want
+            assert permutation_lower_bound(p, dist) == want
+    if want != INF:
+        per_cycle = [permutation_lower_bound(c.as_permutation(raw.n), engine.dist)
+                     for c in nontrivial_cycles(p)]
+        assert sum(per_cycle) == want
 
 
 @PROPERTY
@@ -157,9 +162,10 @@ def test_bounds_chain_around_the_exhaustive_minimum(case):
     m = mcd_exact(p, raw).min_cost
     if m == INF:
         return
-    lb = permutation_lower_bound(p, raw)
+    engine = shortest_swaps(raw)
+    lb = permutation_lower_bound(p, engine.dist)
     sharp = sharpened_lower_bound(p, raw, lb)
-    big_l, big_s = mld_std_totals(p, shortest_swaps(raw).optimized)
+    big_l, big_s = mld_std_totals(p, engine.optimized)
     assert lb <= sharp <= m <= big_l <= big_s <= 4 * m
 
 
@@ -168,8 +174,10 @@ def test_bounds_chain_around_the_exhaustive_minimum(case):
 def test_metric_exact_meets_the_exhaustive_minimum(case):
     path, p = case
     metric = metric_path(path)
-    report = decompose(p, metric, "metric-exact", defining_path=path)
-    assert report.cost == mcd_exact(p, metric).min_cost
+    _, cost = decompose(p, metric, "metric-exact", defining_path=path)
+    assert cost == mcd_exact(p, metric).min_cost
+    # a path metric is its own distance table, and the floor is exact on it
+    assert permutation_lower_bound(p, metric.table) == cost
 
 
 @PROPERTY
