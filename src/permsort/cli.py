@@ -151,19 +151,27 @@ def _env_limit() -> int:
         raise CostParseError(f"PERMSORT_LIMIT must be an integer, got {raw!r}") from None
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise CostParseError(f"cannot write {path}: {e}") from None
+
+
 def _cmd_optimize(args) -> int:
     raw, _ = _load_costs(args.costs)
     opt = all_pairs_optimize(raw)
-    changed = 0
+    lines = []
     for a, b, v in raw.entries():
         w = opt.cost(a, b)
         if w != v:
-            changed += 1
-            print(f"{a} {b}: {_format_value(v)} -> {_format_value(w)}")
-    print(f"{changed} entries changed")
+            lines.append(f"{a} {b}: {_format_value(v)} -> {_format_value(w)}")
+    lines.append(f"{len(lines)} entries changed")
     if args.output:
-        Path(args.output).write_text(format_cost_file(opt))
-        print(f"wrote {args.output}")
+        # written before anything is printed, so a failed write prints nothing
+        _write_output(args.output, format_cost_file(opt))
+        lines.append(f"wrote {args.output}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -247,7 +255,7 @@ def _cmd_bench(args) -> int:
     lines += [f"{k},{t},{r:.6f},{o:.6f}" for k, t, r, o in rows]
     csv = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(csv)
+        _write_output(args.output, csv)
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(csv)

@@ -13,13 +13,17 @@ all n labels. ``metric_path`` charges each pair the weight sum between them,
 which is a metric. ``extended_metric_path`` keeps only consecutive pairs
 finite. Costs stay ints when the inputs are ints, so equality checks on
 integer instances are exact.
+
+Each number is checked once where it enters: cost tokens in ``_parse_value``,
+listed entries in ``_set_pair``, path weights and their sum in
+``DefiningPath``, hand-built tables in ``CostMatrix.__post_init__``.
+``_freeze`` wraps tables computed from checked numbers without a recheck.
 """
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CostParseError
 
@@ -31,7 +35,8 @@ Number = int | float
 def _is_valid_cost(v) -> bool:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         return False
-    return v == INF or (math.isfinite(v) and v >= 0)
+    # compares ints of any size exactly, and is False for NaN
+    return v == INF or 0 <= v <= sys.float_info.max
 
 
 def tolerance(*values: Number) -> Number:
@@ -94,7 +99,7 @@ class CostMatrix:
 
     def assume_optimized(self) -> "CostMatrix":
         """Relabel as optimized without optimizing. Use deliberately."""
-        return CostMatrix(self.n, self.table, "optimized")
+        return _freeze(self.table, "optimized")
 
     def all_integer(self) -> bool:
         return all(isinstance(v, int) or (isinstance(v, float) and v == INF) for _, _, v in self.entries())
@@ -130,6 +135,8 @@ class DefiningPath:
         prefix: list[Number] = [0]
         for w in self.weights:
             prefix.append(prefix[-1] + w)
+        if prefix[-1] > sys.float_info.max:
+            raise ValueError("path weights sum past the float range")
         object.__setattr__(self, "positions", {label: i for i, label in enumerate(self.order)})
         object.__setattr__(self, "prefix", tuple(prefix))
 
@@ -165,27 +172,37 @@ def _fresh(n: int, fill: Number) -> list[list[Number]]:
     return rows
 
 
-def _freeze(rows: list[list[Number]], kind: str) -> CostMatrix:
-    return CostMatrix(len(rows), tuple(tuple(r) for r in rows), kind)
+def _freeze(rows: Sequence[Sequence[Number]], kind: str) -> CostMatrix:
+    # skips __post_init__: callers build square symmetric zero-diagonal rows
+    # from checked costs, their sums, or DefiningPath's finite prefix sums
+    m = object.__new__(CostMatrix)
+    m.__dict__.update(n=len(rows), table=tuple(tuple(r) for r in rows), kind=kind)
+    return m
 
 
-def from_pairs(n: int, entries: Iterable[tuple[int, int, Number]], kind: str = "raw") -> CostMatrix:
+def _set_pair(rows: list[list[Number]], listed: set[tuple[int, int]], a: int, b: int, v: Number) -> None:
+    """Check a listed (a, b, cost) entry and write both halves of it."""
+    n = len(rows)
+    if a == b or not (1 <= a <= n and 1 <= b <= n):
+        raise ValueError(f"bad pair ({a}, {b}) for n={n}")
+    if not _is_valid_cost(v):
+        raise ValueError(f"bad cost {v!r} for pair ({a}, {b})")
+    key = (min(a, b), max(a, b))
+    if key in listed and rows[a - 1][b - 1] != v:
+        raise ValueError(f"conflicting duplicate for pair {key}")
+    listed.add(key)
+    rows[a - 1][b - 1] = rows[b - 1][a - 1] = v
+
+
+def from_pairs(n: int, entries: Iterable[tuple[int, int, Number]]) -> CostMatrix:
     """Build a table from (a, b, cost) triples; unlisted pairs default to inf."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     rows = _fresh(n, INF)
-    seen: dict[tuple[int, int], Number] = {}
+    listed: set[tuple[int, int]] = set()
     for a, b, v in entries:
-        if a == b:
-            raise ValueError(f"trivial pair ({a}, {a})")
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError(f"pair ({a}, {b}) outside 1..{n}")
-        if not _is_valid_cost(v):
-            raise ValueError(f"bad cost {v!r} for pair ({a}, {b})")
-        key = (min(a, b), max(a, b))
-        if key in seen and seen[key] != v:
-            raise ValueError(f"conflicting duplicate for pair {key}: {seen[key]!r} vs {v!r}")
-        seen[key] = v
-        rows[a - 1][b - 1] = rows[b - 1][a - 1] = v
-    return _freeze(rows, kind)
+        _set_pair(rows, listed, a, b, v)
+    return _freeze(rows, "raw")
 
 
 def metric_path(path: DefiningPath) -> CostMatrix:
@@ -293,8 +310,8 @@ def parse_cost_file(text: str) -> CostMatrix:
         raise CostParseError(f"bad size {parts[1]!r}", lineno) from None
     if n < 1:
         raise CostParseError(f"bad size {n}", lineno)
-    entries: list[tuple[int, int, Number]] = []
-    seen: dict[tuple[int, int], Number] = {}
+    rows = _fresh(n, INF)
+    listed: set[tuple[int, int]] = set()
     for lineno, line in lines[1:]:
         toks = line.split()
         if len(toks) != 3:
@@ -304,14 +321,11 @@ def parse_cost_file(text: str) -> CostMatrix:
         except ValueError:
             raise CostParseError(f"bad pair in {line!r}", lineno) from None
         v = _parse_value(toks[2], lineno)
-        if a == b or not (1 <= a <= n and 1 <= b <= n):
-            raise CostParseError(f"bad pair ({a}, {b}) for n={n}", lineno)
-        key = (min(a, b), max(a, b))
-        if key in seen and seen[key] != v:
-            raise CostParseError(f"conflicting duplicate for pair {key}", lineno)
-        seen[key] = v
-        entries.append((a, b, v))
-    return from_pairs(n, entries)
+        try:
+            _set_pair(rows, listed, a, b, v)
+        except ValueError as exc:
+            raise CostParseError(str(exc), lineno) from None
+    return _freeze(rows, "raw")
 
 
 def parse_path_file(text: str) -> DefiningPath:

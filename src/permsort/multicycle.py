@@ -210,28 +210,15 @@ def decompose(
     return out, total
 
 
-def _attainable(target: int, values: list[int], want_parity: int) -> bool:
-    """Can some multiset of the values sum to target with the given size parity?"""
-    has_zero = 0 in values
-    if target == 0:
-        return want_parity == 0 or has_zero
+def _attainable(target: int, values: list[int]) -> tuple[bool, bool]:
+    """Whether an even, and an odd, number of positive values can sum to target."""
     vals = sorted({v for v in values if 0 < v <= target})
-    if has_zero:
-        # one free zero-cost swap flips parity, so only the sum matters
-        reach = [False] * (target + 1)
-        reach[0] = True
-        for c in range(1, target + 1):
-            reach[c] = any(reach[c - v] for v in vals)
-        return reach[target]
-    even = [False] * (target + 1)
+    even = [True] + [False] * target
     odd = [False] * (target + 1)
-    even[0] = True
     for c in range(1, target + 1):
-        for v in vals:
-            if v <= c:
-                even[c] = even[c] or odd[c - v]
-                odd[c] = odd[c] or even[c - v]
-    return odd[target] if want_parity else even[target]
+        even[c] = any(odd[c - v] for v in vals if v <= c)
+        odd[c] = any(even[c - v] for v in vals if v <= c)
+    return even[target], odd[target]
 
 
 def sharpened_lower_bound(p: Permutation, raw: CostMatrix, lower_bound: float) -> int | None:
@@ -244,11 +231,12 @@ def sharpened_lower_bound(p: Permutation, raw: CostMatrix, lower_bound: float) -
     if not raw.all_integer() or lower_bound == INF:
         return None
     target = math.ceil(lower_bound)
-    if target == 0:
-        return 0
-    values = [int(v) for v in raw.finite_values()]
+    values = raw.finite_values()
+    if target == 0 or 0 in values:
+        return target    # nothing to hit, or a free swap fixes the parity
+    by_parity = _attainable(target, values)
     parity = (p.n - len(cycles(p))) % 2
-    if not _attainable(target, values, parity) and _attainable(target, values, 1 - parity):
+    if not by_parity[parity] and by_parity[1 - parity]:
         return target + 1
     return target
 

@@ -1,6 +1,6 @@
 import pytest
 
-from permsort import ShortestSwaps
+from permsort import CostMatrix, ShortestSwaps
 
 
 @pytest.fixture
@@ -19,3 +19,21 @@ def engines_built(monkeypatch):
 
     monkeypatch.setattr(ShortestSwaps, "__init__", counting_init)
     return built
+
+
+@pytest.fixture
+def tables_checked(monkeypatch):
+    """Every CostMatrix whose entries were all checked during the test.
+
+    The dataclass ``__init__`` looks ``__post_init__`` up on the class, so
+    the hook sees every validating construction; ``_freeze`` skips it.
+    """
+    checked = []
+    post_init = CostMatrix.__post_init__
+
+    def counting_post_init(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CostMatrix, "__post_init__", counting_post_init)
+    return checked

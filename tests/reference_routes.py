@@ -37,7 +37,7 @@ from permsort import (
     mcd_exact,
     nontrivial_cycles,
 )
-from permsort.costs import Number, _freeze, _fresh
+from permsort.costs import Number, _fresh
 from permsort.mld import Edge, MldTable
 from permsort.optimize import _palindrome
 from permsort.oracle import DEFAULT_LIMIT
@@ -194,7 +194,9 @@ def optimize_costs(raw: CostMatrix) -> OptimizerReport:
     rows = _fresh(n, INF)
     for (a, b), v in cost.items():
         rows[a - 1][b - 1] = rows[b - 1][a - 1] = v
-    return OptimizerReport(_freeze(rows, "optimized"), witness)
+    # the validating constructor: the oracle does not share the shortcut of
+    # the route it checks
+    return OptimizerReport(CostMatrix(n, tuple(tuple(r) for r in rows), "optimized"), witness)
 
 
 def bellman_ford(costs: CostMatrix, source: int) -> PathTable:

@@ -136,6 +136,25 @@ def test_decompose_runs_one_floyd_warshall(tmp_path, capsys, engines_built):
     assert (code, len(engines_built)) == (0, 0)
 
 
+def test_commands_check_no_table_twice(tmp_path, capsys, tables_checked):
+    # the parser and from_pairs check each entry once; phi*, relabels and
+    # path tables are wrapped without running CostMatrix.__post_init__
+    src = cost_file(tmp_path, "sparse", sparse5_raw())
+    runs = [("decompose", src, "(1 2 3)(4 5)", "--method", method, *flags)
+            for method in ("mld", "std", "merge")
+            for flags in ((), ("--trust-raw",), ("--expand",))]
+    runs += [
+        ("decompose", path_file(tmp_path), "(1 2 3 4 5)", "--method", "metric-exact"),
+        ("optimize", src),
+        ("bench", "3", "14", "--trials", "2"),
+        ("oracle", src, "(1 2 3)(4 5)"),
+    ]
+    for argv in runs:
+        tables_checked.clear()
+        code, _, _ = run(capsys, *argv)
+        assert (code, len(tables_checked)) == (0, 0), argv
+
+
 def test_decompose_identity(tmp_path, capsys):
     src = cost_file(tmp_path, "sparse", sparse5_raw())
     code, out, _ = run(capsys, "decompose", src, "1 2 3 4 5")
@@ -251,6 +270,18 @@ def test_overflowing_cost_is_an_input_error(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_path_weights_summing_past_the_float_range(tmp_path, capsys):
+    # float weights whose running sum becomes inf, and exact integer weights
+    # whose sum passes the largest double: both are input errors
+    for name, text in (("float.path", "path\n1 2 3 4\n1e308 1e308 1e308\n"),
+                       ("int.path", f"path\n1 2 3\n{10**308} {10**308}\n")):
+        f = tmp_path / name
+        f.write_text(text)
+        code, out, err = run(capsys, "decompose", str(f), "(1 2 3)")
+        assert (code, out) == (1, "")
+        assert err == "error: line 3: path weights sum past the float range\n"
+
+
 def test_repeated_cycle_label_exits_one(tmp_path, capsys):
     src = cost_file(tmp_path, "sparse", sparse5_raw())
     for text in ("(1 2 1 2)", "(1 1)"):
@@ -348,6 +379,20 @@ def test_bench_deterministic_and_file_output(tmp_path, capsys):
     assert code == 0
     assert out == f"wrote {dst}\n"
     assert dst.read_text() == first[1]
+
+
+def test_optimize_output_to_a_missing_directory(tmp_path, capsys):
+    dst = tmp_path / "no" / "such" / "out.cost"
+    code, out, err = run(capsys, "optimize", cost_file(tmp_path, "t", opt4_raw()), "-o", str(dst))
+    # the write comes first, so nothing is printed when it fails
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {dst}: ")
+
+
+def test_bench_output_to_a_directory(tmp_path, capsys):
+    code, out, err = run(capsys, "bench", "3", "4", "--trials", "2", "-o", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
 
 
 def test_bench_rows_optimized_never_worse():

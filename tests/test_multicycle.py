@@ -151,20 +151,26 @@ def test_decompose_metric_exact_path():
 
 
 def test_attainable():
-    # target zero needs an even count unless a free zero value flips parity
-    assert _attainable(0, [2, 3], 0)
-    assert not _attainable(0, [2, 3], 1)
-    assert _attainable(0, [0, 2], 1)
+    # (even count, odd count) of positive values summing to the target
+    assert _attainable(0, [2, 3]) == (True, False)
     # 6 out of twos takes exactly three picks
-    assert _attainable(6, [2], 1)
-    assert not _attainable(6, [2], 0)
-    assert _attainable(6, [0, 2], 0)
+    assert _attainable(6, [2]) == (False, True)
     # odd total from even values is hopeless at either parity
-    assert not _attainable(7, [2], 0)
-    assert not _attainable(7, [2], 1)
+    assert _attainable(7, [2]) == (False, False)
+    # 5 = 2 + 3 is the only multiset
+    assert _attainable(5, [2, 3]) == (True, False)
     # 104 = 100 + 4 ones (odd count) = 104 ones (even count)
-    assert _attainable(104, [1, 100], 0)
-    assert _attainable(104, [1, 100], 1)
+    assert _attainable(104, [1, 100]) == (True, True)
+    # zero values are not passed in: with a zero cost in the table a free
+    # swap fixes the parity, so the bound is the ceiling. The table is the
+    # parity-bump instance below plus a free swap (7 8) off the support.
+    t = from_pairs(8, [(a, b, 0 if (a, b) == (7, 8) else 3)
+                       for a in range(1, 9) for b in range(a + 1, 9)])
+    p = parse_cycles("(1 2 3)(4 5 6)", 8)
+    lb = permutation_lower_bound(p, shortest_swaps(t).dist)
+    assert lb == 9.0
+    assert sharpened_lower_bound(p, t, lb) == 9
+    assert sharpened_lower_bound(parse_cycles("()", 8), t, 0.0) == 0
 
 
 def test_sharpened_lower_bound_frozen():

@@ -11,15 +11,20 @@ path distances and L <= 2M on adjacent-only paths. The interval DP, the
 cycle merge and the transposition product must equal their straightforward
 routes in ``reference_routes`` exactly, floats and ties included. Cost
 files, path files, one-line and cycle notation must read back what was
-written.
+written, and every table builder's output must pass the full
+``CostMatrix`` check it skips.
 """
+import sys
+from itertools import accumulate
+
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from permsort import (  # noqa: E402
     INF,
+    CostMatrix,
     Cycle,
     Decomposition,
     DefiningPath,
@@ -51,8 +56,8 @@ from permsort import (  # noqa: E402
     sharpened_lower_bound,
     shortest_swaps,
 )
-from permsort.costs import tolerance  # noqa: E402
-from permsort.errors import InfeasibleError  # noqa: E402
+from permsort.costs import _format_value, tolerance  # noqa: E402
+from permsort.errors import CostParseError, InfeasibleError  # noqa: E402
 from permsort.multicycle import mld_std_totals  # noqa: E402
 
 from reference_routes import (  # noqa: E402
@@ -308,17 +313,57 @@ def test_cost_file_round_trip(raw):
         assert format_cost_file(parsed) == text
 
 
-@PROPERTY
-@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+PATH_CASES = st.integers(2, 8).flatmap(lambda n: st.tuples(
     st.permutations(range(1, n + 1)),
-    st.lists(COST_VALUES.filter(lambda v: v != INF), min_size=n - 1, max_size=n - 1))))
+    st.lists(COST_VALUES.filter(lambda v: v != INF), min_size=n - 1, max_size=n - 1)))
+
+
+def _sum_overflows(weights):
+    return max(accumulate(weights)) > sys.float_info.max
+
+
+@PROPERTY
+@given(PATH_CASES)
 def test_path_file_round_trip(case):
-    path = DefiningPath(tuple(case[0]), tuple(case[1]))
-    text = format_path_file(path)
+    order, weights = case
+    text = "path\n{}\n{}\n".format(" ".join(map(str, order)),
+                                    " ".join(_format_value(w) for w in weights))
+    if _sum_overflows(weights):
+        # the weight sum leaves the float range: an input error on the weight line
+        for parse in (parse_path_file, parse_cost_input):
+            with pytest.raises(CostParseError) as err:
+                parse(text)
+            assert err.value.line == 3
+        return
+    path = DefiningPath(tuple(order), tuple(weights))
     for parsed in (parse_path_file(text), parse_cost_input(text)):
         assert parsed == path
         assert [type(w) for w in parsed.weights] == [type(w) for w in path.weights]
         assert format_path_file(parsed) == text
+
+
+# Tables built from checked numbers skip CostMatrix.__post_init__; the full
+# check must accept every one of them unchanged.
+def _passes_the_full_check(m):
+    return CostMatrix(m.n, m.table, m.kind) == m
+
+
+@PROPERTY
+@given(sparse_tables())
+def test_table_builders_pass_the_full_check(raw):
+    for m in (raw, parse_cost_file(format_cost_file(raw)),
+              shortest_swaps(raw).optimized, raw.assume_optimized()):
+        assert _passes_the_full_check(m)
+
+
+@PROPERTY
+@given(PATH_CASES)
+def test_path_table_builders_pass_the_full_check(case):
+    order, weights = case
+    assume(not _sum_overflows(weights))
+    path = DefiningPath(tuple(order), tuple(weights))
+    for build in (metric_path, extended_metric_path, extended_metric_path_optimized):
+        assert _passes_the_full_check(build(path))
 
 
 @PROPERTY
