@@ -15,8 +15,8 @@ finite. Costs stay ints when the inputs are ints, so equality checks on
 integer instances are exact.
 
 Each number is checked once where it enters: cost tokens in ``_parse_value``,
-listed entries in ``_set_pair``, path weights and their sum in
-``DefiningPath``, hand-built tables in ``CostMatrix.__post_init__``.
+listed entries and their int total in ``_set_pair``, path weights and their
+sums in ``DefiningPath``, hand-built tables in ``CostMatrix.__post_init__``.
 ``_freeze`` wraps tables computed from checked numbers without a recheck.
 """
 from __future__ import annotations
@@ -37,6 +37,12 @@ def _is_valid_cost(v) -> bool:
         return False
     # compares ints of any size exactly, and is False for NaN
     return v == INF or 0 <= v <= sys.float_info.max
+
+
+def _ints_fit(total: int, n: int) -> bool:
+    # adding inf to an int past the float range raises OverflowError; an int
+    # phi* entry is at most 5 times the int total, and a cost sums at most 2n
+    return 10 * n * total <= sys.float_info.max
 
 
 def tolerance(*values: Number) -> Number:
@@ -135,7 +141,8 @@ class DefiningPath:
         prefix: list[Number] = [0]
         for w in self.weights:
             prefix.append(prefix[-1] + w)
-        if prefix[-1] > sys.float_info.max:
+        ints = sum(w for w in self.weights if isinstance(w, int))
+        if prefix[-1] > sys.float_info.max or not _ints_fit(ints, n):
             raise ValueError("path weights sum past the float range")
         object.__setattr__(self, "positions", {label: i for i, label in enumerate(self.order)})
         object.__setattr__(self, "prefix", tuple(prefix))
@@ -180,18 +187,23 @@ def _freeze(rows: Sequence[Sequence[Number]], kind: str) -> CostMatrix:
     return m
 
 
-def _set_pair(rows: list[list[Number]], listed: set[tuple[int, int]], a: int, b: int, v: Number) -> None:
-    """Check a listed (a, b, cost) entry and write both halves of it."""
+def _set_pair(rows: list[list[Number]], listed: set, a: int, b: int, v: Number, total: int) -> int:
+    """Check a listed (a, b, cost) entry, write both halves, return the new int total."""
     n = len(rows)
     if a == b or not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"bad pair ({a}, {b}) for n={n}")
     if not _is_valid_cost(v):
         raise ValueError(f"bad cost {v!r} for pair ({a}, {b})")
+    if isinstance(v, int):
+        total += v
+        if not _ints_fit(total, n):
+            raise ValueError("integer costs sum past the float range")
     key = (min(a, b), max(a, b))
     if key in listed and rows[a - 1][b - 1] != v:
         raise ValueError(f"conflicting duplicate for pair {key}")
     listed.add(key)
     rows[a - 1][b - 1] = rows[b - 1][a - 1] = v
+    return total
 
 
 def from_pairs(n: int, entries: Iterable[tuple[int, int, Number]]) -> CostMatrix:
@@ -200,8 +212,9 @@ def from_pairs(n: int, entries: Iterable[tuple[int, int, Number]]) -> CostMatrix
         raise ValueError("need n >= 1")
     rows = _fresh(n, INF)
     listed: set[tuple[int, int]] = set()
+    total = 0
     for a, b, v in entries:
-        _set_pair(rows, listed, a, b, v)
+        total = _set_pair(rows, listed, a, b, v, total)
     return _freeze(rows, "raw")
 
 
@@ -229,14 +242,15 @@ def extended_metric_path_optimized(path: DefiningPath) -> CostMatrix:
     """Closed form for the optimized costs of an extended path table.
 
     The cheapest swap route for (a, b) walks the path segment between them,
-    so the optimized cost is twice the segment sum minus its largest weight.
+    so the optimized cost is twice the segment sum minus its largest weight
+    (as total + (total - top), which stays finite where 2 * total may not).
     """
     n = path.n
     rows = _fresh(n, INF)
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             total, top = path.segment(a, b)
-            rows[a - 1][b - 1] = rows[b - 1][a - 1] = 2 * total - top
+            rows[a - 1][b - 1] = rows[b - 1][a - 1] = total + (total - top)
     return _freeze(rows, "optimized")
 
 
@@ -312,6 +326,7 @@ def parse_cost_file(text: str) -> CostMatrix:
         raise CostParseError(f"bad size {n}", lineno)
     rows = _fresh(n, INF)
     listed: set[tuple[int, int]] = set()
+    total = 0
     for lineno, line in lines[1:]:
         toks = line.split()
         if len(toks) != 3:
@@ -322,7 +337,7 @@ def parse_cost_file(text: str) -> CostMatrix:
             raise CostParseError(f"bad pair in {line!r}", lineno) from None
         v = _parse_value(toks[2], lineno)
         try:
-            _set_pair(rows, listed, a, b, v)
+            total = _set_pair(rows, listed, a, b, v, total)
         except ValueError as exc:
             raise CostParseError(str(exc), lineno) from None
     return _freeze(rows, "raw")

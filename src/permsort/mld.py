@@ -17,8 +17,9 @@ through
     B(i, r) = min over i <= s < r of C(i, s) + C(s+1, r)
     C(i, j) = min over i < r <= j of B(i, r) + C(r, j) + phi(i, r)
 
-in O(k^3) time and O(k^2) memory. ``min_cost_mld`` rebuilds an explicit
-sequence from the recorded splits; ``mld_cost`` returns C(1, k) alone.
+in O(k^3) time and O(k^2) memory. The fill keeps values only: ``mld_cost``
+returns C(1, k), and ``min_cost_mld`` rebuilds an explicit sequence, finding
+the split (s, r) of each interval it visits from C, B and phi in O(k).
 
 ``std_decomposition`` is the cheap-and-cheerful alternative: chain the
 cycle's consecutive pairs, skipping the most expensive one.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
+from typing import Callable
 
 from .costs import INF, CostMatrix, DefiningPath, Number, tolerance
 from .errors import ContractError, InfeasibleError
@@ -63,52 +65,61 @@ def _require_optimized(costs: CostMatrix):
         )
 
 
-def mld_table(cycle: Cycle, costs: CostMatrix) -> MldTable:
-    """Fill the interval table. Ties pick the smallest r, then smallest s.
+def _fill(cycle: Cycle, costs: CostMatrix) -> tuple[list[list[Number]], ...]:
+    """phi, C by rows and by columns, and B by rows, for one cycle, values only.
 
-    Every stored cost is the sum ((C(i, s) + C(s+1, r)) + C(r, j)) + phi(i, r)
-    of its chosen split, added in that order. Float addition is monotone, so
-    minimising over s inside B(i, r) first gives the same minimum, and the
-    split is found by rescanning s for the chosen r only.
+    Positions are 1-based: phi[i][r] is the swap cost between positions i
+    and r, row[i][t] = C(i, i+t), col[j][t] = C(j-t, j), brow[i][t] =
+    B(i, i+1+t). Rows fill from the last up by appending: no per-cell slices.
     """
     _require_optimized(costs)
     labels = cycle.elements
     k = len(labels)
     if max(labels) > costs.n:
         raise ValueError(f"cycle label {max(labels)} outside 1..{costs.n}")
-    # phi[i][r] is the swap cost between cycle positions i and r, 1-based
     phi = [[]] + [[0] + [costs.table[a - 1][b - 1] for b in labels] for a in labels]
-    c: list[list[Number]] = [[0] * (k + 1) for _ in range(k + 1)]
-    ct: list[list[Number]] = [[0] * (k + 1) for _ in range(k + 1)]   # ct[j][i] = C(i, j)
-    b: list[list[Number]] = [[0] * (k + 1) for _ in range(k + 1)]    # B(i, i+1) = 0
-    split: list[list[Edge | None]] = [[None] * (k + 1) for _ in range(k + 1)]
-    for i in range(1, k):
-        c[i][i + 1] = ct[i + 1][i] = phi[i][i + 1]
-    for span in range(2, k):
-        for i in range(1, k - span + 1):
-            j = i + span
-            ci, bi, col = c[i], b[i], ct[j]
-            bi[j] = min(map(add, ci[i:j], col[i + 1:j + 1]))
-            totals = list(map(add, map(add, bi[i + 1:j + 1], col[i + 1:j + 1]), phi[i][i + 1:j + 1]))
-            best = min(totals)
-            if best == INF:
-                c[i][j] = ct[j][i] = INF
-                continue
-            r = i + 1 + totals.index(best)
-            tail = col[r]
-            edge = phi[i][r]
-            for s in range(i, r):
-                total = ci[s] + c[s + 1][r] + tail + edge
-                if total == best:
-                    break
-            c[i][j] = ct[j][i] = total
-            split[i][j] = (s, r)
-    return MldTable(cycle, tuple(tuple(row) for row in c), tuple(tuple(row) for row in split))
+    row: list[list[Number]] = [[0] for _ in range(k + 1)]
+    col: list[list[Number]] = [[0] for _ in range(k + 1)]
+    brow: list[list[Number]] = [[0] for _ in range(k + 1)]    # B(i, i+1) = 0
+    for i in range(k - 1, 0, -1):
+        ri, bi, pi = row[i], brow[i], phi[i][i + 1:]
+        ri.append(pi[0])    # C(i, i+1)
+        col[i + 1].append(pi[0])
+        for j in range(i + 2, k + 1):
+            cj = col[j]    # reversed: C(i+1, j), ..., C(j, j)
+            bi.append(min(map(add, ri, reversed(cj))))
+            cj.append(min(map(add, map(add, bi, reversed(cj)), pi)))
+            ri.append(cj[-1])
+    return phi, row, col, brow
 
 
-def _rebuild(table: MldTable, i: int, j: int) -> list[Transposition]:
-    """Sequence for positions i..j: (s+1..r), then (i r), then (r..j), then (i..s)."""
-    labels = table.cycle.elements
+def _split(tables: tuple[list[list[Number]], ...], i: int, j: int) -> Edge | None:
+    """(s, r) for C(i, j), j >= i + 2, or None when it is inf: the smallest r
+    whose (B(i, r) + C(r, j)) + phi(i, r) is C(i, j), then the smallest s whose
+    ((C(i, s) + C(s+1, r)) + C(r, j)) + phi(i, r) is. Float addition is
+    monotone, so the s attaining B(i, r) is one."""
+    phi, row, col, brow = tables
+    best = row[i][j - i]
+    if best == INF:
+        return None
+    totals = list(map(add, map(add, brow[i], col[j][j - i - 1::-1]), phi[i][i + 1:]))
+    r = i + 1 + totals.index(best)
+    ri, tail, edge = row[i], col[j][j - r], phi[i][r]
+    return next(s for s in range(i, r) if ri[s - i] + row[s + 1][r - s - 1] + tail + edge == best), r
+
+
+def mld_table(cycle: Cycle, costs: CostMatrix) -> MldTable:
+    """The interval table with every split. Ties pick the smallest r, then smallest s."""
+    tables = _fill(cycle, costs)
+    k = cycle.k
+    cost = ((0,) * (k + 1),) + tuple((0,) * i + tuple(tables[1][i]) for i in range(1, k + 1))
+    split = tuple(tuple(_split(tables, i, j) if 0 < i < j - 1 else None for j in range(k + 1))
+                  for i in range(k + 1))
+    return MldTable(cycle, cost, split)
+
+
+def _rebuild(labels: tuple[int, ...], split: Callable, i: int, j: int) -> list[Transposition]:
+    """Positions i..j, each split(i, j) asked for once: (s+1..r), (i r), (r..j), (i..s)."""
     out: list[Transposition] = []
     stack: list[tuple[int, int] | Transposition] = [(i, j)]
     while stack:
@@ -122,7 +133,7 @@ def _rebuild(table: MldTable, i: int, j: int) -> list[Transposition]:
         if j == i + 1:
             out.append(Transposition(labels[i - 1], labels[j - 1]))
             continue
-        chosen = table.split[i][j]
+        chosen = split(i, j)
         if chosen is None:
             raise InfeasibleError(f"sub-cycle positions {i}..{j} admit no finite decomposition")
         s, r = chosen
@@ -130,10 +141,10 @@ def _rebuild(table: MldTable, i: int, j: int) -> list[Transposition]:
     return out
 
 
-def _feasible_cost(table: MldTable) -> Number:
-    total = table.cost[1][table.cycle.k]
+def _feasible_cost(cycle: Cycle, tables: tuple[list[list[Number]], ...]) -> Number:
+    total = tables[1][1][cycle.k - 1]    # C(1, k)
     if total == INF:
-        raise InfeasibleError(f"cycle {table.cycle} admits no finite-cost decomposition")
+        raise InfeasibleError(f"cycle {cycle} admits no finite-cost decomposition")
     return total
 
 
@@ -144,7 +155,7 @@ def mld_cost(cycle: Cycle, costs: CostMatrix) -> Number:
     """
     if cycle.k == 1:
         return 0
-    return _feasible_cost(mld_table(cycle, costs))
+    return _feasible_cost(cycle, _fill(cycle, costs))
 
 
 def min_cost_mld(cycle: Cycle, costs: CostMatrix) -> tuple[Decomposition, Number]:
@@ -156,9 +167,9 @@ def min_cost_mld(cycle: Cycle, costs: CostMatrix) -> tuple[Decomposition, Number
     k = cycle.k
     if k == 1:
         return Decomposition(), 0
-    table = mld_table(cycle, costs)
-    total = _feasible_cost(table)
-    d = Decomposition(tuple(_rebuild(table, 1, k)))
+    tables = _fill(cycle, costs)
+    total = _feasible_cost(cycle, tables)
+    d = Decomposition(tuple(_rebuild(cycle.elements, lambda i, j: _split(tables, i, j), 1, k)))
     _check(d, cycle, expected_len=k - 1)
     return d, total
 

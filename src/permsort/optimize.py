@@ -17,10 +17,12 @@ with D the ordinary shortest-path distance: a walk that is not simple never
 beats a simple path, so the walks this formula admits change nothing.
 
 The production route is ``shortest_swaps``: one Floyd-Warshall pass for D
-with next hops, then two min-plus passes for phi* and its argmin edge, O(n^3)
-in total. The same object serves the lower bounds (which read D) and the
+with next hops, then two min-plus passes for phi* by value only, O(n^3) in
+total. The same object serves the lower bounds (which read D) and the
 expansion of an optimized swap back into raw swaps (a palindrome along the
-argmin route, at most 2n - 3 swaps). ``all_pairs_optimize`` is its table.
+argmin route, at most 2n - 3 swaps); the argmin edge (u, v) is found per
+route, in O(n), when an expansion asks for it. ``all_pairs_optimize`` is its
+table.
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ from .permutation import Decomposition, Transposition
 def _min_plus_row(best: list[Number], arg: list, offset: Number, row: Sequence[Number], via) -> None:
     """best[j] = min(best[j], offset + row[j]); arg[j] = via where it drops.
 
-    The comparison runs in C (map/compress); only improved entries are
-    visited in Python.
+    One Floyd-Warshall step with its next hops. The comparison runs in C
+    (map/compress); only improved entries are visited in Python.
     """
     for j in compress(range(len(row)), map(lt, map(add, repeat(offset), row), best)):
         best[j] = offset + row[j]
@@ -51,9 +53,9 @@ class ShortestSwaps:
     ``dist[i][j]`` is the cheapest ordinary path cost between labels i+1 and
     j+1 (0-based rows, the convention of ``CostMatrix.table``); ``hop[i][j]``
     is the next vertex on one such path, None when j is unreachable. Both
-    come from ``shortest_swaps``. ``optimized`` (phi*) and the argmin edge
-    behind each entry are computed on first use, so callers that only need
-    distances never pay for them.
+    come from ``shortest_swaps``. ``optimized`` (phi*) is computed on first
+    use, so callers that only need distances never pay for it; ``route``
+    finds the argmin edge behind one entry when it is asked for that entry.
     """
 
     def __init__(self, raw: CostMatrix, dist: list[list[Number]], hop: list[list[int | None]]):
@@ -62,42 +64,26 @@ class ShortestSwaps:
         self.hop = hop
 
     @cached_property
-    def _swap_tables(self) -> tuple[CostMatrix, list[list[int | None]], list[list[int | None]]]:
-        """phi*, and per pair the edge (u, v) attaining it as two argmin tables.
+    def _swap_tables(self) -> tuple[CostMatrix, list[list[Number]], list[list[Number]], list[list[Number]]]:
+        """phi*, and the tables left, twice and edges that ``route`` reads.
 
-        Pass one: left[a][v] = min over u of 2 D(a, u) + w(u, v), argmin u.
-        Pass two: phi*(a, b) = min over v of left[a][v] + 2 D(v, b), argmin v.
-        Ties keep the first candidate met.
+        left[a][v] = min over u of 2 D(a, u) + w(u, v), and
+        phi*(a, b) = min over v of left[a][v] + 2 D(v, b), by value only.
+        W and D are symmetric, so a row stands in for each column.
         """
         n = self.raw.n
         twice = [[2 * d for d in row] for row in self.dist]
         edges = [list(row) for row in self.raw.table]
         for i in range(n):
             edges[i][i] = INF    # the zero diagonal is not an edge
-        left: list[list[Number]] = []
-        left_u: list[list[int | None]] = []
-        for a in range(n):
-            best: list[Number] = [INF] * n
-            arg: list[int | None] = [None] * n
-            for u, d in enumerate(twice[a]):
-                if d != INF:
-                    _min_plus_row(best, arg, d, edges[u], u)
-            left.append(best)
-            left_u.append(arg)
+        left = [[min(map(add, row, e)) for e in edges] for row in twice]
         rows = _fresh(n, INF)
-        right_v: list[list[int | None]] = []
         for a in range(n):
-            best = [INF] * n
-            arg = [None] * n
-            for v, e in enumerate(left[a]):
-                if e != INF:
-                    _min_plus_row(best, arg, e, twice[v], v)
-            right_v.append(arg)
             # the upper triangle is kept and mirrored, so float rounding
             # cannot make the table asymmetric
             for b in range(a + 1, n):
-                rows[a][b] = rows[b][a] = best[b]
-        return _freeze(rows, "optimized"), left_u, right_v
+                rows[a][b] = rows[b][a] = min(map(add, left[a], twice[b]))
+        return _freeze(rows, "optimized"), left, twice, edges
 
     @property
     def optimized(self) -> CostMatrix:
@@ -119,17 +105,22 @@ class ShortestSwaps:
     def route(self, a: int, b: int) -> list[int]:
         """Simple path from a to b whose swap path cost is phi*(a, b).
 
-        The argmin walk a -> u, (u v), v -> b may revisit a vertex; every
-        loop is cut out, which cannot raise the swap path cost.
+        The edge (u, v) is found in O(n) from the sums the fill took minima
+        of: v is the first index attaining min over v of left[a][v] + 2 D(v, b),
+        u the first attaining left[a][v]. The walk a -> u, (u v), v -> b may
+        revisit a vertex; every loop is cut out, which cannot raise the swap
+        path cost.
         """
         if a == b:
             raise ValueError("need two distinct labels")
         i, j = a - 1, b - 1
-        optimized, left_u, right_v = self._swap_tables
+        optimized, left, twice, edges = self._swap_tables
         if optimized.table[i][j] == INF:
             raise InfeasibleError(f"pair ({a}, {b}) has no finite-cost realisation")
-        v = right_v[i][j]
-        u = left_u[i][v]
+        via = list(map(add, left[i], twice[j]))
+        v = via.index(min(via))    # ties: the first met, as min() keeps it
+        once = list(map(add, twice[i], edges[v]))
+        u = once.index(min(once))
         simple: list[int] = []
         for x in self.path(a, u + 1) + self.path(v + 1, b):
             if x in simple:
@@ -159,21 +150,6 @@ def shortest_swaps(raw: CostMatrix) -> ShortestSwaps:
 def all_pairs_optimize(costs: CostMatrix) -> CostMatrix:
     """Optimized table phi* from the all-pairs engine."""
     return shortest_swaps(costs).optimized
-
-
-def transposition_path_cost(path: Sequence[int], costs: CostMatrix) -> Number:
-    """Achievable swap cost along a concrete path: 2 * total - max edge."""
-    if len(path) < 2:
-        raise ValueError("a path needs at least two vertices")
-    total: Number = 0
-    top: Number = 0
-    for u, v in zip(path, path[1:]):
-        w = costs.cost(u, v)
-        if w == INF:
-            return INF
-        total += w
-        top = max(top, w)
-    return 2 * total - top
 
 
 def _palindrome(path: Sequence[int], centre: int) -> list[Transposition]:

@@ -19,10 +19,14 @@ can require equal results:
   either of those two, by witness replay or by a palindrome along the
   recovered path;
 - ``transposition_min_cost_exact``: phi*(a, b) as the exhaustive minimum
-  of ``mcd_exact`` on the single swap.
+  of ``mcd_exact`` on the single swap;
+- ``transposition_path_cost``: the swap cost 2 * total - max edge along a
+  concrete path;
+- ``swap_tables_with_argmins``: the engine's two min-plus passes with an
+  argmin table each, and ``route_by_argmins``, the route they spell out.
 """
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from permsort import (
     INF,
@@ -39,7 +43,7 @@ from permsort import (
 )
 from permsort.costs import Number, _fresh
 from permsort.mld import Edge, MldTable
-from permsort.optimize import _palindrome
+from permsort.optimize import ShortestSwaps, _min_plus_row, _palindrome
 from permsort.oracle import DEFAULT_LIMIT
 
 Pair = tuple[int, int]
@@ -343,3 +347,72 @@ def transposition_min_cost_exact(a: int, b: int, costs: CostMatrix,
     images = list(range(1, costs.n + 1))
     images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
     return mcd_exact(Permutation(tuple(images)), costs, limit).min_cost
+
+
+def transposition_path_cost(path: Sequence[int], costs: CostMatrix) -> Number:
+    """Achievable swap cost along a concrete path: 2 * total - max edge."""
+    if len(path) < 2:
+        raise ValueError("a path needs at least two vertices")
+    total: Number = 0
+    top: Number = 0
+    for u, v in zip(path, path[1:]):
+        w = costs.cost(u, v)
+        if w == INF:
+            return INF
+        total += w
+        top = max(top, w)
+    return 2 * total - top
+
+
+def swap_tables_with_argmins(engine: ShortestSwaps) -> tuple[list[list[Number]], list[list], list[list]]:
+    """phi* rows and, per pair, the edge (u, v) attaining it as two argmin tables.
+
+    Pass one: left[a][v] = min over u of 2 D(a, u) + w(u, v), argmin u.
+    Pass two: phi*(a, b) = min over v of left[a][v] + 2 D(v, b), argmin v.
+    Candidates are scanned in index order, skipping an infinite offset, and
+    only a strictly smaller one replaces the best: ties keep the first met.
+    Both passes read W and D in the order the formulas write them, with no
+    use of their symmetry; the upper triangle of pass two is mirrored, as in
+    the engine's table.
+    """
+    n = engine.raw.n
+    twice = [[2 * d for d in row] for row in engine.dist]
+    edges = [list(row) for row in engine.raw.table]
+    for i in range(n):
+        edges[i][i] = INF
+    left: list[list[Number]] = []
+    left_u: list[list] = []
+    for a in range(n):
+        best: list[Number] = [INF] * n
+        arg: list = [None] * n
+        for u, d in enumerate(twice[a]):
+            if d != INF:
+                _min_plus_row(best, arg, d, edges[u], u)
+        left.append(best)
+        left_u.append(arg)
+    rows = _fresh(n, INF)
+    right_v: list[list] = []
+    for a in range(n):
+        best = [INF] * n
+        arg = [None] * n
+        for v, e in enumerate(left[a]):
+            if e != INF:
+                _min_plus_row(best, arg, e, twice[v], v)
+        right_v.append(arg)
+        for b in range(a + 1, n):
+            rows[a][b] = rows[b][a] = best[b]
+    return rows, left_u, right_v
+
+
+def route_by_argmins(engine: ShortestSwaps, left_u: list[list], right_v: list[list],
+                     a: int, b: int) -> list[int]:
+    """``ShortestSwaps.route`` read off the argmin tables of the two passes."""
+    v = right_v[a - 1][b - 1]
+    u = left_u[a - 1][v]
+    simple: list[int] = []
+    for x in engine.path(a, u + 1) + engine.path(v + 1, b):
+        if x in simple:
+            del simple[simple.index(x) + 1:]
+        else:
+            simple.append(x)
+    return simple

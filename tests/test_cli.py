@@ -282,6 +282,37 @@ def test_path_weights_summing_past_the_float_range(tmp_path, capsys):
         assert err == "error: line 3: path weights sum past the float range\n"
 
 
+def test_integer_costs_summing_past_the_float_range(tmp_path, capsys):
+    # each cost fits a float, but an int sum past the float range cannot be
+    # added to inf: an input error on the line that pushes the total over
+    cases = ((f"n 3\n1 2 {10**308}\n2 3 {10**308}\n",
+              "error: line 2: integer costs sum past the float range\n"),
+             (f"path\n1 2 3\n{8 * 10**307} {8 * 10**307}\n",
+              "error: line 3: path weights sum past the float range\n"))
+    for text, message in cases:
+        f = tmp_path / "big"
+        f.write_text(text)
+        for argv in (("decompose", str(f), "(1 2)"), ("decompose", str(f), "(1 2 3)", "--expand"),
+                     ("optimize", str(f)), ("oracle", str(f), "(1 3)")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (1, "", message)
+
+
+def test_integer_costs_at_the_float_range_limit(tmp_path, capsys):
+    # the largest accepted integer total runs through every command
+    top = int(1.7976931348623157e308) // 30
+    f = tmp_path / "edge.cost"
+    f.write_text(f"n 3\n1 2 {top // 2}\n2 3 {top - top // 2}\n")
+    for argv in (("optimize", str(f)), ("decompose", str(f), "(1 2 3)", "--expand"),
+                 ("decompose", str(f), "(1 3)", "--method", "merge", "--expand"),
+                 ("decompose", str(f), "(1 2 3)", "--trust-raw"), ("oracle", str(f), "(1 2 3)")):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    f.write_text(f"n 3\n1 2 {top // 2}\n2 3 {top - top // 2 + 1}\n")
+    code, _, err = run(capsys, "optimize", str(f))
+    assert (code, err) == (1, "error: line 3: integer costs sum past the float range\n")
+
+
 def test_repeated_cycle_label_exits_one(tmp_path, capsys):
     src = cost_file(tmp_path, "sparse", sparse5_raw())
     for text in ("(1 2 1 2)", "(1 1)"):

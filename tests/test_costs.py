@@ -6,6 +6,7 @@ from permsort import (
     INF,
     CostMatrix,
     DefiningPath,
+    all_pairs_optimize,
     extended_metric_path,
     extended_metric_path_optimized,
     format_cost_file,
@@ -193,6 +194,30 @@ def test_extended_metric_path_tables():
     assert star.cost(1, 3) == 2 * 6 - 5
     assert star.cost(1, 4) == 2 * 8 - 5
     assert star.cost(2, 4) == 2 * 7 - 5
+
+
+def test_extended_closed_form_stays_finite_next_to_the_largest_doubles():
+    # 2 * total - top would pass the float range for (1, 2) and (1, 3); the
+    # engine's phi* is finite there
+    p = DefiningPath((1, 2, 3), (1e308, 1.0))
+    closed = extended_metric_path_optimized(p)
+    assert closed.table == all_pairs_optimize(extended_metric_path(p)).table
+    assert closed.cost(1, 3) == 1e308
+
+
+def test_integer_costs_summing_past_the_float_range():
+    # an int phi* entry or decomposition cost past the float range could not
+    # be added to inf; each cost alone is in range
+    big = 10**308
+    with pytest.raises(ValueError, match="integer costs sum past the float range"):
+        from_pairs(3, [(1, 2, big), (2, 3, big)])
+    with pytest.raises(CostParseError) as err:
+        parse_cost_file(f"n 3\n1 2 5\n2 3 {big}\n")
+    assert err.value.line == 3
+    with pytest.raises(ValueError, match="path weights sum past the float range"):
+        DefiningPath((1, 2, 3), (8 * 10**307, 8 * 10**307))
+    # floats overflow to inf without an error, as they always did
+    assert from_pairs(3, [(1, 2, 1e308), (2, 3, 1e308)]).cost(2, 3) == 1e308
 
 
 def test_is_metric():

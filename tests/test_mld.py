@@ -23,7 +23,7 @@ from permsort import (
     validate_decomposition,
 )
 from permsort.errors import ContractError, InfeasibleError
-from permsort.mld import MldTable, _rebuild, mld_cost
+from permsort.mld import _rebuild, mld_cost
 
 from frozen import (
     DP4_C,
@@ -105,7 +105,7 @@ def test_rebuild_follows_a_deep_split_chain():
     k = 1500
     split = tuple((None,) * k + ((i, k),) for i in range(k + 1))
     cyc = Cycle(tuple(range(1, k + 1)))
-    seq = _rebuild(MldTable(cyc, (), split), 1, k)
+    seq = _rebuild(cyc.elements, lambda i, j: split[i][j], 1, k)
     assert len(seq) == k - 1
     assert [t.pair for t in seq[:2]] == [(k - 1, k), (k - 2, k)]
     assert validate_decomposition(Decomposition(tuple(seq)), cyc.as_permutation())

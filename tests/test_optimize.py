@@ -17,7 +17,6 @@ from permsort import (
     expand_decomposition,
     expand_transposition,
     shortest_swaps,
-    transposition_path_cost,
     validate_decomposition,
 )
 from permsort.errors import ContractError, InfeasibleError
@@ -39,6 +38,7 @@ from reference_routes import (
     optimize_costs,
     recover_path,
     transposition_min_cost_exact,
+    transposition_path_cost,
 )
 
 

@@ -9,7 +9,10 @@ palindrome along a simple path. For n <= 6 the exhaustive minimum M of
 M <= L <= S <= 4M, its own witnesses, the exactness of ``metric-exact`` on
 path distances and L <= 2M on adjacent-only paths. The interval DP, the
 cycle merge and the transposition product must equal their straightforward
-routes in ``reference_routes`` exactly, floats and ties included. Cost
+routes in ``reference_routes`` exactly, floats and ties included; so must
+phi* and every route against the two passes with argmin tables, and
+``mld_cost`` and the splits found per visited interval against the full
+interval table, number types included. Cost
 files, path files, one-line and cycle notation must read back what was
 written, and every table builder's output must pass the full
 ``CostMatrix`` check it skips.
@@ -44,6 +47,7 @@ from permsort import (  # noqa: E402
     mcd_exact,
     merge_cycles,
     metric_path,
+    min_cost_mld,
     mld_table,
     nontrivial_cycles,
     parse_cost_file,
@@ -58,6 +62,7 @@ from permsort import (  # noqa: E402
 )
 from permsort.costs import _format_value, tolerance  # noqa: E402
 from permsort.errors import CostParseError, InfeasibleError  # noqa: E402
+from permsort.mld import _rebuild, mld_cost  # noqa: E402
 from permsort.multicycle import mld_std_totals  # noqa: E402
 
 from reference_routes import (  # noqa: E402
@@ -66,6 +71,8 @@ from reference_routes import (  # noqa: E402
     mld_table_quartic,
     optimize_costs,
     product_by_fold,
+    route_by_argmins,
+    swap_tables_with_argmins,
 )
 
 # deterministic and without an example database, so every run of the suite
@@ -107,6 +114,30 @@ def test_engine_phi_matches_reference_routes(raw):
     for s in range(1, raw.n + 1):
         d1 = bellman_ford(raw, s).d1
         assert all(star.table[s - 1][v - 1] == d1[v] for v in range(1, raw.n + 1))
+
+
+# ints, tie-prone floats, any small float and inf, mixed within one table
+MIXED_VALUES = st.one_of(st.integers(0, 6), st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1]),
+                         st.floats(0, 10, allow_nan=False, allow_infinity=False))
+
+
+def _typed_rows(rows):
+    return [[(type(v), v) for v in row] for row in rows]
+
+
+@PROPERTY
+@given(tables(values=MIXED_VALUES))
+def test_value_only_kernels_equal_the_argmin_passes(raw):
+    # phi* by value only, and each route's argmin edge found when it is
+    # asked for, against the two passes that store an argmin table each
+    engine = shortest_swaps(raw)
+    rows, left_u, right_v = swap_tables_with_argmins(engine)
+    star = engine.optimized.table
+    assert _typed_rows(star) == _typed_rows(rows)
+    for a in range(1, raw.n + 1):
+        for b in range(1, raw.n + 1):
+            if a != b and star[a - 1][b - 1] != INF:
+                assert engine.route(a, b) == route_by_argmins(engine, left_u, right_v, a, b)
 
 
 def _bellman_ford_floor(p, raw):
@@ -219,6 +250,26 @@ def test_interval_dp_equals_the_quartic_recurrence(case):
     want = mld_table_quartic(cycle, table)
     assert got.cost == want.cost
     assert got.split == want.split
+
+
+@PROPERTY
+@given(cycles_on_tables())
+def test_mld_cost_and_lazy_splits_equal_the_full_table(case):
+    # mld_cost reads one corner of the value-only fill, and min_cost_mld
+    # finds a split only for the intervals it visits
+    cycle, table = case
+    full = mld_table(cycle, table)
+    want = full.cost[1][cycle.k]
+    if want == INF:
+        for route in (mld_cost, min_cost_mld):
+            with pytest.raises(InfeasibleError, match="admits no finite-cost decomposition"):
+                route(cycle, table)
+        return
+    got = mld_cost(cycle, table)
+    d, total = min_cost_mld(cycle, table)
+    assert (type(got), got) == (type(total), total) == (type(want), want)
+    expected = _rebuild(cycle.elements, lambda i, j: full.split[i][j], 1, cycle.k)
+    assert d.transpositions == tuple(expected)
 
 
 @st.composite
