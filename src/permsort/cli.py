@@ -20,8 +20,9 @@ from .costs import (
     DefiningPath,
     INF,
     _format_value,
+    _freeze,
+    _fresh,
     format_cost_file,
-    from_pairs,
     metric_path,
     parse_cost_input,
     tolerance,
@@ -234,9 +235,12 @@ def bench_rows(kmin: int, kmax: int, trials: int, seed: int) -> list[tuple[int, 
         cyc = Cycle(tuple(range(1, k + 1)))
         for t in range(trials):
             rng = random.Random(seed * 1_000_003 + k * 10_007 + t)
-            entries = [(a, b, rng.random())
-                       for a in range(1, k + 1) for b in range(a + 1, k + 1)]
-            table = from_pairs(k, entries)
+            costs = _fresh(k, 0)
+            for a in range(k):
+                for b in range(a + 1, k):
+                    costs[a][b] = costs[b][a] = rng.random()
+            # values in [0, 1) need no check
+            table = _freeze(costs, "raw")
             raw_sum += mld_cost(cyc, table.assume_optimized())
             opt_sum += mld_cost(cyc, all_pairs_optimize(table))
         rows.append((k, trials, raw_sum / trials, opt_sum / trials))

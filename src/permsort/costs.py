@@ -16,7 +16,8 @@ integer instances are exact.
 
 Each number is checked once where it enters: cost tokens in ``_parse_value``,
 listed entries and their int total in ``_set_pair``, path weights and their
-sums in ``DefiningPath``, hand-built tables in ``CostMatrix.__post_init__``.
+sums in ``DefiningPath``, hand-built tables (and the int total of raw ones)
+in ``CostMatrix.__post_init__``.
 ``_freeze`` wraps tables computed from checked numbers without a recheck.
 """
 from __future__ import annotations
@@ -71,6 +72,7 @@ class CostMatrix:
             raise ValueError("need n >= 1")
         if len(self.table) != self.n or any(len(row) != self.n for row in self.table):
             raise ValueError("table shape does not match n")
+        total = 0
         for i in range(self.n):
             if self.table[i][i] != 0:
                 raise ValueError("diagonal must be zero")
@@ -80,6 +82,11 @@ class CostMatrix:
                     raise ValueError(f"asymmetric entry at ({i + 1}, {j + 1})")
                 if not _is_valid_cost(v):
                     raise ValueError(f"bad cost {v!r} at ({i + 1}, {j + 1})")
+                if isinstance(v, int):
+                    total += v
+        # the parser's rule; phi* entries may sum past it, so it binds raw tables only
+        if self.kind == "raw" and not _ints_fit(total, self.n):
+            raise ValueError("integer costs sum past the float range")
 
     def cost(self, a: int, b: int) -> Number:
         if a == b:

@@ -1,16 +1,34 @@
 """Exhaustive reference answers for small instances.
 
-Two brute forces live here. ``mcd_exact`` runs Dijkstra over the Cayley
-graph of S_n with transpositions as edges, so it returns the true
-minimum-cost sorting of any permutation, no structural assumptions at all.
-The graph is never built: a permutation's neighbours are generated when it
-is popped, and the search stops at the identity, so it expands only the
-permutations cheaper than the target.
+Two brute forces live here. ``mcd_exact`` finds a shortest path through
+the Cayley graph of S_n with transpositions as edges, so it returns the
+true minimum-cost sorting of any permutation, no structural assumptions at
+all. The graph is never built: a permutation's neighbours are generated
+when it is popped.
+
+The search is A* under the paper's floor h(u) = 1/2 sum over i of
+D(i, u(i)), D the shortest-path distances of one ``shortest_swaps``. The
+floor is consistent: a swap (a b) of cost w moves two images, each
+distance term changes by at most D(a, b) <= w, so h(u) <= w + h(v). A swap
+changes two terms, so each neighbour's floor costs O(1). The first pop of
+the identity gives M; the search then closes every state below M whose
+g + h is within M plus the ``tolerance`` slack (none on integer tables).
+
+The printed witness is Dijkstra's: walking back from the identity, each
+step takes the tight predecessor Dijkstra pops first. The identity is the
+smallest image tuple, so Dijkstra pops it before any other state at
+distance M, and no state at M or beyond can precede it. Every state on a
+cheapest path to a closed state, and every tight predecessor of one, has
+g + h no larger than that state's, so it is closed too. Dijkstra replayed
+over the closed states alone therefore relaxes every edge that decides M
+and the witness, and returns both bit for bit. A floor of inf means some
+label cannot reach its place, and the identity is unreachable.
+
 ``mld_exact_enumeration`` checks the single-cycle decomposer a different
 way: every labeled tree on k vertices, filtered down to the non-crossing
 ones, each scored by its edge sum.
 
-Both explode factorially, which is the point; the limit guards keep them
+Both explode factorially in the worst case; the limit guards keep them
 from being called on sizes where "exact" means "never returns". Everything
 here is for tests and the CLI oracle command, not for production sorting.
 """
@@ -21,9 +39,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _product
 
-from .costs import INF, CostMatrix, Number
+from .costs import INF, CostMatrix, Number, tolerance
 from .errors import SizeLimitError
 from .mld import tree_decomposition
+from .optimize import shortest_swaps
 from .permutation import Cycle, Decomposition, Permutation, Transposition
 
 DEFAULT_LIMIT = 7
@@ -58,11 +77,11 @@ def _check_limit(n: int, limit: int):
 def mcd_exact(p: Permutation, costs: CostMatrix, limit: int = DEFAULT_LIMIT) -> CayleySearchResult:
     """True minimum-cost sorting by shortest path through S_n.
 
-    Dijkstra from p over image tuples, expanding neighbours on demand and
-    stopping when the identity pops: only permutations cheaper than the
-    target are expanded. The witness multiplies back to p and its cost is
-    exactly ``min_cost``. Unreachable targets (infinite costs can disconnect
-    the graph) come back with cost inf and no witness.
+    A* from p over image tuples under the paper's floor, then Dijkstra
+    replayed over the states the A* closed (see the module docstring). The
+    witness multiplies back to p and its cost is exactly ``min_cost``.
+    Unreachable targets (infinite costs can disconnect the graph) come back
+    with cost inf and no witness.
     """
     n = p.n
     if costs.n != n:
@@ -70,9 +89,74 @@ def mcd_exact(p: Permutation, costs: CostMatrix, limit: int = DEFAULT_LIMIT) -> 
     _check_limit(n, limit)
     # finite swaps in lexicographic pair order: the scan order of every pop
     swaps = [(a, b, w) for a, b, w in costs.entries() if w != INF]
-
-    target = tuple(range(1, n + 1))
+    dist = shortest_swaps(costs).dist
     start = p.images
+    floor = sum(dist[i][x - 1] for i, x in enumerate(start))
+    if floor == INF:
+        # some label cannot reach its place; otherwise the swaps inside each
+        # connected component generate every permutation of it
+        return CayleySearchResult(p, INF, None)
+    closed = _closed_states(start, floor, swaps, dist)
+    if tuple(range(1, n + 1)) not in closed:
+        # float sums past the largest double: every route costs inf
+        return CayleySearchResult(p, INF, None)
+    cost, witness = _replay(start, swaps, closed)
+    assert witness.product(n) == p
+    return CayleySearchResult(p, cost, witness)
+
+
+def _closed_states(start: tuple[int, ...], floor: Number, swaps, dist) -> set[tuple[int, ...]]:
+    """The identity, and every state the A* pops below M within the closing bound.
+
+    Keys are 2g + H with H(u) = sum over i of D(i, u(i)), twice the paper's
+    floor, so they stay exact on integer tables. A swap moves two images,
+    and H moves by the four distances they trade. The first pop of the
+    identity fixes M; the search then closes every state with g < M + slack
+    and 2g + H <= 2(M + slack), the slack being ``tolerance`` of M and the
+    costs (0 on integer tables).
+    """
+    target = tuple(range(1, len(start) + 1))
+    weights = [w for _, _, w in swaps]
+    best: dict[tuple[int, ...], Number] = {start: 0}
+    heap: list[tuple[Number, Number, Number, tuple[int, ...]]] = [(floor, 0, floor, start)]
+    closed: set[tuple[int, ...]] = set()
+    # g_bound and key_bound stay inf until the identity pops
+    g_bound = key_bound = INF
+    where = [0] * (len(start) + 1)
+    while heap and heap[0][0] <= key_bound:
+        _, g, h, u = heapq.heappop(heap)
+        if g > best[u] or (g >= g_bound and u != target):
+            continue
+        closed.add(u)
+        if u == target:
+            if g_bound == INF:
+                g_bound = g + tolerance(g, *weights)
+                key_bound = 2 * g_bound
+            continue
+        for i, x in enumerate(u):
+            where[x] = i
+        for a, b, w in swaps:
+            ng = g + w
+            if ng >= g_bound:
+                continue
+            i, j = where[a], where[b]
+            row_i, row_j = dist[i], dist[j]
+            nh = h - row_i[a - 1] - row_j[b - 1] + row_i[b - 1] + row_j[a - 1]
+            key = 2 * ng + nh
+            if key > key_bound:
+                continue
+            images = list(u)
+            images[i], images[j] = b, a
+            v = tuple(images)
+            if ng < best.get(v, INF):
+                best[v] = ng
+                heapq.heappush(heap, (key, ng, nh, v))
+    return closed
+
+
+def _replay(start: tuple[int, ...], swaps, closed: set[tuple[int, ...]]) -> tuple[Number, Decomposition]:
+    """Dijkstra from start over the closed states only: M and its witness."""
+    target = tuple(range(1, len(start) + 1))
     dist: dict[tuple[int, ...], Number] = {start: 0}
     prev: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = {}
     # image tuples compare lexicographically, so equal distances pop in
@@ -90,22 +174,18 @@ def mcd_exact(p: Permutation, costs: CostMatrix, limit: int = DEFAULT_LIMIT) -> 
             images[where[a]], images[where[b]] = b, a
             v = tuple(images)
             nd = d + w
-            if nd < dist.get(v, INF):
+            if v in closed and nd < dist.get(v, INF):
                 dist[v] = nd
                 prev[v] = (u, a, b)
                 heapq.heappush(heap, (nd, v))
 
-    if target not in dist:
-        return CayleySearchResult(p, INF, None)
     labels: list[Transposition] = []
     at = target
     while at != start:
         at, a, b = prev[at]
         labels.append(Transposition(a, b))
     labels.reverse()
-    witness = Decomposition(tuple(labels))
-    assert witness.product(n) == p
-    return CayleySearchResult(p, dist[target], witness)
+    return dist[target], Decomposition(tuple(labels))
 
 
 def _decode_prufer(seq: tuple[int, ...], k: int) -> tuple[tuple[int, int], ...]:

@@ -18,6 +18,8 @@ can require equal results:
 - ``expand_by_reference``: an optimized swap spelled out in raw swaps from
   either of those two, by witness replay or by a palindrome along the
   recovered path;
+- ``mcd_dijkstra``: the exhaustive minimum M and its witness by plain
+  Dijkstra through S_n, the search ``mcd_exact`` narrows with A*;
 - ``transposition_min_cost_exact``: phi*(a, b) as the exhaustive minimum
   of ``mcd_exact`` on the single swap;
 - ``transposition_path_cost``: the swap cost 2 * total - max edge along a
@@ -25,6 +27,7 @@ can require equal results:
 - ``swap_tables_with_argmins``: the engine's two min-plus passes with an
   argmin table each, and ``route_by_argmins``, the route they spell out.
 """
+import heapq
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -339,6 +342,51 @@ def expand_by_reference(a: int, b: int, source: OptimizerReport | PathTable,
     if out.product(n) != Decomposition((Transposition(*key),)).product(n):
         raise ContractError(f"expansion of {key} does not multiply back")
     return out
+
+
+def mcd_dijkstra(p: Permutation, costs: CostMatrix) -> tuple[Number, Decomposition | None]:
+    """Minimum-cost sorting by plain Dijkstra from p through S_n.
+
+    Neighbours are generated when a permutation pops, in lexicographic pair
+    order, and the search stops when the identity pops. Returns the cost
+    and the witness read back along the predecessor links; (inf, None) when
+    the identity is unreachable.
+    """
+    n = p.n
+    swaps = [(a, b, w) for a, b, w in costs.entries() if w != INF]
+    target = tuple(range(1, n + 1))
+    start = p.images
+    dist: dict[tuple[int, ...], Number] = {start: 0}
+    prev: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = {}
+    # image tuples compare lexicographically, so equal distances pop in
+    # lexicographic order of the permutations
+    heap: list[tuple[Number, tuple[int, ...]]] = [(0, start)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        if u == target:
+            break
+        where = {v: i for i, v in enumerate(u)}
+        for a, b, w in swaps:
+            images = list(u)
+            images[where[a]], images[where[b]] = b, a
+            v = tuple(images)
+            nd = d + w
+            if nd < dist.get(v, INF):
+                dist[v] = nd
+                prev[v] = (u, a, b)
+                heapq.heappush(heap, (nd, v))
+
+    if target not in dist:
+        return INF, None
+    labels: list[Transposition] = []
+    at = target
+    while at != start:
+        at, a, b = prev[at]
+        labels.append(Transposition(a, b))
+    labels.reverse()
+    return dist[target], Decomposition(tuple(labels))
 
 
 def transposition_min_cost_exact(a: int, b: int, costs: CostMatrix,

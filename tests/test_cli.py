@@ -1,10 +1,21 @@
 """End-to-end command line checks with pinned output."""
+import random
+import re
 from textwrap import dedent
 
-from permsort import DefiningPath, format_cost_file, format_path_file, from_pairs
+from permsort import (
+    Decomposition,
+    DefiningPath,
+    Transposition,
+    format_cost_file,
+    format_path_file,
+    from_pairs,
+    parse_cycles,
+    validate_decomposition,
+)
 from permsort.cli import bench_rows, main
 
-from frozen import mod5_raw, opt4_raw, ring10_raw, sparse5_raw
+from frozen import mod5_raw, opt4_raw, random_table, ring10_raw, sparse5_raw
 
 PATH5 = DefiningPath((1, 2, 3, 4, 5), (1, 2, 1, 3))
 
@@ -381,6 +392,20 @@ def test_oracle_env_limit(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "oracle", src, "(1 2)", "--limit", "7")
     assert code == 0
     assert "M=1" in out
+
+
+def test_oracle_answers_a_dense_nine(tmp_path, capsys):
+    # past the default guard: the A* closes about a hundred of the 9! states
+    raw = random_table(9, random.Random(9))
+    src = cost_file(tmp_path, "dense9", raw)
+    code, out, err = run(capsys, "oracle", src, "(1 4 7 2 9 3)(5 8)", "--limit", "9")
+    assert (code, err) == (0, "")
+    _, witness_line, chain_line = out.splitlines()
+    pairs = re.findall(r"\((\d+) (\d+)\)", witness_line)
+    witness = Decomposition(tuple(Transposition(int(a), int(b)) for a, b in pairs))
+    assert validate_decomposition(witness, parse_cycles("(1 4 7 2 9 3)(5 8)", 9))
+    m, _, _, verdict = re.fullmatch(r"M=(\S+) L=(\S+) S=(\S+) (.*)", chain_line).groups()
+    assert (int(m), verdict) == (witness.cost(raw), "chain OK")
 
 
 def test_oracle_env_limit_must_be_integer(tmp_path, capsys, monkeypatch):

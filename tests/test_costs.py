@@ -220,6 +220,19 @@ def test_integer_costs_summing_past_the_float_range():
     assert from_pairs(3, [(1, 2, 1e308), (2, 3, 1e308)]).cost(2, 3) == 1e308
 
 
+def test_hand_built_raw_tables_follow_the_parse_time_int_rule():
+    # all_pairs_optimize on this table used to end in OverflowError
+    big = 10**308
+    rows = ((0, big, INF), (big, 0, big), (INF, big, 0))
+    with pytest.raises(ValueError, match="integer costs sum past the float range"):
+        CostMatrix(3, rows)
+    with pytest.raises(ValueError, match="integer costs sum past the float range"):
+        CostMatrix(3, ((0, big, 0), (big, 0, 0), (0, 0, 0)))
+    # the rule counts ints only, as the parser does
+    assert CostMatrix(3, ((0, 1e308, 1e308), (1e308, 0, 1), (1e308, 1, 0))).cost(1, 2) == 1e308
+    assert CostMatrix(3, ((0, 5, INF), (5, 0, 7), (INF, 7, 0))).cost(2, 3) == 7
+
+
 def test_is_metric():
     # mod5 satisfies the doubled substitution inequality (3 <= 1 + 2) but not
     # the plain triangle one (3 > 1 + 1), so it is not metric

@@ -4,17 +4,19 @@ Random integer tables with zero and infinite entries, n <= 9. The engine's
 phi*, distances and expansions are checked against the reference routes in
 ``reference_routes`` (the substitution sweep ``optimize_costs`` and the
 per-source ``bellman_ford``) and against the 2n - 3 length bound of a
-palindrome along a simple path. For n <= 6 the exhaustive minimum M of
-``mcd_exact`` checks the chain of bounds lower bound <= sharpened bound <=
-M <= L <= S <= 4M, its own witnesses, the exactness of ``metric-exact`` on
-path distances and L <= 2M on adjacent-only paths. The interval DP, the
-cycle merge and the transposition product must equal their straightforward
-routes in ``reference_routes`` exactly, floats and ties included; so must
-phi* and every route against the two passes with argmin tables, and
-``mld_cost`` and the splits found per visited interval against the full
-interval table, number types included. Cost
-files, path files, one-line and cycle notation must read back what was
-written, and every table builder's output must pass the full
+palindrome along a simple path. For n <= 6, ``mcd_exact`` must return the
+M and witness of the plain Dijkstra ``mcd_dijkstra`` bit for bit, on
+integer, float, tie-heavy, zero-heavy and inf-heavy tables. For n <= 8 its
+exhaustive minimum M checks the chain of bounds lower bound <= sharpened
+bound <= M <= L <= S <= 4M, its own witnesses, the exactness of
+``metric-exact`` on path distances and L <= 2M on adjacent-only paths. The
+interval DP, the cycle merge and the transposition product must equal
+their straightforward routes in ``reference_routes`` exactly, floats and
+ties included; so must phi* and every route against the two passes with
+argmin tables, and ``mld_cost`` and the splits found per visited interval
+against the full interval table, number types included. Cost files, path
+files, one-line and cycle notation must read back what was written, and
+every table builder's output must pass the full
 ``CostMatrix`` check it skips.
 """
 import sys
@@ -67,6 +69,7 @@ from permsort.multicycle import mld_std_totals  # noqa: E402
 
 from reference_routes import (  # noqa: E402
     bellman_ford,
+    mcd_dijkstra,
     merge_cycles_rescan,
     mld_table_quartic,
     optimize_costs,
@@ -78,6 +81,9 @@ from reference_routes import (  # noqa: E402
 # deterministic and without an example database, so every run of the suite
 # checks the same instances
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+# the largest n the exhaustive minimum is drawn at, past its default guard
+ORACLE_N = 8
 
 
 @st.composite
@@ -192,10 +198,10 @@ def test_expansions_multiply_back_at_optimized_cost(raw):
 
 
 @PROPERTY
-@given(tables_and_permutations(max_n=6))
+@given(tables_and_permutations(max_n=ORACLE_N))
 def test_bounds_chain_around_the_exhaustive_minimum(case):
     raw, p = case
-    m = mcd_exact(p, raw).min_cost
+    m = mcd_exact(p, raw, ORACLE_N).min_cost
     if m == INF:
         return
     engine = shortest_swaps(raw)
@@ -206,26 +212,48 @@ def test_bounds_chain_around_the_exhaustive_minimum(case):
 
 
 @PROPERTY
-@given(paths_and_permutations())
+@given(paths_and_permutations(max_n=ORACLE_N))
 def test_metric_exact_meets_the_exhaustive_minimum(case):
     path, p = case
     metric = metric_path(path)
     _, cost = decompose(p, metric, "metric-exact", defining_path=path)
-    assert cost == mcd_exact(p, metric).min_cost
+    assert cost == mcd_exact(p, metric, ORACLE_N).min_cost
     # a path metric is its own distance table, and the floor is exact on it
     assert permutation_lower_bound(p, metric.table) == cost
 
 
 @PROPERTY
-@given(tables_and_permutations(max_n=6))
+@given(tables_and_permutations(max_n=ORACLE_N))
 def test_exhaustive_witness_multiplies_back_at_its_cost(case):
     raw, p = case
-    result = mcd_exact(p, raw)
+    result = mcd_exact(p, raw, ORACLE_N)
     if result.min_cost == INF:
         assert result.witness is None
         return
     assert result.witness.product(raw.n) == p
     assert result.witness.cost(raw) == result.min_cost
+
+
+# the value families the A* must agree with Dijkstra on: ints, floats,
+# {1, 2} ties, zero-heavy and inf-heavy (tables() adds inf to each)
+ORACLE_VALUES = st.sampled_from([
+    st.integers(0, 30),
+    st.floats(0, 10, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1]),
+    st.sampled_from([1, 2]),
+    st.sampled_from([0, 0, 0, 1, 3]),
+    st.one_of(st.just(INF), st.integers(0, 9)),
+])
+
+
+@PROPERTY
+@given(ORACLE_VALUES.flatmap(lambda values: tables(6, values)), st.data())
+def test_astar_equals_the_reference_dijkstra(raw, data):
+    p = Permutation(tuple(data.draw(st.permutations(range(1, raw.n + 1)))))
+    got = mcd_exact(p, raw)
+    m, witness = mcd_dijkstra(p, raw)
+    assert (type(got.min_cost), got.min_cost) == (type(m), m)
+    assert str(got.witness) == str(witness)
 
 
 @st.composite
@@ -320,7 +348,7 @@ def path_weights(draw, max_n=6):
 
 
 @PROPERTY
-@given(path_weights(), st.data())
+@given(path_weights(max_n=ORACLE_N), st.data())
 def test_adjacent_only_paths_stay_within_twice_the_minimum(path, data):
     raw = extended_metric_path(path)
     star = all_pairs_optimize(raw)
@@ -328,7 +356,7 @@ def test_adjacent_only_paths_stay_within_twice_the_minimum(path, data):
     for (_, _, got), (_, _, want) in zip(star.entries(), closed.entries()):
         assert abs(got - want) <= tolerance(got, want)
     p = Permutation(tuple(data.draw(st.permutations(range(1, path.n + 1)))))
-    m = mcd_exact(p, raw).min_cost
+    m = mcd_exact(p, raw, ORACLE_N).min_cost
     big_l, _ = mld_std_totals(p, star)
     assert big_l <= 2 * m + tolerance(big_l, m)
 
