@@ -24,6 +24,12 @@ over the closed states alone therefore relaxes every edge that decides M
 and the witness, and returns both bit for bit. A floor of inf means some
 label cannot reach its place, and the identity is unreachable.
 
+Every key the search compares stays below 8n times the sum of the finite
+weights: a distance is at most that sum, the floor at most n times it and
+M at most 2(n - 1) times it. Where that product overflows a float, the
+floor is dropped to 0 rather than let a distance, the floor or a key
+round to inf; the search then pops in g order, as Dijkstra does.
+
 ``mld_exact_enumeration`` checks the single-cycle decomposer a different
 way: every labeled tree on k vertices, filtered down to the non-crossing
 ones, each scored by its edge sum.
@@ -89,7 +95,12 @@ def mcd_exact(p: Permutation, costs: CostMatrix, limit: int = DEFAULT_LIMIT) -> 
     _check_limit(n, limit)
     # finite swaps in lexicographic pair order: the scan order of every pop
     swaps = [(a, b, w) for a, b, w in costs.entries() if w != INF]
-    dist = shortest_swaps(costs).dist
+    if 8 * n * sum(w for _, _, w in swaps) == INF:
+        # floats near the largest double: a distance, the floor or a key
+        # could overflow, so the floor drops to 0 and the search is Dijkstra's
+        dist = [[0] * n for _ in range(n)]
+    else:
+        dist = shortest_swaps(costs).dist
     start = p.images
     floor = sum(dist[i][x - 1] for i, x in enumerate(start))
     if floor == INF:

@@ -374,6 +374,18 @@ def test_oracle_unreachable(tmp_path, capsys):
     assert "target unreachable" in err
 
 
+def test_oracle_near_the_largest_double(tmp_path, capsys):
+    # 1e308 + 1e308 overflows the floor; the search must still find M
+    src = cost_file(tmp_path, "huge", from_pairs(2, [(1, 2, 1e308)]))
+    code, out, err = run(capsys, "oracle", src, "(1 2)")
+    assert (code, err) == (0, "")
+    assert out == dedent("""\
+        permutation: 2 1
+        witness: (1 2)
+        M=1e+308 L=1e+308 S=1e+308 chain OK
+        """)
+
+
 def test_oracle_size_guard(tmp_path, capsys):
     big = from_pairs(8, [(1, 2, 1)])
     src = cost_file(tmp_path, "big", big)

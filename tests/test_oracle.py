@@ -23,7 +23,7 @@ from permsort.costs import DefiningPath
 from permsort.oracle import _noncrossing, _trees_with_flags
 
 from frozen import OPT4_STAR, dp4_raw, mod5_raw, opt4_raw, random_table
-from reference_routes import transposition_min_cost_exact
+from reference_routes import mcd_dijkstra, transposition_min_cost_exact
 
 FIVE_CYCLE = parse_cycles("(1 2 3 4 5)", 5)
 
@@ -53,6 +53,20 @@ def test_exact_search_disconnected():
     result = mcd_exact(parse_cycles("(1 3)", 3), holes)
     assert result.min_cost == INF
     assert result.witness is None
+
+
+@pytest.mark.parametrize("raw, cycles", [
+    # the floor 1e308 + 1e308 overflows though both terms are finite
+    (from_pairs(2, [(1, 2, 1e308)]), "(1 2)"),
+    # D(3, 2) = 3e307 + 6e307 + 1e308 overflows though label 2 never visits 3
+    (from_pairs(4, [(1, 3, 3e307), (1, 4, 6e307), (2, 4, 1e308)]), "(1 4 2)"),
+])
+def test_exact_search_near_the_largest_double(raw, cycles):
+    p = parse_cycles(cycles, raw.n)
+    result = mcd_exact(p, raw)
+    m, witness = mcd_dijkstra(p, raw)
+    assert m < INF
+    assert (result.min_cost, str(result.witness)) == (m, str(witness))
 
 
 def test_exact_search_random_witnesses():

@@ -235,7 +235,8 @@ def test_exhaustive_witness_multiplies_back_at_its_cost(case):
 
 
 # the value families the A* must agree with Dijkstra on: ints, floats,
-# {1, 2} ties, zero-heavy and inf-heavy (tables() adds inf to each)
+# {1, 2} ties, zero-heavy, inf-heavy (tables() adds inf to each) and floats
+# whose sums overflow the largest double
 ORACLE_VALUES = st.sampled_from([
     st.integers(0, 30),
     st.floats(0, 10, allow_nan=False, allow_infinity=False),
@@ -243,6 +244,7 @@ ORACLE_VALUES = st.sampled_from([
     st.sampled_from([1, 2]),
     st.sampled_from([0, 0, 0, 1, 3]),
     st.one_of(st.just(INF), st.integers(0, 9)),
+    st.sampled_from([1e308, 6e307, 1.0, 0.0]),
 ])
 
 
