@@ -26,7 +26,6 @@ from .mld import (
     min_cost_mld,
     mld_table,
     std_decomposition,
-    tree_decomposition,
 )
 from .multicycle import (
     BoundReport,
@@ -44,12 +43,7 @@ from .optimize import (
     expand_transposition,
     shortest_swaps,
 )
-from .oracle import (
-    CayleySearchResult,
-    TreeEnumeration,
-    mcd_exact,
-    mld_exact_enumeration,
-)
+from .oracle import CayleySearchResult, mcd_exact
 from .permutation import (
     Cycle,
     Decomposition,
@@ -88,7 +82,6 @@ __all__ = [
     "ShortestSwaps",
     "SizeLimitError",
     "Transposition",
-    "TreeEnumeration",
     "all_pairs_optimize",
     "apply_transposition",
     "bound_report",
@@ -113,7 +106,6 @@ __all__ = [
     "metric_path",
     "metric_path_mcd",
     "min_cost_mld",
-    "mld_exact_enumeration",
     "mld_table",
     "nontrivial_cycles",
     "parity",
@@ -128,6 +120,5 @@ __all__ = [
     "shortest_swaps",
     "std_decomposition",
     "transposition_parity",
-    "tree_decomposition",
     "validate_decomposition",
 ]

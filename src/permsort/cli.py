@@ -31,7 +31,7 @@ from .errors import ContractError, CostParseError, InfeasibleError, SizeLimitErr
 from .mld import mld_cost
 from .multicycle import METHODS, decompose, mld_std_totals, permutation_lower_bound
 from .optimize import all_pairs_optimize, expand_decomposition, shortest_swaps
-from .oracle import DEFAULT_LIMIT, mcd_exact
+from .oracle import DEFAULT_LIMIT, _check_limit, mcd_exact
 from .permutation import (
     Cycle,
     cycles,
@@ -97,15 +97,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_costs(path: str) -> tuple[CostMatrix, DefiningPath | None]:
+def _load_costs(path: str, keep_path: bool = False) -> CostMatrix | DefiningPath:
+    """The cost table in the file; a defining path becomes its distance
+    table unless ``keep_path`` asks for the path itself."""
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise CostParseError(f"cannot read {path}: {e}") from None
     parsed = parse_cost_input(text)
-    if isinstance(parsed, DefiningPath):
-        return metric_path(parsed), parsed
-    return parsed, None
+    if isinstance(parsed, DefiningPath) and not keep_path:
+        return metric_path(parsed)
+    return parsed
 
 
 def _load_permutation(arg: str, n: int):
@@ -160,7 +162,7 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _cmd_optimize(args) -> int:
-    raw, _ = _load_costs(args.costs)
+    raw = _load_costs(args.costs)
     opt = all_pairs_optimize(raw)
     lines = []
     for a, b, v in raw.entries():
@@ -177,7 +179,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    raw, path = _load_costs(args.costs)
+    # metric-exact reads the path itself and never builds its n^2 table
+    raw = _load_costs(args.costs, keep_path=args.method == "metric-exact")
     p = _load_permutation(args.perm, raw.n)
     joins = _parse_joins(args.join) if args.join is not None else None
     if joins is not None and args.method != "merge":
@@ -186,10 +189,10 @@ def _cmd_decompose(args) -> int:
         raise CostParseError("--expand applies to optimized-table methods only")
 
     if args.method == "metric-exact":
-        if path is None:
+        if not isinstance(raw, DefiningPath):
             raise CostParseError("metric-exact needs a defining-path file")
-        d, cost = decompose(p, raw, "metric-exact", defining_path=path)
-        dist = raw.table    # a path metric is its own distance table
+        d, cost = decompose(p, raw, "metric-exact")
+        dist = raw    # path distances already are shortest
     else:
         engine = shortest_swaps(raw)
         phi = raw.assume_optimized() if args.trust_raw else engine.optimized
@@ -267,10 +270,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    raw, _ = _load_costs(args.costs)
+    raw = _load_costs(args.costs)
     p = _load_permutation(args.perm, raw.n)
     limit = args.limit if args.limit is not None else _env_limit()
-    result = mcd_exact(p, raw, limit)
+    _check_limit(p.n, limit)    # before the O(n^3) engine
+    # one Floyd-Warshall: the oracle's floor, and phi* for L and S
+    engine = shortest_swaps(raw)
+    result = mcd_exact(p, engine, limit)
     if result.min_cost == INF:
         raise InfeasibleError("target unreachable: some required swap has no finite route")
     witness = result.witness
@@ -278,7 +284,7 @@ def _cmd_oracle(args) -> int:
     if not validate_decomposition(witness, p):
         raise ContractError("oracle witness failed validation")
 
-    l_total, s_total = mld_std_totals(p, all_pairs_optimize(raw))
+    l_total, s_total = mld_std_totals(p, engine.optimized)
 
     m = result.min_cost
     print(f"permutation: {format_one_line(p)}")

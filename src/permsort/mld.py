@@ -26,11 +26,13 @@ cycle's consecutive pairs, skipping the most expensive one.
 
 ``metric_path_mcd`` handles the one family where the overall optimum is
 known exactly: costs that are path distances. It reads every distance off
-the defining path's prefix sums and builds a non-crossing spanning tree out
-of path segments whose total is half the sum of the per-element distances.
-That meets the general lower bound, so the resulting MLD is a true minimum
-cost decomposition. The lower bound itself lives in ``multicycle``; it
-reads a distance table and never computes one.
+the defining path's prefix sums and never builds a table. Its spanning
+tree, the min-Cartesian tree of the cycle's path positions, costs half the
+sum of the per-element distances. That meets the general lower bound, so
+the resulting MLD is a true minimum cost decomposition. The tree is an
+interval split of the same recurrence, so it is rebuilt by the same
+``_rebuild``, in O(k). The lower bound itself lives in ``multicycle``; it
+reads distances and never computes a table.
 """
 from __future__ import annotations
 
@@ -201,133 +203,74 @@ def std_decomposition(cycle: Cycle, costs: CostMatrix) -> tuple[Decomposition | 
     return d, total
 
 
-def tree_decomposition(cycle: Cycle, edges: list[Edge]) -> Decomposition:
-    """Turn a non-crossing spanning tree on the cycle's elements into an MLD.
-
-    Peel the tree at a vertex of degree two or more: its furthest neighbour
-    (in cycle positions) splits the circle into a prefix and a suffix
-    component, each of which recurses. Crossing trees fail the split check.
-    """
-    labels = cycle.elements
-    label_set = set(labels)
-    for u, v in edges:
-        if u not in label_set or v not in label_set:
-            raise ValueError(f"tree edge ({u}, {v}) leaves the cycle support")
-    seq = _tree_rec(list(labels), [tuple(sorted(e)) for e in edges])
-    d = Decomposition(tuple(seq))
-    _check(d, cycle, expected_len=cycle.k - 1)
-    return d
-
-
-def _tree_rec(seq: list[int], edges: list[Edge]) -> list[Transposition]:
-    """Split the tree depth-first with an explicit stack, second arc first."""
-    out: list[Transposition] = []
-    stack = [(seq, edges)]
-    while stack:
-        seq, edges = stack.pop()
-        m = len(seq)
-        if len(edges) != m - 1:
-            raise ValueError(f"{len(edges)} edges cannot span {m} vertices")
-        if m == 1:
-            continue
-        if m == 2:
-            out.append(Transposition(seq[0], seq[1]))
-            continue
-
-        degree = {v: 0 for v in seq}
-        for u, v in edges:
-            degree[u] += 1
-            degree[v] += 1
-        start = next(i for i, v in enumerate(seq) if degree[v] >= 2)
-        seq = seq[start:] + seq[:start]
-        pos = {v: i + 1 for i, v in enumerate(seq)}
-
-        r = max(pos[u] + pos[v] - pos[seq[0]] for u, v in edges if seq[0] in (u, v))
-        cut = tuple(sorted((seq[0], seq[r - 1])))
-
-        # Component of position 1 once the cut edge is removed.
-        adj: dict[int, list[int]] = {v: [] for v in seq}
-        for u, v in edges:
-            if (u, v) == cut:    # edges arrive sorted
-                continue
-            adj[u].append(v)
-            adj[v].append(u)
-        comp = {seq[0]}
-        todo = [seq[0]]
-        while todo:
-            for w in adj[todo.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    todo.append(w)
-        s = max(pos[v] for v in comp)
-        if comp != set(seq[:s]):
-            raise ContractError("tree is not non-crossing for this cycle order")
-
-        first = seq[:s]
-        second = seq[s:] + [seq[0]]
-        second_set = set(second)
-        first_edges = [e for e in edges if e[0] in comp and e[1] in comp]
-        second_edges = [e for e in edges if not (e[0] in comp and e[1] in comp)]
-        for u, v in second_edges:
-            if u not in second_set or v not in second_set:
-                raise ContractError("tree is not non-crossing for this cycle order")
-        stack.append((first, first_edges))
-        stack.append((second, second_edges))
-    return out
-
-
 def metric_path_mcd(cycle: Cycle, path: DefiningPath) -> tuple[Decomposition, Number]:
     """Exact minimum cost decomposition when costs are distances along ``path``.
 
-    Builds the segment tree whose cost is half the sum of the per-element
-    distances, the unbeatable floor. Every edge cost is the path's own
-    prefix-sum difference, the number ``metric_path`` stores for that pair.
+    Write the cycle from its element earliest along the path. Its positions,
+    keyed by path position, form a min-Cartesian tree: i's parent is the
+    later of its nearest earlier-along-the-path neighbours on either side.
+    The tree's edges are non-crossing and cost half the sum of the
+    per-element distances, the unbeatable floor. Every edge cost is the
+    path's own prefix-sum difference, summed in pre-order (parent edge,
+    left subtree, right subtree). ``_rebuild`` spells the tree out as one
+    split of the interval recurrence per node, O(k) in all.
     """
-    labels = cycle.elements
     k = cycle.k
     if k == 1:
         return Decomposition(), 0
-    if max(labels) > path.n:
-        raise ValueError(f"cycle label {max(labels)} outside 1..{path.n}")
+    if max(cycle.elements) > path.n:
+        raise ValueError(f"cycle label {max(cycle.elements)} outside 1..{path.n}")
+    pos = path.positions
+    first = min(range(k), key=lambda t: pos[cycle.elements[t]])
+    labels = cycle.elements[first:] + cycle.elements[:first]
+    key = [-1] + [pos[v] for v in labels]    # 1-based; position 1 is the root
+    # children in the Cartesian tree (0: none), and nearer[i], the first
+    # later position earlier along the path (k + 1: none)
+    left, right, nearer = [0] * (k + 1), [0] * (k + 1), [k + 1] * (k + 1)
+    stack: list[int] = []
+    for i in range(1, k + 1):
+        while stack and key[stack[-1]] > key[i]:
+            left[i] = stack.pop()
+            nearer[left[i]] = i
+        if stack:
+            right[stack[-1]] = i
+        stack.append(i)
 
-    edges = _segment_tree(list(labels), path.positions)
-    tree_cost: Number = sum(path.distance(u, v) for u, v in edges)
-    ring_sum: Number = sum(path.distance(labels[t], labels[(t + 1) % k]) for t in range(k))
+    def split(i: int, j: int) -> Edge:
+        # i..j holds i and its right subtree, or j and its left subtree;
+        # in the second case i hangs from nearer[i], on the way up to j
+        if key[i] < key[j]:
+            return i, right[i]
+        return nearer[i] - 1, nearer[i]
+
+    edge_costs: list[Number] = []
+    todo = [(1, right[1])]
+    while todo:
+        u, v = todo.pop()
+        if v:
+            edge_costs.append(path.distance(labels[u - 1], labels[v - 1]))
+            todo += [(v, right[v]), (v, left[v])]
+    tree_cost: Number = sum(edge_costs)
+    ring = cycle.elements
+    ring_sum: Number = sum(path.distance(ring[t], ring[(t + 1) % k]) for t in range(k))
     if abs(2 * tree_cost - ring_sum) > tolerance(2 * tree_cost, ring_sum):
         raise ContractError("segment tree misses the half-total floor")
-    d = tree_decomposition(cycle, edges)
+    d = Decomposition(tuple(_rebuild(labels, split, 1, k)))
+    _check(d, cycle, expected_len=k - 1)
     return d, tree_cost
 
 
-def _segment_tree(seq: list[int], pos: dict[int, int]) -> list[Edge]:
-    """Non-crossing spanning tree for a cycle under path-distance costs.
-
-    Take the element earliest along the defining path; its nearest support
-    vertex t splits the cycle written from that element into two arcs that
-    are split the same way, depth-first with an explicit stack.
-    """
-    out: list[Edge] = []
-    stack = [seq]
-    while stack:
-        seq = stack.pop()
-        if len(seq) == 1:
-            continue
-        if len(seq) == 2:
-            out.append(tuple(sorted(seq)))
-            continue
-        leaf_idx = min(range(len(seq)), key=lambda i: pos[seq[i]])
-        seq = seq[leaf_idx:] + seq[:leaf_idx]
-        parent = min(seq[1:], key=lambda v: pos[v])
-        p = seq.index(parent)
-        out.append(tuple(sorted((seq[0], parent))))
-        stack.append(seq[p:])
-        stack.append(seq[1:p + 1])
-    return out
-
-
 def _check(d: Decomposition, cycle: Cycle, expected_len: int):
+    """d has expected_len swaps and multiplies to cycle, checked on its k labels.
+
+    The labels are renamed to their positions 1..k, so the check costs O(k)
+    whatever the largest label.
+    """
     if len(d) != expected_len:
         raise ContractError(f"{len(d)} transpositions for a {cycle.k}-cycle")
-    n = max(max(cycle.elements), d.max_label())
-    if not validate_decomposition(d, cycle.as_permutation(n)):
+    index = {label: i for i, label in enumerate(cycle.elements, 1)}
+    on_support = all(t.a in index and t.b in index for t in d)
+    if not (on_support and validate_decomposition(
+            Decomposition(tuple(Transposition(index[t.a], index[t.b]) for t in d)),
+            Cycle(tuple(range(1, cycle.k + 1))).as_permutation())):
         raise ContractError(f"decomposition {d} does not multiply to {cycle}")

@@ -18,11 +18,12 @@ so the emitted sequence is the joins in application order followed by an
 MLD of sigma'.
 
 ``permutation_lower_bound`` is the universal floor: half the summed
-shortest-path distances from each moved element to its image. It reads a
-distance table it is handed, ``ShortestSwaps.dist`` or a path metric, which
-already is one, and never computes one. ``bound_report`` collects the cost
-of every strategy next to that floor, plus the ceiling-sharpened integer
-variant when every cost is an integer, all from one ``ShortestSwaps``.
+shortest-path distances from each moved element to its image. It reads the
+distances it is handed, the rows of ``ShortestSwaps.dist`` or a defining
+path, whose prefix-sum differences already are shortest, and never
+computes a table. ``bound_report`` collects the cost of every strategy next
+to that floor, plus the ceiling-sharpened integer variant when every cost
+is an integer, all from one ``ShortestSwaps``.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .costs import INF, CostMatrix, DefiningPath, Number, metric_path
+from .costs import INF, CostMatrix, DefiningPath, Number
 from .errors import ContractError, InfeasibleError
 from .mld import metric_path_mcd, min_cost_mld, mld_cost, std_decomposition
 from .optimize import ShortestSwaps
@@ -62,19 +63,24 @@ class BoundReport:
     m_equals_l: bool
 
 
-def permutation_lower_bound(p: Permutation, dist: Sequence[Sequence[Number]]) -> float:
+def permutation_lower_bound(p: Permutation, dist: Sequence[Sequence[Number]] | DefiningPath) -> float:
     """Half the summed distance from each moved element to its image.
 
-    ``dist`` holds 0-based rows of shortest-path distances. Raises
+    ``dist`` holds 0-based rows of shortest-path distances, or is a
+    defining path, read through ``DefiningPath.distance``. Raises
     InfeasibleError when some element cannot reach its image.
     """
+    if isinstance(dist, DefiningPath):
+        n, distance = dist.n, dist.distance
+    else:
+        n, distance = len(dist), lambda a, b: dist[a - 1][b - 1]
     total: Number = 0
     for c in nontrivial_cycles(p):
         labels = c.elements
-        if max(labels) > len(dist):
-            raise ValueError(f"cycle label {max(labels)} outside 1..{len(dist)}")
+        if max(labels) > n:
+            raise ValueError(f"cycle label {max(labels)} outside 1..{n}")
         for a, b in zip(labels, labels[1:] + labels[:1]):
-            d = dist[a - 1][b - 1]
+            d = distance(a, b)
             if d == INF:
                 raise InfeasibleError(f"no finite swap route from {a} to {b}")
             total += d
@@ -166,17 +172,16 @@ def merged_decompose(
 
 def decompose(
     p: Permutation,
-    costs: CostMatrix,
+    costs: CostMatrix | DefiningPath,
     method: str = "mld",
     *,
-    defining_path: DefiningPath | None = None,
     joins: Sequence[tuple[int, int]] | None = None,
 ) -> tuple[Decomposition, Number]:
     """Decompose a permutation with the chosen strategy; returns it and its cost.
 
     'mld' and 'std' work cycle by cycle on an optimized table, 'merge' glues
-    the cycles first, 'metric-exact' needs the defining path whose distance
-    table ``costs`` must be.
+    the cycles first, 'metric-exact' takes the defining path itself as
+    ``costs`` and reads every distance off it.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
@@ -184,11 +189,8 @@ def decompose(
         return Decomposition(), 0
     if method == "merge":
         return merged_decompose(p, costs, joins)
-    if method == "metric-exact":
-        if defining_path is None:
-            raise ValueError("metric-exact needs the defining path")
-        if costs.table != metric_path(defining_path).table:
-            raise ContractError("cost table is not the distance table of the given path")
+    if method == "metric-exact" and not isinstance(costs, DefiningPath):
+        raise ValueError("metric-exact needs the defining path")
 
     seq: list[Transposition] = []
     total: Number = 0
@@ -201,7 +203,7 @@ def decompose(
                 raise InfeasibleError(f"cycle {c} has an unreachable consecutive pair")
             d = maybe
         else:
-            d, piece = metric_path_mcd(c, defining_path)
+            d, piece = metric_path_mcd(c, costs)
         seq.extend(d.transpositions)
         total += piece
     out = Decomposition(tuple(seq))

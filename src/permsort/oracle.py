@@ -1,16 +1,17 @@
 """Exhaustive reference answers for small instances.
 
-Two brute forces live here. ``mcd_exact`` finds a shortest path through
+One brute force lives here. ``mcd_exact`` finds a shortest path through
 the Cayley graph of S_n with transpositions as edges, so it returns the
 true minimum-cost sorting of any permutation, no structural assumptions at
 all. The graph is never built: a permutation's neighbours are generated
 when it is popped.
 
 The search is A* under the paper's floor h(u) = 1/2 sum over i of
-D(i, u(i)), D the shortest-path distances of one ``shortest_swaps``. The
-floor is consistent: a swap (a b) of cost w moves two images, each
-distance term changes by at most D(a, b) <= w, so h(u) <= w + h(v). A swap
-changes two terms, so each neighbour's floor costs O(1). The first pop of
+D(i, u(i)), D the shortest-path distances of the ``ShortestSwaps`` engine
+it is handed; the caller reads phi* from the same engine. The floor is
+consistent: a swap (a b) of cost w moves two images, each distance term
+changes by at most D(a, b) <= w, so h(u) <= w + h(v). A swap changes two
+terms, so each neighbour's floor costs O(1). The first pop of
 the identity gives M; the search then closes every state below M whose
 g + h is within M plus the ``tolerance`` slack (none on integer tables).
 
@@ -30,29 +31,21 @@ M at most 2(n - 1) times it. Where that product overflows a float, the
 floor is dropped to 0 rather than let a distance, the floor or a key
 round to inf; the search then pops in g order, as Dijkstra does.
 
-``mld_exact_enumeration`` checks the single-cycle decomposer a different
-way: every labeled tree on k vertices, filtered down to the non-crossing
-ones, each scored by its edge sum.
-
-Both explode factorially in the worst case; the limit guards keep them
-from being called on sizes where "exact" means "never returns". Everything
-here is for tests and the CLI oracle command, not for production sorting.
+The search explodes factorially in the worst case; the limit guard keeps
+it from being called on sizes where "exact" means "never returns". It is
+for tests and the CLI oracle command, not for production sorting.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product as _product
 
-from .costs import INF, CostMatrix, Number, tolerance
+from .costs import INF, Number, tolerance
 from .errors import SizeLimitError
-from .mld import tree_decomposition
-from .optimize import shortest_swaps
-from .permutation import Cycle, Decomposition, Permutation, Transposition
+from .optimize import ShortestSwaps
+from .permutation import Decomposition, Permutation, Transposition
 
 DEFAULT_LIMIT = 7
-TREE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -60,16 +53,6 @@ class CayleySearchResult:
     target: Permutation
     min_cost: Number
     witness: Decomposition | None
-
-
-@dataclass(frozen=True)
-class TreeEnumeration:
-    cycle: Cycle
-    min_cost: Number
-    witness: Decomposition | None
-    tree_count: int
-    noncrossing_count: int
-    min_cost_any_tree: Number
 
 
 def _check_limit(n: int, limit: int):
@@ -80,16 +63,18 @@ def _check_limit(n: int, limit: int):
         )
 
 
-def mcd_exact(p: Permutation, costs: CostMatrix, limit: int = DEFAULT_LIMIT) -> CayleySearchResult:
+def mcd_exact(p: Permutation, engine: ShortestSwaps, limit: int = DEFAULT_LIMIT) -> CayleySearchResult:
     """True minimum-cost sorting by shortest path through S_n.
 
     A* from p over image tuples under the paper's floor, then Dijkstra
     replayed over the states the A* closed (see the module docstring). The
+    swaps are ``engine.raw``'s and the floor reads ``engine.dist``. The
     witness multiplies back to p and its cost is exactly ``min_cost``.
     Unreachable targets (infinite costs can disconnect the graph) come back
     with cost inf and no witness.
     """
     n = p.n
+    costs = engine.raw
     if costs.n != n:
         raise ValueError(f"cost table is for n={costs.n}, permutation has n={n}")
     _check_limit(n, limit)
@@ -100,7 +85,7 @@ def mcd_exact(p: Permutation, costs: CostMatrix, limit: int = DEFAULT_LIMIT) -> 
         # could overflow, so the floor drops to 0 and the search is Dijkstra's
         dist = [[0] * n for _ in range(n)]
     else:
-        dist = shortest_swaps(costs).dist
+        dist = engine.dist
     start = p.images
     floor = sum(dist[i][x - 1] for i, x in enumerate(start))
     if floor == INF:
@@ -197,90 +182,3 @@ def _replay(start: tuple[int, ...], swaps, closed: set[tuple[int, ...]]) -> tupl
         labels.append(Transposition(a, b))
     labels.reverse()
     return dist[target], Decomposition(tuple(labels))
-
-
-def _decode_prufer(seq: tuple[int, ...], k: int) -> tuple[tuple[int, int], ...]:
-    degree = [1] * (k + 1)
-    for v in seq:
-        degree[v] += 1
-    leaves = [v for v in range(1, k + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v) if leaf < v else (v, leaf))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v) if u < v else (v, u))
-    return tuple(edges)
-
-
-def _noncrossing(edges: tuple[tuple[int, int], ...]) -> bool:
-    for i, (a1, b1) in enumerate(edges):
-        for a2, b2 in edges[i + 1:]:
-            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _trees_with_flags(k: int):
-    """Every labeled tree on vertices 1..k, tagged non-crossing or not."""
-    if k == 1:
-        return ((tuple(), True),)
-    if k == 2:
-        return ((((1, 2),), True),)
-    out = []
-    for seq in _product(range(1, k + 1), repeat=k - 2):
-        edges = _decode_prufer(seq, k)
-        out.append((edges, _noncrossing(edges)))
-    return tuple(out)
-
-
-def mld_exact_enumeration(cycle: Cycle, phi_star: CostMatrix,
-                          limit: int = TREE_LIMIT) -> TreeEnumeration:
-    """Minimum decomposition cost of one cycle by scoring every spanning tree.
-
-    Positions 1..k stand for the cycle's elements in order; a tree's cost is
-    the sum of its edges' optimized costs. Non-crossing trees correspond to
-    valid decompositions, and the returned witness converts the best one.
-    The minimum over all trees, crossing included, is reported alongside as
-    a sanity floor.
-    """
-    k = cycle.k
-    _check_limit(k, limit)
-    labels = cycle.elements
-    if k == 1:
-        return TreeEnumeration(cycle, 0, Decomposition(), 1, 1, 0)
-
-    def tree_cost(edges: tuple[tuple[int, int], ...]) -> Number:
-        total: Number = 0
-        for u, v in edges:
-            w = phi_star.cost(labels[u - 1], labels[v - 1])
-            if w == INF:
-                return INF
-            total += w
-        return total
-
-    best: Number = INF
-    best_edges = None
-    best_any: Number = INF
-    trees = _trees_with_flags(k)
-    nc_count = 0
-    for edges, flag in trees:
-        c = tree_cost(edges)
-        if c < best_any:
-            best_any = c
-        if flag:
-            nc_count += 1
-            if c < best:
-                best = c
-                best_edges = edges
-    witness = None
-    if best_edges is not None and best != INF:
-        label_edges = [(labels[u - 1], labels[v - 1]) for u, v in best_edges]
-        witness = tree_decomposition(cycle, label_edges)
-    return TreeEnumeration(cycle, best, witness, len(trees), nc_count, best_any)

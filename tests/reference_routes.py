@@ -25,10 +25,18 @@ can require equal results:
 - ``transposition_path_cost``: the swap cost 2 * total - max edge along a
   concrete path;
 - ``swap_tables_with_argmins``: the engine's two min-plus passes with an
-  argmin table each, and ``route_by_argmins``, the route they spell out.
+  argmin table each, and ``route_by_argmins``, the route they spell out;
+- ``tree_decomposition``: a non-crossing spanning tree on a cycle turned
+  into an MLD by peeling it at a vertex of degree two or more, and
+  ``_segment_tree``, the segment tree of path distances as an edge list:
+  together, the old route of ``metric_path_mcd``;
+- ``mld_exact_enumeration``: the cheapest MLD of one cycle by scoring every
+  labeled tree (Prufer decoding), filtered to the non-crossing ones.
 """
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product as _product
 from typing import Mapping, Sequence
 
 from permsort import (
@@ -45,11 +53,13 @@ from permsort import (
     nontrivial_cycles,
 )
 from permsort.costs import Number, _fresh
-from permsort.mld import Edge, MldTable
-from permsort.optimize import ShortestSwaps, _min_plus_row, _palindrome
-from permsort.oracle import DEFAULT_LIMIT
+from permsort.mld import Edge, MldTable, _check
+from permsort.optimize import ShortestSwaps, _min_plus_row, _palindrome, shortest_swaps
+from permsort.oracle import DEFAULT_LIMIT, _check_limit
 
 Pair = tuple[int, int]
+
+TREE_LIMIT = 8
 
 # Predecessor link: (vertex, table) where table 1 means d1 and 2 means d2.
 Pred = tuple[int, int] | None
@@ -394,7 +404,7 @@ def transposition_min_cost_exact(a: int, b: int, costs: CostMatrix,
     """Exhaustively computed cheapest way to realize a single swap."""
     images = list(range(1, costs.n + 1))
     images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
-    return mcd_exact(Permutation(tuple(images)), costs, limit).min_cost
+    return mcd_exact(Permutation(tuple(images)), shortest_swaps(costs), limit).min_cost
 
 
 def transposition_path_cost(path: Sequence[int], costs: CostMatrix) -> Number:
@@ -464,3 +474,202 @@ def route_by_argmins(engine: ShortestSwaps, left_u: list[list], right_v: list[li
         else:
             simple.append(x)
     return simple
+
+
+def tree_decomposition(cycle: Cycle, edges: list[Edge]) -> Decomposition:
+    """Turn a non-crossing spanning tree on the cycle's elements into an MLD.
+
+    Peel the tree at a vertex of degree two or more: its furthest neighbour
+    (in cycle positions) splits the circle into a prefix and a suffix
+    component, each of which recurses. Crossing trees fail the split check.
+    """
+    labels = cycle.elements
+    label_set = set(labels)
+    for u, v in edges:
+        if u not in label_set or v not in label_set:
+            raise ValueError(f"tree edge ({u}, {v}) leaves the cycle support")
+    seq = _tree_rec(list(labels), [tuple(sorted(e)) for e in edges])
+    d = Decomposition(tuple(seq))
+    _check(d, cycle, expected_len=cycle.k - 1)
+    return d
+
+
+def _tree_rec(seq: list[int], edges: list[Edge]) -> list[Transposition]:
+    """Split the tree depth-first with an explicit stack, second arc first."""
+    out: list[Transposition] = []
+    stack = [(seq, edges)]
+    while stack:
+        seq, edges = stack.pop()
+        m = len(seq)
+        if len(edges) != m - 1:
+            raise ValueError(f"{len(edges)} edges cannot span {m} vertices")
+        if m == 1:
+            continue
+        if m == 2:
+            out.append(Transposition(seq[0], seq[1]))
+            continue
+
+        degree = {v: 0 for v in seq}
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        start = next(i for i, v in enumerate(seq) if degree[v] >= 2)
+        seq = seq[start:] + seq[:start]
+        pos = {v: i + 1 for i, v in enumerate(seq)}
+
+        r = max(pos[u] + pos[v] - pos[seq[0]] for u, v in edges if seq[0] in (u, v))
+        cut = tuple(sorted((seq[0], seq[r - 1])))
+
+        # Component of position 1 once the cut edge is removed.
+        adj: dict[int, list[int]] = {v: [] for v in seq}
+        for u, v in edges:
+            if (u, v) == cut:    # edges arrive sorted
+                continue
+            adj[u].append(v)
+            adj[v].append(u)
+        comp = {seq[0]}
+        todo = [seq[0]]
+        while todo:
+            for w in adj[todo.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    todo.append(w)
+        s = max(pos[v] for v in comp)
+        if comp != set(seq[:s]):
+            raise ContractError("tree is not non-crossing for this cycle order")
+
+        first = seq[:s]
+        second = seq[s:] + [seq[0]]
+        second_set = set(second)
+        first_edges = [e for e in edges if e[0] in comp and e[1] in comp]
+        second_edges = [e for e in edges if not (e[0] in comp and e[1] in comp)]
+        for u, v in second_edges:
+            if u not in second_set or v not in second_set:
+                raise ContractError("tree is not non-crossing for this cycle order")
+        stack.append((first, first_edges))
+        stack.append((second, second_edges))
+    return out
+
+
+def _segment_tree(seq: list[int], pos: dict[int, int]) -> list[Edge]:
+    """Non-crossing spanning tree for a cycle under path-distance costs.
+
+    Take the element earliest along the defining path; its nearest support
+    vertex t splits the cycle written from that element into two arcs that
+    are split the same way, depth-first with an explicit stack.
+    """
+    out: list[Edge] = []
+    stack = [seq]
+    while stack:
+        seq = stack.pop()
+        if len(seq) == 1:
+            continue
+        if len(seq) == 2:
+            out.append(tuple(sorted(seq)))
+            continue
+        leaf_idx = min(range(len(seq)), key=lambda i: pos[seq[i]])
+        seq = seq[leaf_idx:] + seq[:leaf_idx]
+        parent = min(seq[1:], key=lambda v: pos[v])
+        p = seq.index(parent)
+        out.append(tuple(sorted((seq[0], parent))))
+        stack.append(seq[p:])
+        stack.append(seq[1:p + 1])
+    return out
+
+
+
+@dataclass(frozen=True)
+class TreeEnumeration:
+    cycle: Cycle
+    min_cost: Number
+    witness: Decomposition | None
+    tree_count: int
+    noncrossing_count: int
+    min_cost_any_tree: Number
+
+
+def _decode_prufer(seq: tuple[int, ...], k: int) -> tuple[tuple[int, int], ...]:
+    degree = [1] * (k + 1)
+    for v in seq:
+        degree[v] += 1
+    leaves = [v for v in range(1, k + 1) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, v) if leaf < v else (v, leaf))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((u, v) if u < v else (v, u))
+    return tuple(edges)
+
+
+def _noncrossing(edges: tuple[tuple[int, int], ...]) -> bool:
+    for i, (a1, b1) in enumerate(edges):
+        for a2, b2 in edges[i + 1:]:
+            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
+                return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _trees_with_flags(k: int):
+    """Every labeled tree on vertices 1..k, tagged non-crossing or not."""
+    if k == 1:
+        return ((tuple(), True),)
+    if k == 2:
+        return ((((1, 2),), True),)
+    out = []
+    for seq in _product(range(1, k + 1), repeat=k - 2):
+        edges = _decode_prufer(seq, k)
+        out.append((edges, _noncrossing(edges)))
+    return tuple(out)
+
+
+def mld_exact_enumeration(cycle: Cycle, phi_star: CostMatrix,
+                          limit: int = TREE_LIMIT) -> TreeEnumeration:
+    """Minimum decomposition cost of one cycle by scoring every spanning tree.
+
+    Positions 1..k stand for the cycle's elements in order; a tree's cost is
+    the sum of its edges' optimized costs. Non-crossing trees correspond to
+    valid decompositions, and the returned witness converts the best one.
+    The minimum over all trees, crossing included, is reported alongside as
+    a sanity floor.
+    """
+    k = cycle.k
+    _check_limit(k, limit)
+    labels = cycle.elements
+    if k == 1:
+        return TreeEnumeration(cycle, 0, Decomposition(), 1, 1, 0)
+
+    def tree_cost(edges: tuple[tuple[int, int], ...]) -> Number:
+        total: Number = 0
+        for u, v in edges:
+            w = phi_star.cost(labels[u - 1], labels[v - 1])
+            if w == INF:
+                return INF
+            total += w
+        return total
+
+    best: Number = INF
+    best_edges = None
+    best_any: Number = INF
+    trees = _trees_with_flags(k)
+    nc_count = 0
+    for edges, flag in trees:
+        c = tree_cost(edges)
+        if c < best_any:
+            best_any = c
+        if flag:
+            nc_count += 1
+            if c < best:
+                best = c
+                best_edges = edges
+    witness = None
+    if best_edges is not None and best != INF:
+        label_edges = [(labels[u - 1], labels[v - 1]) for u, v in best_edges]
+        witness = tree_decomposition(cycle, label_edges)
+    return TreeEnumeration(cycle, best, witness, len(trees), nc_count, best_any)

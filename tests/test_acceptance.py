@@ -25,7 +25,6 @@ from permsort import (
     metric_path,
     metric_path_mcd,
     min_cost_mld,
-    mld_exact_enumeration,
     mld_table,
     nontrivial_cycles,
     parse_cycles,
@@ -57,7 +56,7 @@ from frozen import (
     ring10_raw,
     sparse5_raw,
 )
-from reference_routes import bellman_ford, optimize_costs
+from reference_routes import bellman_ford, mld_exact_enumeration, optimize_costs
 
 REGISTRY: list[tuple[str, Decomposition, Permutation]] = []
 
@@ -142,7 +141,7 @@ def test_criterion_04():
     # in two orders since (23) and (14) commute: (24)(23)(14), which the
     # frozen splits rebuild and the exhaustive search returns, and
     # (24)(14)(23). The old sequence stays checked as valid and costing 13.
-    assert mcd_exact(p, dp4_raw()).min_cost == cost
+    assert mcd_exact(p, shortest_swaps(dp4_raw())).min_cost == cost
     named = Decomposition((Transposition(3, 4), Transposition(2, 4), Transposition(1, 4)))
     assert validate_decomposition(named, p)
     assert named.cost(star) == 13
@@ -155,7 +154,7 @@ def test_criterion_05():
     # on the mod-5 table, with the sandwich M <= L <= S <= 4M
     t0 = time.perf_counter()
     raw = mod5_raw()
-    exact = mcd_exact(FIVE_CYCLE, raw)
+    exact = mcd_exact(FIVE_CYCLE, shortest_swaps(raw))
     assert exact.min_cost == 6
     emit("c5 exact", exact.witness, FIVE_CYCLE)
 
@@ -241,7 +240,7 @@ def test_criterion_08():
         assert dp_cost == cost
         emit("c8 dp", dp_d, p)
 
-        exact = mcd_exact(p, metric)
+        exact = mcd_exact(p, shortest_swaps(metric))
         assert exact.min_cost == cost
         emit("c8 exact", exact.witness, p)
     assert time.perf_counter() - t0 < 60.0
@@ -266,7 +265,7 @@ def test_criterion_09():
         p = permutation_from_cycles(n, [cyc])
         d, dp_cost = min_cost_mld(cyc, closed)
         emit("c9 dp", d, p)
-        exact = mcd_exact(p, raw)
+        exact = mcd_exact(p, shortest_swaps(raw))
         emit("c9 exact", exact.witness, p)
         assert dp_cost <= 2 * exact.min_cost
 
@@ -282,7 +281,7 @@ def test_criterion_10():
         rng.shuffle(images)
         p = Permutation(tuple(images))
 
-        exact = mcd_exact(p, raw)
+        exact = mcd_exact(p, shortest_swaps(raw))
         m = exact.min_cost
         emit("c10 exact", exact.witness, p)
 

@@ -134,6 +134,35 @@ def test_decompose_metric_exact_unit_path_400_cycle(tmp_path, capsys):
     assert "lower bound: 399.0\ncost: 399\nratio: 1.000000\n" in out
 
 
+def test_decompose_metric_exact_large_involution_builds_no_table(tmp_path, capsys, monkeypatch,
+                                                                engines_built):
+    # 10^4 two-cycles on a 2*10^4-label path: O(k) per cycle, no n^2 path
+    # table and no engine
+    def no_table(path):
+        raise AssertionError("metric-exact built the path's distance table")
+
+    monkeypatch.setattr("permsort.cli.metric_path", no_table)
+    rng = random.Random(20_000)
+    n = 20_000
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    f = tmp_path / "big.path"
+    f.write_text(format_path_file(DefiningPath(tuple(order), tuple(rng.randint(1, 9) for _ in range(n - 1)))))
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    images = list(range(1, n + 1))
+    for a, b in zip(labels[::2], labels[1::2]):
+        images[a - 1], images[b - 1] = b, a
+    perm = tmp_path / "involution.perm"
+    perm.write_text(" ".join(map(str, images)))
+    code, out, err = run(capsys, "decompose", str(f), str(perm), "--method", "metric-exact")
+    assert (code, err, len(engines_built)) == (0, "", 0)
+    bound = re.search(r"^lower bound: (\S+)$", out, re.M).group(1)
+    cost = re.search(r"^cost: (\S+)$", out, re.M).group(1)
+    assert float(bound) == int(cost)
+    assert "ratio: 1.000000\n" in out
+
+
 def test_decompose_runs_one_floyd_warshall(tmp_path, capsys, engines_built):
     src = cost_file(tmp_path, "sparse", sparse5_raw())
     for method in ("mld", "std", "merge"):
@@ -364,6 +393,22 @@ def test_oracle_output(tmp_path, capsys):
         witness: (1 3)(2 4)(1 4)(2 5)(2 4)(3 5)
         M=6 L=8 S=12 chain OK
         """)
+
+
+def test_oracle_runs_one_floyd_warshall(tmp_path, capsys, engines_built):
+    # the oracle's floor and phi* for L and S come from one engine
+    for name, table, cycles in [("mod5", mod5_raw(), "(1 2 3 4 5)"),
+                                ("sparse", sparse5_raw(), "(1 2 3)(4 5)"),
+                                ("huge", from_pairs(2, [(1, 2, 1e308)]), "(1 2)")]:
+        engines_built.clear()
+        code, _, _ = run(capsys, "oracle", cost_file(tmp_path, name, table), cycles)
+        assert (code, len(engines_built)) == (0, 1), name
+
+
+def test_oracle_size_guard_builds_no_engine(tmp_path, capsys, engines_built):
+    src = cost_file(tmp_path, "big", from_pairs(8, [(1, 2, 1)]))
+    code, _, _ = run(capsys, "oracle", src, "(1 2)")
+    assert (code, len(engines_built)) == (4, 0)
 
 
 def test_oracle_unreachable(tmp_path, capsys):

@@ -9,17 +9,14 @@ from permsort import (
     Decomposition,
     DefiningPath,
     all_pairs_optimize,
-    decompose,
     from_pairs,
     metric_path,
     metric_path_mcd,
     min_cost_mld,
-    mld_exact_enumeration,
     mld_table,
     permutation_lower_bound,
     shortest_swaps,
     std_decomposition,
-    tree_decomposition,
     validate_decomposition,
 )
 from permsort.errors import ContractError, InfeasibleError
@@ -35,6 +32,7 @@ from frozen import (
     ring10_raw,
     sparse5_raw,
 )
+from reference_routes import mld_exact_enumeration, tree_decomposition
 
 
 def optimized(table):
@@ -310,10 +308,3 @@ def test_metric_path_mcd_random_orders():
         # the DP on the same table can do no better than the exact floor
         _, dp_cost = min_cost_mld(cyc, optimized(table))
         assert dp_cost == cost
-
-
-def test_metric_path_mcd_rejects_mismatched_tables():
-    path = DefiningPath((1, 2, 3), (1, 1))
-    other = from_pairs(3, [(1, 2, 9), (2, 3, 9), (1, 3, 9)])
-    with pytest.raises(ContractError):
-        decompose(Cycle((1, 2, 3)).as_permutation(), other, "metric-exact", defining_path=path)

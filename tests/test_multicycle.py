@@ -141,11 +141,11 @@ def test_decompose_frozen_costs():
 def test_decompose_metric_exact_path():
     path = DefiningPath((1, 2, 3, 4, 5), (1, 2, 1, 3))
     table = metric_path(path)
-    d, cost = decompose(FIVE_CYCLE, table, "metric-exact", defining_path=path)
+    d, cost = decompose(FIVE_CYCLE, path, "metric-exact")
     assert cost == 7
-    # a path metric is its own distance table
+    # a path metric is its own distance table, and the path reads the same
     lower_bound = permutation_lower_bound(FIVE_CYCLE, table.table)
-    assert lower_bound == 7.0
+    assert lower_bound == permutation_lower_bound(FIVE_CYCLE, path) == 7.0
     assert cost / lower_bound == 1.0
     assert validate_decomposition(d, FIVE_CYCLE)
 

@@ -13,23 +13,28 @@ from permsort import (
     mcd_exact,
     metric_path,
     min_cost_mld,
-    mld_exact_enumeration,
     nontrivial_cycles,
     parse_cycles,
     permutation_from_cycles,
+    shortest_swaps,
     validate_decomposition,
 )
 from permsort.costs import DefiningPath
-from permsort.oracle import _noncrossing, _trees_with_flags
 
 from frozen import OPT4_STAR, dp4_raw, mod5_raw, opt4_raw, random_table
-from reference_routes import mcd_dijkstra, transposition_min_cost_exact
+from reference_routes import (
+    _noncrossing,
+    _trees_with_flags,
+    mcd_dijkstra,
+    mld_exact_enumeration,
+    transposition_min_cost_exact,
+)
 
 FIVE_CYCLE = parse_cycles("(1 2 3 4 5)", 5)
 
 
 def test_exact_search_mod_five():
-    result = mcd_exact(FIVE_CYCLE, mod5_raw())
+    result = mcd_exact(FIVE_CYCLE, shortest_swaps(mod5_raw()))
     assert result.min_cost == 6
     assert str(result.witness) == "(1 3)(2 4)(1 4)(2 5)(2 4)(3 5)"
     assert validate_decomposition(result.witness, FIVE_CYCLE)
@@ -38,19 +43,19 @@ def test_exact_search_mod_five():
 
 def test_exact_search_path_distances():
     path = DefiningPath((1, 2, 3, 4, 5), (1, 2, 1, 3))
-    assert mcd_exact(FIVE_CYCLE, metric_path(path)).min_cost == 7
+    assert mcd_exact(FIVE_CYCLE, shortest_swaps(metric_path(path))).min_cost == 7
 
 
 def test_exact_search_four_cycle():
     p = parse_cycles("(1 2 3 4)", 4)
-    result = mcd_exact(p, dp4_raw())
+    result = mcd_exact(p, shortest_swaps(dp4_raw()))
     assert result.min_cost == 8
     assert [t.pair for t in result.witness] == [(2, 4), (2, 3), (1, 4)]
 
 
 def test_exact_search_disconnected():
     holes = from_pairs(3, [(1, 2, 1)])
-    result = mcd_exact(parse_cycles("(1 3)", 3), holes)
+    result = mcd_exact(parse_cycles("(1 3)", 3), shortest_swaps(holes))
     assert result.min_cost == INF
     assert result.witness is None
 
@@ -63,7 +68,7 @@ def test_exact_search_disconnected():
 ])
 def test_exact_search_near_the_largest_double(raw, cycles):
     p = parse_cycles(cycles, raw.n)
-    result = mcd_exact(p, raw)
+    result = mcd_exact(p, shortest_swaps(raw))
     m, witness = mcd_dijkstra(p, raw)
     assert m < INF
     assert (result.min_cost, str(result.witness)) == (m, str(witness))
@@ -77,7 +82,7 @@ def test_exact_search_random_witnesses():
         images = list(range(1, n + 1))
         rng.shuffle(images)
         p = Permutation(tuple(images))
-        result = mcd_exact(p, table)
+        result = mcd_exact(p, shortest_swaps(table))
         if p.is_identity():
             assert result.min_cost == 0
             continue
@@ -94,7 +99,7 @@ def test_single_swap_exact_agrees_with_frozen_table():
 def test_size_limits():
     eight = from_pairs(8, [(1, 2, 1)])
     with pytest.raises(SizeLimitError, match="exceeds the exhaustive-search limit 7"):
-        mcd_exact(Permutation(tuple(range(1, 9))), eight)
+        mcd_exact(Permutation(tuple(range(1, 9))), shortest_swaps(eight))
     nine = from_pairs(9, [(1, 2, 1)]).assume_optimized()
     with pytest.raises(SizeLimitError, match="exceeds the exhaustive-search limit 8"):
         mld_exact_enumeration(Cycle(tuple(range(1, 10))), nine)
@@ -104,8 +109,8 @@ def test_explicit_limit_override():
     six = from_pairs(6, [(1, 6, 2)])
     p = parse_cycles("(1 6)", 6)
     with pytest.raises(SizeLimitError):
-        mcd_exact(p, six, limit=5)
-    assert mcd_exact(p, six, limit=6).min_cost == 2
+        mcd_exact(p, shortest_swaps(six), limit=5)
+    assert mcd_exact(p, shortest_swaps(six), limit=6).min_cost == 2
 
 
 def test_tree_counts():

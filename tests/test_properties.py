@@ -9,14 +9,16 @@ M and witness of the plain Dijkstra ``mcd_dijkstra`` bit for bit, on
 integer, float, tie-heavy, zero-heavy and inf-heavy tables. For n <= 8 its
 exhaustive minimum M checks the chain of bounds lower bound <= sharpened
 bound <= M <= L <= S <= 4M, its own witnesses, the exactness of
-``metric-exact`` on path distances and L <= 2M on adjacent-only paths. The
-interval DP, the cycle merge and the transposition product must equal
-their straightforward routes in ``reference_routes`` exactly, floats and
-ties included; so must phi* and every route against the two passes with
-argmin tables, and ``mld_cost`` and the splits found per visited interval
-against the full interval table, number types included. Cost files, path
-files, one-line and cycle notation must read back what was written, and
-every table builder's output must pass the full
+``metric-exact`` on path distances and L <= 2M on adjacent-only paths.
+``metric_path_mcd`` must give the swaps and the cost, bit for bit, of the
+segment tree converted by ``tree_decomposition``, on int, float and zero
+path weights. The interval DP, the cycle merge and the transposition
+product must equal their straightforward routes in ``reference_routes``
+exactly, floats and ties included; so must phi* and every route against
+the two passes with argmin tables, and ``mld_cost`` and the splits found
+per visited interval against the full interval table, number types
+included. Cost files, path files, one-line and cycle notation must read
+back what was written, and every table builder's output must pass the full
 ``CostMatrix`` check it skips.
 """
 import sys
@@ -49,6 +51,7 @@ from permsort import (  # noqa: E402
     mcd_exact,
     merge_cycles,
     metric_path,
+    metric_path_mcd,
     min_cost_mld,
     mld_table,
     nontrivial_cycles,
@@ -61,6 +64,7 @@ from permsort import (  # noqa: E402
     permutation_lower_bound,
     sharpened_lower_bound,
     shortest_swaps,
+    validate_decomposition,
 )
 from permsort.costs import _format_value, tolerance  # noqa: E402
 from permsort.errors import CostParseError, InfeasibleError  # noqa: E402
@@ -71,11 +75,13 @@ from reference_routes import (  # noqa: E402
     bellman_ford,
     mcd_dijkstra,
     merge_cycles_rescan,
+    _segment_tree,
     mld_table_quartic,
     optimize_costs,
     product_by_fold,
     route_by_argmins,
     swap_tables_with_argmins,
+    tree_decomposition,
 )
 
 # deterministic and without an example database, so every run of the suite
@@ -201,10 +207,10 @@ def test_expansions_multiply_back_at_optimized_cost(raw):
 @given(tables_and_permutations(max_n=ORACLE_N))
 def test_bounds_chain_around_the_exhaustive_minimum(case):
     raw, p = case
-    m = mcd_exact(p, raw, ORACLE_N).min_cost
+    engine = shortest_swaps(raw)
+    m = mcd_exact(p, engine, ORACLE_N).min_cost
     if m == INF:
         return
-    engine = shortest_swaps(raw)
     lb = permutation_lower_bound(p, engine.dist)
     sharp = sharpened_lower_bound(p, raw, lb)
     big_l, big_s = mld_std_totals(p, engine.optimized)
@@ -216,17 +222,47 @@ def test_bounds_chain_around_the_exhaustive_minimum(case):
 def test_metric_exact_meets_the_exhaustive_minimum(case):
     path, p = case
     metric = metric_path(path)
-    _, cost = decompose(p, metric, "metric-exact", defining_path=path)
-    assert cost == mcd_exact(p, metric, ORACLE_N).min_cost
+    _, cost = decompose(p, path, "metric-exact")
+    assert cost == mcd_exact(p, shortest_swaps(metric), ORACLE_N).min_cost
     # a path metric is its own distance table, and the floor is exact on it
     assert permutation_lower_bound(p, metric.table) == cost
+    assert permutation_lower_bound(p, path) == cost
+
+
+# path weights: ints, tie-prone floats, any small float, and zeros of both types
+PATH_WEIGHTS = st.one_of(st.integers(0, 9), st.sampled_from([0, 0.0, 0.1, 0.2, 0.3, 0.7]),
+                         st.floats(0, 10, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def paths_and_cycles(draw, max_n=12):
+    n = draw(st.integers(2, max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    weights = draw(st.lists(PATH_WEIGHTS, min_size=n - 1, max_size=n - 1))
+    labels = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    return DefiningPath(tuple(order), tuple(weights)), Cycle(tuple(labels))
+
+
+@PROPERTY
+@given(paths_and_cycles())
+def test_metric_path_mcd_equals_the_segment_tree_route(case):
+    # the Cartesian-tree splits against the segment tree turned into a
+    # sequence by peeling: the same swaps, and the same cost to the bit
+    path, cyc = case
+    d, cost = metric_path_mcd(cyc, path)
+    edges = _segment_tree(list(cyc.elements), path.positions)
+    want = tree_decomposition(cyc, edges)
+    want_cost = sum(path.distance(u, v) for u, v in edges)
+    assert sorted(t.pair for t in d) == sorted(t.pair for t in want)
+    assert (type(cost), repr(cost)) == (type(want_cost), repr(want_cost))
+    assert validate_decomposition(d, cyc.as_permutation(path.n))
 
 
 @PROPERTY
 @given(tables_and_permutations(max_n=ORACLE_N))
 def test_exhaustive_witness_multiplies_back_at_its_cost(case):
     raw, p = case
-    result = mcd_exact(p, raw, ORACLE_N)
+    result = mcd_exact(p, shortest_swaps(raw), ORACLE_N)
     if result.min_cost == INF:
         assert result.witness is None
         return
@@ -252,7 +288,7 @@ ORACLE_VALUES = st.sampled_from([
 @given(ORACLE_VALUES.flatmap(lambda values: tables(6, values)), st.data())
 def test_astar_equals_the_reference_dijkstra(raw, data):
     p = Permutation(tuple(data.draw(st.permutations(range(1, raw.n + 1)))))
-    got = mcd_exact(p, raw)
+    got = mcd_exact(p, shortest_swaps(raw))
     m, witness = mcd_dijkstra(p, raw)
     assert (type(got.min_cost), got.min_cost) == (type(m), m)
     assert str(got.witness) == str(witness)
@@ -358,7 +394,7 @@ def test_adjacent_only_paths_stay_within_twice_the_minimum(path, data):
     for (_, _, got), (_, _, want) in zip(star.entries(), closed.entries()):
         assert abs(got - want) <= tolerance(got, want)
     p = Permutation(tuple(data.draw(st.permutations(range(1, path.n + 1)))))
-    m = mcd_exact(p, raw, ORACLE_N).min_cost
+    m = mcd_exact(p, shortest_swaps(raw), ORACLE_N).min_cost
     big_l, _ = mld_std_totals(p, star)
     assert big_l <= 2 * m + tolerance(big_l, m)
 
