@@ -405,12 +405,6 @@ def test_oracle_runs_one_floyd_warshall(tmp_path, capsys, engines_built):
         assert (code, len(engines_built)) == (0, 1), name
 
 
-def test_oracle_size_guard_builds_no_engine(tmp_path, capsys, engines_built):
-    src = cost_file(tmp_path, "big", from_pairs(8, [(1, 2, 1)]))
-    code, _, _ = run(capsys, "oracle", src, "(1 2)")
-    assert (code, len(engines_built)) == (4, 0)
-
-
 def test_oracle_unreachable(tmp_path, capsys):
     holes = from_pairs(3, [(1, 2, 1)])
     src = cost_file(tmp_path, "holes", holes)
@@ -431,12 +425,14 @@ def test_oracle_near_the_largest_double(tmp_path, capsys):
         """)
 
 
-def test_oracle_size_guard(tmp_path, capsys):
+def test_oracle_size_guard(tmp_path, capsys, engines_built):
     big = from_pairs(8, [(1, 2, 1)])
     src = cost_file(tmp_path, "big", big)
     code, _, err = run(capsys, "oracle", src, "(1 2)")
     assert code == 4
     assert "exceeds the exhaustive-search limit 7" in err
+    # the guard runs before the O(n^3) engine
+    assert not engines_built
 
 
 def test_oracle_env_limit(tmp_path, capsys, monkeypatch):
