@@ -3,18 +3,18 @@
 Workflow: parse or build a cost table, optimize it so every swap price
 reflects the cheapest route that realizes the swap, then decompose each
 cycle (or the merged cycle) against the optimized table. The oracle module
-cross-checks everything exhaustively on small instances.
+cross-checks everything exhaustively on small instances; it, and with it
+``heapq``, is imported on first use of ``mcd_exact`` or
+``CayleySearchResult``, so commands other than ``oracle`` never load it.
 """
 from .costs import (
     CostMatrix,
     DefiningPath,
     INF,
     extended_metric_path,
-    extended_metric_path_optimized,
     format_cost_file,
     format_path_file,
     from_pairs,
-    is_metric,
     metric_path,
     parse_cost_file,
     parse_cost_input,
@@ -24,7 +24,6 @@ from .errors import ContractError, CostParseError, InfeasibleError, SizeLimitErr
 from .mld import (
     metric_path_mcd,
     min_cost_mld,
-    mld_table,
     std_decomposition,
 )
 from .multicycle import (
@@ -43,14 +42,11 @@ from .optimize import (
     expand_transposition,
     shortest_swaps,
 )
-from .oracle import CayleySearchResult, mcd_exact
 from .permutation import (
     Cycle,
     Decomposition,
     Permutation,
     Transposition,
-    apply_transposition,
-    cayley_length,
     compose,
     cycles,
     format_cycles,
@@ -66,6 +62,16 @@ from .permutation import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = ("CayleySearchResult", "mcd_exact")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BoundReport",
@@ -83,30 +89,25 @@ __all__ = [
     "SizeLimitError",
     "Transposition",
     "all_pairs_optimize",
-    "apply_transposition",
     "bound_report",
-    "cayley_length",
     "compose",
     "cycles",
     "decompose",
     "expand_decomposition",
     "expand_transposition",
     "extended_metric_path",
-    "extended_metric_path_optimized",
     "format_cost_file",
     "format_cycles",
     "format_one_line",
     "format_path_file",
     "from_pairs",
     "inverse",
-    "is_metric",
     "mcd_exact",
     "merge_cycles",
     "merged_decompose",
     "metric_path",
     "metric_path_mcd",
     "min_cost_mld",
-    "mld_table",
     "nontrivial_cycles",
     "parity",
     "parse_cost_file",

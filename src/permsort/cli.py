@@ -27,16 +27,15 @@ from .costs import (
     parse_cost_input,
     tolerance,
 )
-from .errors import ContractError, CostParseError, InfeasibleError, SizeLimitError
+from .errors import DEFAULT_LIMIT, ContractError, CostParseError, InfeasibleError, SizeLimitError
 from .mld import mld_cost
 from .multicycle import METHODS, decompose, mld_std_totals, permutation_lower_bound
 from .optimize import all_pairs_optimize, expand_decomposition, shortest_swaps
-from .oracle import DEFAULT_LIMIT, _check_limit, mcd_exact
 from .permutation import (
     Cycle,
-    cycles,
     format_cycles,
     format_one_line,
+    nontrivial_cycles,
     parse_cycles,
     parse_one_line,
     validate_decomposition,
@@ -203,7 +202,7 @@ def _cmd_decompose(args) -> int:
         raise ContractError("decomposition failed validation")
 
     print(f"permutation: {format_one_line(p)}")
-    print(f"cycles: {format_cycles(cycles(p), skip_fixed=True)}")
+    print(f"cycles: {format_cycles(nontrivial_cycles(p))}")
     print(f"method: {args.method}")
     print(f"lower bound: {_format_value(lower_bound)}")
     print(f"cost: {_format_value(cost)}")
@@ -270,6 +269,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # the only command that searches; the others never load the oracle
+    from .oracle import _check_limit, mcd_exact
+
     raw = _load_costs(args.costs)
     p = _load_permutation(args.perm, raw.n)
     limit = args.limit if args.limit is not None else _env_limit()

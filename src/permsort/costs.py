@@ -14,19 +14,20 @@ which is a metric. ``extended_metric_path`` keeps only consecutive pairs
 finite. Costs stay ints when the inputs are ints, so equality checks on
 integer instances are exact.
 
-Each number is checked once where it enters: cost tokens in ``_parse_value``,
-listed entries and their int total in ``_set_pair``, path weights and their
-sums in ``DefiningPath``, hand-built tables (and the int total of raw ones)
-in ``CostMatrix.__post_init__``.
+Each number is checked once where it enters: cost and weight tokens in
+``_parse_value``, which knows their line; listed entries and their int
+total in ``_set_pair`` (which checks the cost itself only for ``from_pairs``);
+path weights, for hand-built paths, and their sums in ``DefiningPath``;
+hand-built tables (and the int total of raw ones) in ``CostMatrix._check``.
 ``_freeze`` wraps tables computed from checked numbers without a recheck.
 """
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CostParseError
+from .values import Frozen, set_field
 
 INF = float("inf")
 
@@ -57,15 +58,17 @@ def tolerance(*values: Number) -> Number:
     return 1e-9 * max(1.0, *(abs(v) for v in values))
 
 
-@dataclass(frozen=True)
-class CostMatrix:
+class CostMatrix(Frozen):
     """Full symmetric table with a zero diagonal that is never read."""
 
-    n: int
-    table: tuple[tuple[Number, ...], ...]
-    kind: str = "raw"
+    __slots__ = _fields = ("n", "table", "kind")
 
-    def __post_init__(self):
+    def __init__(self, n: int, table: tuple[tuple[Number, ...], ...], kind: str = "raw"):
+        super().__init__(n, table, kind)
+        self._check()
+
+    def _check(self):
+        """Every entry, the shape and the raw int total: the full check."""
         if self.kind not in ("raw", "optimized"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.n < 1:
@@ -118,41 +121,42 @@ class CostMatrix:
         return all(isinstance(v, int) or (isinstance(v, float) and v == INF) for _, _, v in self.entries())
 
 
-@dataclass(frozen=True)
-class DefiningPath:
-    """Weighted order of all labels: order[i] -- order[i+1] costs weights[i]."""
+class DefiningPath(Frozen):
+    """Weighted order of all labels: order[i] -- order[i+1] costs weights[i].
 
-    order: tuple[int, ...]
-    weights: tuple[Number, ...]
-    # 0-based position of each label, and prefix[i] = weight sum up to
-    # position i; the distance between two labels is the difference of
-    # their prefix sums
-    positions: dict[int, int] = field(init=False, repr=False, compare=False)
-    prefix: tuple[Number, ...] = field(init=False, repr=False, compare=False)
+    ``positions`` holds the 0-based position of each label, and prefix[i]
+    the weight sum up to position i; the distance between two labels is
+    the difference of their prefix sums. Both are derived, so they stay
+    out of ``repr`` and ``==``. ``weights_checked`` skips the check of each
+    weight as a cost, for weights the parser has checked token by token.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.order, tuple):
-            object.__setattr__(self, "order", tuple(self.order))
-        if not isinstance(self.weights, tuple):
-            object.__setattr__(self, "weights", tuple(self.weights))
-        n = len(self.order)
+    _fields = ("order", "weights")
+    __slots__ = _fields + ("positions", "prefix")
+
+    def __init__(self, order: Sequence[int], weights: Sequence[Number], *, weights_checked: bool = False):
+        order, weights = tuple(order), tuple(weights)
+        n = len(order)
         if n < 2:
             raise ValueError("a defining path needs at least two vertices")
-        if sorted(self.order) != list(range(1, n + 1)):
-            raise ValueError(f"path order is not a permutation of 1..{n}: {self.order}")
-        if len(self.weights) != n - 1:
+        if sorted(order) != list(range(1, n + 1)):
+            raise ValueError(f"path order is not a permutation of 1..{n}: {order}")
+        if len(weights) != n - 1:
             raise ValueError("need exactly n-1 weights")
-        for w in self.weights:
-            if not _is_valid_cost(w) or w == INF:
+        for w in weights:
+            # a parsed 'inf' token is a valid cost, but no path weight
+            if w == INF or not (weights_checked or _is_valid_cost(w)):
                 raise ValueError(f"bad path weight {w!r}")
         prefix: list[Number] = [0]
-        for w in self.weights:
+        for w in weights:
             prefix.append(prefix[-1] + w)
-        ints = sum(w for w in self.weights if isinstance(w, int))
+        ints = sum(w for w in weights if isinstance(w, int))
         if prefix[-1] > sys.float_info.max or not _ints_fit(ints, n):
             raise ValueError("path weights sum past the float range")
-        object.__setattr__(self, "positions", {label: i for i, label in enumerate(self.order)})
-        object.__setattr__(self, "prefix", tuple(prefix))
+        set_field(self, "order", order)
+        set_field(self, "weights", weights)
+        set_field(self, "positions", {label: i for i, label in enumerate(order)})
+        set_field(self, "prefix", tuple(prefix))
 
     @property
     def n(self) -> int:
@@ -170,14 +174,6 @@ class DefiningPath:
         """
         return abs(self.prefix[self.positions[b]] - self.prefix[self.positions[a]])
 
-    def segment(self, a: int, b: int) -> tuple[Number, Number]:
-        """(weight sum, largest single weight) strictly between a and b."""
-        i, j = sorted((self.position(a), self.position(b)))
-        if i == j:
-            raise ValueError("segment endpoints must differ")
-        chunk = self.weights[i:j]
-        return sum(chunk), max(chunk)
-
 
 def _fresh(n: int, fill: Number) -> list[list[Number]]:
     rows = [[fill] * n for _ in range(n)]
@@ -187,19 +183,23 @@ def _fresh(n: int, fill: Number) -> list[list[Number]]:
 
 
 def _freeze(rows: Sequence[Sequence[Number]], kind: str) -> CostMatrix:
-    # skips __post_init__: callers build square symmetric zero-diagonal rows
-    # from checked costs, their sums, or DefiningPath's finite prefix sums
+    # skips CostMatrix._check: callers build square symmetric zero-diagonal
+    # rows from checked costs, their sums, or DefiningPath's finite prefix sums
     m = object.__new__(CostMatrix)
-    m.__dict__.update(n=len(rows), table=tuple(tuple(r) for r in rows), kind=kind)
+    Frozen.__init__(m, len(rows), tuple(tuple(r) for r in rows), kind)
     return m
 
 
-def _set_pair(rows: list[list[Number]], listed: set, a: int, b: int, v: Number, total: int) -> int:
-    """Check a listed (a, b, cost) entry, write both halves, return the new int total."""
+def _set_pair(rows: list[list[Number]], listed: set, a: int, b: int, v: Number, total: int,
+              cost_checked: bool = False) -> int:
+    """Check a listed (a, b, cost) entry, write both halves, return the new int total.
+
+    ``cost_checked`` skips the check of the cost itself, for a value the
+    parser has checked on its line."""
     n = len(rows)
     if a == b or not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"bad pair ({a}, {b}) for n={n}")
-    if not _is_valid_cost(v):
+    if not cost_checked and not _is_valid_cost(v):
         raise ValueError(f"bad cost {v!r} for pair ({a}, {b})")
     if isinstance(v, int):
         total += v
@@ -243,41 +243,6 @@ def extended_metric_path(path: DefiningPath) -> CostMatrix:
         a, b = path.order[i], path.order[i + 1]
         rows[a - 1][b - 1] = rows[b - 1][a - 1] = path.weights[i]
     return _freeze(rows, "raw")
-
-
-def extended_metric_path_optimized(path: DefiningPath) -> CostMatrix:
-    """Closed form for the optimized costs of an extended path table.
-
-    The cheapest swap route for (a, b) walks the path segment between them,
-    so the optimized cost is twice the segment sum minus its largest weight
-    (as total + (total - top), which stays finite where 2 * total may not).
-    """
-    n = path.n
-    rows = _fresh(n, INF)
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            total, top = path.segment(a, b)
-            rows[a - 1][b - 1] = rows[b - 1][a - 1] = total + (total - top)
-    return _freeze(rows, "optimized")
-
-
-def is_metric(costs: CostMatrix) -> bool:
-    """Triangle inequality over all label triples, infinities absorbing."""
-    n = costs.n
-    t = costs.table
-    for a in range(n):
-        for b in range(n):
-            if b == a:
-                continue
-            ab = t[a][b]
-            if ab == INF:
-                continue
-            for c in range(n):
-                if c == a or c == b:
-                    continue
-                if t[a][c] > ab + t[b][c]:
-                    return False
-    return True
 
 
 # File format. Cost tables:
@@ -344,7 +309,7 @@ def parse_cost_file(text: str) -> CostMatrix:
             raise CostParseError(f"bad pair in {line!r}", lineno) from None
         v = _parse_value(toks[2], lineno)
         try:
-            total = _set_pair(rows, listed, a, b, v, total)
+            total = _set_pair(rows, listed, a, b, v, total, cost_checked=True)
         except ValueError as exc:
             raise CostParseError(str(exc), lineno) from None
     return _freeze(rows, "raw")
@@ -365,7 +330,7 @@ def parse_path_file(text: str) -> DefiningPath:
     lineno, weight_line = lines[2]
     weights = tuple(_parse_value(t, lineno) for t in weight_line.split())
     try:
-        return DefiningPath(order, weights)
+        return DefiningPath(order, weights, weights_checked=True)
     except ValueError as exc:
         raise CostParseError(str(exc), lineno) from None
 

@@ -5,6 +5,10 @@ the most specific type that applies rather than a bare ValueError when the
 condition is one of the four below.
 """
 
+# the exhaustive oracle's size guard, here so that the command line's help
+# text reads it without loading the oracle
+DEFAULT_LIMIT = 7
+
 
 class CostParseError(ValueError):
     """Malformed cost, path or permutation input text.

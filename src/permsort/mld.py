@@ -36,7 +36,6 @@ reads distances and never computes a table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 from typing import Callable
 
@@ -45,18 +44,6 @@ from .errors import ContractError, InfeasibleError
 from .permutation import Cycle, Decomposition, Transposition, validate_decomposition
 
 Edge = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class MldTable:
-    """Interval DP table for one cycle: costs and chosen (s, r) splits."""
-
-    cycle: Cycle
-    cost: tuple[tuple[Number, ...], ...]
-    split: tuple[tuple[Edge | None, ...], ...]
-
-    def interval_cost(self, i: int, j: int) -> Number:
-        return self.cost[i][j]
 
 
 def _require_optimized(costs: CostMatrix):
@@ -108,16 +95,6 @@ def _split(tables: tuple[list[list[Number]], ...], i: int, j: int) -> Edge | Non
     r = i + 1 + totals.index(best)
     ri, tail, edge = row[i], col[j][j - r], phi[i][r]
     return next(s for s in range(i, r) if ri[s - i] + row[s + 1][r - s - 1] + tail + edge == best), r
-
-
-def mld_table(cycle: Cycle, costs: CostMatrix) -> MldTable:
-    """The interval table with every split. Ties pick the smallest r, then smallest s."""
-    tables = _fill(cycle, costs)
-    k = cycle.k
-    cost = ((0,) * (k + 1),) + tuple((0,) * i + tuple(tables[1][i]) for i in range(1, k + 1))
-    split = tuple(tuple(_split(tables, i, j) if 0 < i < j - 1 else None for j in range(k + 1))
-                  for i in range(k + 1))
-    return MldTable(cycle, cost, split)
 
 
 def _rebuild(labels: tuple[int, ...], split: Callable, i: int, j: int) -> list[Transposition]:

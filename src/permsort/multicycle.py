@@ -28,7 +28,6 @@ is an integer, all from one ``ShortestSwaps``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .costs import INF, CostMatrix, DefiningPath, Number
@@ -45,22 +44,17 @@ from .permutation import (
     nontrivial_cycles,
     validate_decomposition,
 )
+from .values import Frozen
 
 METHODS = ("mld", "std", "merge", "metric-exact")
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Cost of each strategy against the lower bounds."""
+class BoundReport(Frozen):
+    """Cost of each strategy against the lower bounds (sharpened_lower_bound
+    and alpha_worst_case may be None)."""
 
-    permutation: Permutation
-    lower_bound: float
-    sharpened_lower_bound: int | None
-    mld_cost: Number
-    std_cost: Number
-    merged_cost: Number
-    alpha_worst_case: float | None
-    m_equals_l: bool
+    __slots__ = _fields = ("permutation", "lower_bound", "sharpened_lower_bound", "mld_cost",
+                           "std_cost", "merged_cost", "alpha_worst_case", "m_equals_l")
 
 
 def permutation_lower_bound(p: Permutation, dist: Sequence[Sequence[Number]] | DefiningPath) -> float:

@@ -38,21 +38,19 @@ for tests and the CLI oracle command, not for production sorting.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .costs import INF, Number, tolerance
-from .errors import SizeLimitError
+from .errors import DEFAULT_LIMIT, SizeLimitError
 from .optimize import ShortestSwaps
 from .permutation import Decomposition, Permutation, Transposition
+from .values import Frozen
 
-DEFAULT_LIMIT = 7
 
+class CayleySearchResult(Frozen):
+    """``CayleySearchResult(target, min_cost, witness)``; the witness is a
+    ``Decomposition``, or None when the target is unreachable."""
 
-@dataclass(frozen=True)
-class CayleySearchResult:
-    target: Permutation
-    min_cost: Number
-    witness: Decomposition | None
+    __slots__ = _fields = ("target", "min_cost", "witness")
 
 
 def _check_limit(n: int, limit: int):

@@ -6,17 +6,20 @@ permutation ``p`` acts first. Transposition sequences are kept in written
 order: the leftmost transposition of a product is the one applied last.
 ``validate_decomposition`` enforces that orientation.
 
-Everything here is immutable and hashable.
+Everything here is immutable and hashable: the classes are ``__slots__``
+classes on ``values.Frozen``, which compare, hash and print by their fields
+and refuse assignment, as frozen dataclasses do.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Sequence
 
+from .values import Frozen, set_field
 
-@dataclass(frozen=True)
-class Permutation:
+
+class Permutation(Frozen):
     """Bijection on {1, ..., n} in one-line notation.
 
     >>> p = Permutation((3, 1, 2, 5, 4))
@@ -24,16 +27,16 @@ class Permutation:
     (3, 5)
     """
 
-    images: tuple[int, ...]
+    __slots__ = _fields = ("images",)
 
-    def __post_init__(self):
-        if not isinstance(self.images, tuple):
-            object.__setattr__(self, "images", tuple(self.images))
-        n = len(self.images)
+    def __init__(self, images: Sequence[int]):
+        images = tuple(images)
+        n = len(images)
         if n < 1:
             raise ValueError("a permutation needs at least one element")
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection on 1..{n}: {self.images}")
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection on 1..{n}: {images}")
+        set_field(self, "images", images)
 
     @property
     def n(self) -> int:
@@ -52,37 +55,38 @@ class Permutation:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
 
-@dataclass(frozen=True, order=True)
-class Transposition:
-    """Unordered pair of distinct labels, normalised so a < b.
+@total_ordering
+class Transposition(Frozen):
+    """Unordered pair of distinct labels, normalised so a < b; ordered by (a, b).
 
     >>> Transposition(4, 1)
     Transposition(a=1, b=4)
     """
 
-    a: int
-    b: int
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError(f"transposition needs two distinct labels, got {self.a}")
-        if self.a > self.b:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-        if self.a < 1:
-            raise ValueError(f"labels start at 1, got {self.a}")
+    def __init__(self, a: int, b: int):
+        if a == b:
+            raise ValueError(f"transposition needs two distinct labels, got {a}")
+        if a > b:
+            a, b = b, a
+        if a < 1:
+            raise ValueError(f"labels start at 1, got {a}")
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
     @property
     def pair(self) -> tuple[int, int]:
         return (self.a, self.b)
 
+    def __lt__(self, other):
+        return self.pair < other.pair if other.__class__ is self.__class__ else NotImplemented
+
     def __str__(self) -> str:
         return f"({self.a} {self.b})"
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Frozen):
     """Cyclic sequence of distinct labels, rotated to start at its minimum.
 
     The rotation makes equal cycles compare equal regardless of how the
@@ -92,19 +96,18 @@ class Cycle:
     (1, 3, 2)
     """
 
-    elements: tuple[int, ...]
+    __slots__ = _fields = ("elements",)
 
-    def __post_init__(self):
-        if not isinstance(self.elements, tuple):
-            object.__setattr__(self, "elements", tuple(self.elements))
-        if len(self.elements) < 1:
+    def __init__(self, elements: Sequence[int]):
+        elements = tuple(elements)
+        if len(elements) < 1:
             raise ValueError("a cycle needs at least one element")
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError(f"repeated label in cycle {self.elements}")
-        if min(self.elements) < 1:
+        if len(set(elements)) != len(elements):
+            raise ValueError(f"repeated label in cycle {elements}")
+        if min(elements) < 1:
             raise ValueError("labels start at 1")
-        i = self.elements.index(min(self.elements))
-        object.__setattr__(self, "elements", self.elements[i:] + self.elements[:i])
+        i = elements.index(min(elements))
+        set_field(self, "elements", elements[i:] + elements[:i])
 
     @property
     def k(self) -> int:
@@ -125,15 +128,13 @@ class Cycle:
         return "(" + " ".join(str(e) for e in self.elements) + ")"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Frozen):
     """A product of transpositions in written order (leftmost applied last)."""
 
-    transpositions: tuple[Transposition, ...] = ()
+    __slots__ = _fields = ("transpositions",)
 
-    def __post_init__(self):
-        if not isinstance(self.transpositions, tuple):
-            object.__setattr__(self, "transpositions", tuple(self.transpositions))
+    def __init__(self, transpositions: Iterable[Transposition] = ()):
+        set_field(self, "transpositions", tuple(transpositions))
 
     def __len__(self) -> int:
         return len(self.transpositions)
@@ -193,22 +194,21 @@ def inverse(p: Permutation) -> Permutation:
     return Permutation(tuple(images))
 
 
-def apply_transposition(p: Permutation, t: Transposition) -> Permutation:
-    """Left-multiply by (a b): the two labels swap wherever they appear as images.
-
-    Joins two cycles of p into one when a and b sit in different cycles,
-    splits one cycle in two when they share a cycle.
-    """
-    if t.b > p.n:
-        raise ValueError(f"label {t.b} outside 1..{p.n}")
-    a, b = t.a, t.b
-    images = list(p.images)
-    for i, v in enumerate(images):
-        if v == a:
-            images[i] = b
-        elif v == b:
-            images[i] = a
-    return Permutation(tuple(images))
+def _walk(images: tuple[int, ...], skip_fixed: bool) -> list[Cycle]:
+    """Cycles of the images, each from its least label: the minimum, so
+    ``Cycle`` keeps the order. Fixed points are skipped before any walk."""
+    seen = [False] * (len(images) + 1)
+    out = []
+    for start, image in enumerate(images, start=1):
+        if seen[start] or (skip_fixed and image == start):
+            continue
+        cur, elems = start, []
+        while not seen[cur]:
+            seen[cur] = True
+            elems.append(cur)
+            cur = images[cur - 1]
+        out.append(Cycle(elems))
+    return out
 
 
 def cycles(p: Permutation) -> list[Cycle]:
@@ -217,23 +217,12 @@ def cycles(p: Permutation) -> list[Cycle]:
     >>> [c.elements for c in cycles(Permutation((3, 1, 2, 5, 4)))]
     [(1, 3, 2), (4, 5)]
     """
-    seen = [False] * (p.n + 1)
-    out = []
-    for start in range(1, p.n + 1):
-        if seen[start]:
-            continue
-        cur, elems = start, []
-        while not seen[cur]:
-            seen[cur] = True
-            elems.append(cur)
-            cur = p(cur)
-        out.append(Cycle(tuple(elems)))
-    return out
+    return _walk(p.images, skip_fixed=False)
 
 
 def nontrivial_cycles(p: Permutation) -> list[Cycle]:
-    """Cycles of length at least two."""
-    return [c for c in cycles(p) if c.k > 1]
+    """Cycles of length at least two; no ``Cycle`` is built for a fixed point."""
+    return _walk(p.images, skip_fixed=True)
 
 
 def parity(p: Permutation) -> str:
@@ -244,11 +233,6 @@ def parity(p: Permutation) -> str:
 def transposition_parity(p: Permutation) -> int:
     """Length of any transposition product for p, modulo 2."""
     return (p.n - len(cycles(p))) % 2
-
-
-def cayley_length(p: Permutation) -> int:
-    """Minimum number of transpositions whose product is p: n minus #cycles."""
-    return p.n - len(cycles(p))
 
 
 def permutation_from_cycles(n: int, cycle_list: Iterable[Sequence[int] | Cycle]) -> Permutation:

@@ -25,15 +25,16 @@ def engines_built(monkeypatch):
 def tables_checked(monkeypatch):
     """Every CostMatrix whose entries were all checked during the test.
 
-    The dataclass ``__init__`` looks ``__post_init__`` up on the class, so
-    the hook sees every validating construction; ``_freeze`` skips it.
+    ``CostMatrix.__init__`` calls ``self._check()``, which Python looks up on
+    the class, so the hook sees every validating construction; ``_freeze``
+    builds the object without ``__init__`` and is not counted.
     """
     checked = []
-    post_init = CostMatrix.__post_init__
+    check = CostMatrix._check
 
-    def counting_post_init(self):
+    def counting_check(self):
         checked.append(self)
-        post_init(self)
+        check(self)
 
-    monkeypatch.setattr(CostMatrix, "__post_init__", counting_post_init)
+    monkeypatch.setattr(CostMatrix, "_check", counting_check)
     return checked

@@ -32,6 +32,17 @@ can require equal results:
   together, the old route of ``metric_path_mcd``;
 - ``mld_exact_enumeration``: the cheapest MLD of one cycle by scoring every
   labeled tree (Prufer decoding), filtered to the non-crossing ones.
+
+Library routines that no command calls live here too, with the tests that
+use them:
+
+- ``apply_transposition`` and ``cayley_length``: one swap applied to a
+  permutation, and the fewest swaps that sort it;
+- ``mld_table`` and ``MldTable``: the interval DP with every split, by the
+  production fill and split rule;
+- ``is_metric``: the triangle inequality over all label triples;
+- ``segment`` and ``extended_metric_path_optimized``: the closed form of
+  phi* on an extended path table, a second phi* route for one family.
 """
 import heapq
 from dataclasses import dataclass
@@ -45,17 +56,19 @@ from permsort import (
     CostMatrix,
     Cycle,
     Decomposition,
+    DefiningPath,
     InfeasibleError,
     Permutation,
     Transposition,
-    apply_transposition,
+    cycles,
     mcd_exact,
     nontrivial_cycles,
 )
-from permsort.costs import Number, _fresh
-from permsort.mld import Edge, MldTable, _check
+from permsort.costs import Number, _freeze, _fresh
+from permsort.errors import DEFAULT_LIMIT
+from permsort.mld import Edge, _check, _fill, _split
 from permsort.optimize import ShortestSwaps, _min_plus_row, _palindrome, shortest_swaps
-from permsort.oracle import DEFAULT_LIMIT, _check_limit
+from permsort.oracle import _check_limit
 
 Pair = tuple[int, int]
 
@@ -63,6 +76,95 @@ TREE_LIMIT = 8
 
 # Predecessor link: (vertex, table) where table 1 means d1 and 2 means d2.
 Pred = tuple[int, int] | None
+
+
+def apply_transposition(p: Permutation, t: Transposition) -> Permutation:
+    """Left-multiply by (a b): the two labels swap wherever they appear as images.
+
+    Joins two cycles of p into one when a and b sit in different cycles,
+    splits one cycle in two when they share a cycle.
+    """
+    if t.b > p.n:
+        raise ValueError(f"label {t.b} outside 1..{p.n}")
+    a, b = t.a, t.b
+    images = list(p.images)
+    for i, v in enumerate(images):
+        if v == a:
+            images[i] = b
+        elif v == b:
+            images[i] = a
+    return Permutation(tuple(images))
+
+
+def cayley_length(p: Permutation) -> int:
+    """Minimum number of transpositions whose product is p: n minus #cycles."""
+    return p.n - len(cycles(p))
+
+
+@dataclass(frozen=True)
+class MldTable:
+    """Interval DP table for one cycle: costs and chosen (s, r) splits."""
+
+    cycle: Cycle
+    cost: tuple[tuple[Number, ...], ...]
+    split: tuple[tuple[Edge | None, ...], ...]
+
+    def interval_cost(self, i: int, j: int) -> Number:
+        return self.cost[i][j]
+
+
+def mld_table(cycle: Cycle, costs: CostMatrix) -> MldTable:
+    """The interval table with every split. Ties pick the smallest r, then smallest s."""
+    tables = _fill(cycle, costs)
+    k = cycle.k
+    cost = ((0,) * (k + 1),) + tuple((0,) * i + tuple(tables[1][i]) for i in range(1, k + 1))
+    split = tuple(tuple(_split(tables, i, j) if 0 < i < j - 1 else None for j in range(k + 1))
+                  for i in range(k + 1))
+    return MldTable(cycle, cost, split)
+
+
+def is_metric(costs: CostMatrix) -> bool:
+    """Triangle inequality over all label triples, infinities absorbing."""
+    n = costs.n
+    t = costs.table
+    for a in range(n):
+        for b in range(n):
+            if b == a:
+                continue
+            ab = t[a][b]
+            if ab == INF:
+                continue
+            for c in range(n):
+                if c == a or c == b:
+                    continue
+                if t[a][c] > ab + t[b][c]:
+                    return False
+    return True
+
+
+def segment(path: DefiningPath, a: int, b: int) -> tuple[Number, Number]:
+    """(weight sum, largest single weight) strictly between a and b."""
+    i, j = sorted((path.position(a), path.position(b)))
+    if i == j:
+        raise ValueError("segment endpoints must differ")
+    chunk = path.weights[i:j]
+    return sum(chunk), max(chunk)
+
+
+def extended_metric_path_optimized(path: DefiningPath) -> CostMatrix:
+    """Closed form for the optimized costs of an extended path table.
+
+    The cheapest swap route for (a, b) walks the path segment between them,
+    so the optimized cost is twice the segment sum minus its largest weight
+    (as total + (total - top), which stays finite where 2 * total may not).
+    """
+    n = path.n
+    rows = _fresh(n, INF)
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            total, top = segment(path, a, b)
+            rows[a - 1][b - 1] = rows[b - 1][a - 1] = total + (total - top)
+    return _freeze(rows, "optimized")
 
 
 def mld_table_quartic(cycle: Cycle, costs: CostMatrix) -> MldTable:

@@ -15,17 +15,14 @@ from permsort import (
     DefiningPath,
     Decomposition,
     all_pairs_optimize,
-    cayley_length,
     decompose,
     expand_decomposition,
     extended_metric_path,
-    extended_metric_path_optimized,
     mcd_exact,
     merged_decompose,
     metric_path,
     metric_path_mcd,
     min_cost_mld,
-    mld_table,
     nontrivial_cycles,
     parse_cycles,
     permutation_from_cycles,
@@ -56,7 +53,14 @@ from frozen import (
     ring10_raw,
     sparse5_raw,
 )
-from reference_routes import bellman_ford, mld_exact_enumeration, optimize_costs
+from reference_routes import (
+    bellman_ford,
+    cayley_length,
+    extended_metric_path_optimized,
+    mld_exact_enumeration,
+    mld_table,
+    optimize_costs,
+)
 
 REGISTRY: list[tuple[str, Decomposition, Permutation]] = []
 

@@ -1,6 +1,10 @@
 """End-to-end command line checks with pinned output."""
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 from textwrap import dedent
 
 from permsort import (
@@ -178,7 +182,7 @@ def test_decompose_runs_one_floyd_warshall(tmp_path, capsys, engines_built):
 
 def test_commands_check_no_table_twice(tmp_path, capsys, tables_checked):
     # the parser and from_pairs check each entry once; phi*, relabels and
-    # path tables are wrapped without running CostMatrix.__post_init__
+    # path tables are wrapped without running CostMatrix._check
     src = cost_file(tmp_path, "sparse", sparse5_raw())
     runs = [("decompose", src, "(1 2 3)(4 5)", "--method", method, *flags)
             for method in ("mld", "std", "merge")
@@ -193,6 +197,29 @@ def test_commands_check_no_table_twice(tmp_path, capsys, tables_checked):
         tables_checked.clear()
         code, _, _ = run(capsys, *argv)
         assert (code, len(tables_checked)) == (0, 0), argv
+
+
+def _imported(*args):
+    """Every module a fresh ``python -X importtime ARGS`` imports."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_only_the_oracle_command_loads_the_oracle(tmp_path):
+    # measured against what the interpreter loads for nothing at all
+    src = cost_file(tmp_path, "sparse", sparse5_raw())
+    bare = _imported("-c", "pass")
+    decompose = _imported("-m", "permsort", "decompose", src, "(1 2 3)(4 5)", "--expand") - bare
+    assert "permsort.cli" in decompose
+    assert not {"dataclasses", "inspect", "permsort.oracle"} & decompose
+    oracle = _imported("-m", "permsort", "oracle", src, "(1 2 3)(4 5)") - bare
+    assert "permsort.oracle" in oracle
+    assert not {"dataclasses", "inspect"} & oracle
 
 
 def test_decompose_identity(tmp_path, capsys):

@@ -8,20 +8,20 @@ from permsort import (
     DefiningPath,
     all_pairs_optimize,
     extended_metric_path,
-    extended_metric_path_optimized,
     format_cost_file,
     format_path_file,
     from_pairs,
-    is_metric,
     metric_path,
     parse_cost_file,
     parse_cost_input,
     parse_path_file,
 )
+from permsort import costs as costs_module
 from permsort.costs import tolerance
 from permsort.errors import CostParseError
 
 from frozen import mod5_raw, ring10_distance, ring10_raw
+from reference_routes import extended_metric_path_optimized, is_metric, segment
 
 
 def test_matrix_validation():
@@ -144,8 +144,8 @@ def test_defining_path_validation():
     p = DefiningPath((2, 1, 3), (4, 1))
     assert p.n == 3
     assert p.position(2) == 0 and p.position(3) == 2
-    assert p.segment(2, 3) == (5, 4)
-    assert p.segment(3, 2) == (5, 4)
+    assert segment(p, 2, 3) == (5, 4)
+    assert segment(p, 3, 2) == (5, 4)
     with pytest.raises(ValueError):
         DefiningPath((1, 3), (1,))  # order must cover 1..n
     with pytest.raises(ValueError):
@@ -153,7 +153,7 @@ def test_defining_path_validation():
     with pytest.raises(ValueError):
         DefiningPath((1, 2), (INF,))
     with pytest.raises(ValueError):
-        p.segment(2, 2)
+        segment(p, 2, 2)
 
 
 def test_path_file_round_trip():
@@ -164,6 +164,34 @@ def test_path_file_round_trip():
         parse_path_file("path\n1 2 3\n")
     with pytest.raises(CostParseError):
         parse_path_file("n 3\n1 2 5\n")
+
+
+def test_each_parsed_cost_is_checked_once(monkeypatch):
+    # _parse_value checks each token on its line; nothing checks it again
+    checked = []
+    valid = costs_module._is_valid_cost
+
+    def counting(v):
+        checked.append(v)
+        return valid(v)
+
+    monkeypatch.setattr(costs_module, "_is_valid_cost", counting)
+    parse_cost_file("n 4\n1 2 3\n1 3 inf\n2 4 0.5\n3 4 7\n")
+    assert checked == [3, 0.5, 7]    # the literal 'inf' needs no check
+    checked.clear()
+    parse_path_file("path\n1 3 5 2 4\n2 1 4.5 1\n")
+    assert checked == [2, 1, 4.5, 1]
+    # a listed pair and a hand-built path are still checked in full
+    checked.clear()
+    from_pairs(3, [(1, 2, 3)])
+    DefiningPath((1, 2, 3), (1, 2))
+    assert checked == [3, 1, 2]
+    for text, message in [("path\n1 2 3\n1 inf\n", "line 3: bad path weight inf"),
+                          ("path\n1 2 3\n1 x\n", "line 3: bad cost value 'x'"),
+                          ("n 2\n1 2 -1\n", "line 2: bad cost value '-1'")]:
+        with pytest.raises(CostParseError) as exc:
+            parse_cost_input(text)
+        assert str(exc.value) == message
 
 
 def test_parse_cost_input_dispatch():

@@ -13,7 +13,6 @@ from permsort import (
     metric_path,
     metric_path_mcd,
     min_cost_mld,
-    mld_table,
     permutation_lower_bound,
     shortest_swaps,
     std_decomposition,
@@ -32,7 +31,7 @@ from frozen import (
     ring10_raw,
     sparse5_raw,
 )
-from reference_routes import mld_exact_enumeration, tree_decomposition
+from reference_routes import mld_exact_enumeration, mld_table, tree_decomposition
 
 
 def optimized(table):

@@ -7,8 +7,6 @@ from permsort import (
     Decomposition,
     Permutation,
     Transposition,
-    apply_transposition,
-    cayley_length,
     compose,
     cycles,
     format_cycles,
@@ -23,6 +21,8 @@ from permsort import (
     validate_decomposition,
 )
 from permsort.errors import CostParseError
+
+from reference_routes import apply_transposition, cayley_length
 
 
 def random_permutation(n, rng):

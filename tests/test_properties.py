@@ -42,7 +42,6 @@ from permsort import (  # noqa: E402
     decompose,
     expand_transposition,
     extended_metric_path,
-    extended_metric_path_optimized,
     format_cost_file,
     format_cycles,
     format_one_line,
@@ -53,7 +52,6 @@ from permsort import (  # noqa: E402
     metric_path,
     metric_path_mcd,
     min_cost_mld,
-    mld_table,
     nontrivial_cycles,
     parse_cost_file,
     parse_cost_input,
@@ -73,9 +71,11 @@ from permsort.multicycle import mld_std_totals  # noqa: E402
 
 from reference_routes import (  # noqa: E402
     bellman_ford,
+    extended_metric_path_optimized,
     mcd_dijkstra,
     merge_cycles_rescan,
     _segment_tree,
+    mld_table,
     mld_table_quartic,
     optimize_costs,
     product_by_fold,
@@ -361,6 +361,13 @@ def test_kruskal_merge_equals_the_pair_rescan(case):
     assert merge_cycles(p, table) == merge_cycles_rescan(p, table)
 
 
+@PROPERTY
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_nontrivial_cycles_are_the_cycles_past_fixed_points(images):
+    p = Permutation(tuple(images))
+    assert nontrivial_cycles(p) == [c for c in cycles(p) if c.k > 1]
+
+
 @st.composite
 def transposition_sequences(draw, max_n=12):
     n = draw(st.integers(2, max_n))
@@ -459,7 +466,7 @@ def test_path_file_round_trip(case):
         assert format_path_file(parsed) == text
 
 
-# Tables built from checked numbers skip CostMatrix.__post_init__; the full
+# Tables built from checked numbers skip CostMatrix._check; the full
 # check must accept every one of them unchanged.
 def _passes_the_full_check(m):
     return CostMatrix(m.n, m.table, m.kind) == m
