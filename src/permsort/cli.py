@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 malformed input (files or arguments), 2 internal
 contract violation, 3 infeasible (an infinite cost where a finite one is
-required), 4 exhaustive-search size guard.
+required), 4 size guard (the exhaustive search's limit, or a cost table past
+``TABLE_LIMIT`` labels).
 
 Every decomposition is validated against its permutation before anything
 is printed; a decomposer that lies exits 2 rather than printing garbage.
@@ -22,6 +23,7 @@ from .costs import (
     _format_value,
     _freeze,
     _fresh,
+    check_table_size,
     format_cost_file,
     metric_path,
     parse_cost_input,
@@ -101,10 +103,11 @@ def _load_costs(path: str, keep_path: bool = False) -> CostMatrix | DefiningPath
     table unless ``keep_path`` asks for the path itself."""
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CostParseError(f"cannot read {path}: {e}") from None
     parsed = parse_cost_input(text)
     if isinstance(parsed, DefiningPath) and not keep_path:
+        check_table_size(parsed.n)
         return metric_path(parsed)
     return parsed
 
@@ -116,7 +119,7 @@ def _load_permutation(arg: str, n: int):
     if os.path.exists(arg):
         try:
             text = Path(arg).read_text()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise CostParseError(f"cannot read {arg}: {e}") from None
     text = text.strip()
     perm = parse_cycles(text, n) if text.startswith("(") else parse_one_line(text)

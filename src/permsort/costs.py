@@ -20,13 +20,15 @@ total in ``_set_pair`` (which checks the cost itself only for ``from_pairs``);
 path weights, for hand-built paths, and their sums in ``DefiningPath``;
 hand-built tables (and the int total of raw ones) in ``CostMatrix._check``.
 ``_freeze`` wraps tables computed from checked numbers without a recheck.
+``check_table_size`` refuses an n x n table past ``TABLE_LIMIT`` before it
+is allocated; ``parse_cost_file`` applies it to the header's n.
 """
 from __future__ import annotations
 
 import sys
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CostParseError
+from .errors import TABLE_LIMIT, CostParseError, SizeLimitError
 from .values import Frozen, set_field
 
 INF = float("inf")
@@ -175,6 +177,13 @@ class DefiningPath(Frozen):
         return abs(self.prefix[self.positions[b]] - self.prefix[self.positions[a]])
 
 
+def check_table_size(n: int) -> None:
+    """Refuse an n x n table past ``TABLE_LIMIT`` before it is allocated."""
+    if n > TABLE_LIMIT:
+        raise SizeLimitError(f"n={n} exceeds the cost table limit {TABLE_LIMIT}: "
+                             f"an n x n table would hold {n * n} entries")
+
+
 def _fresh(n: int, fill: Number) -> list[list[Number]]:
     rows = [[fill] * n for _ in range(n)]
     for i in range(n):
@@ -296,6 +305,7 @@ def parse_cost_file(text: str) -> CostMatrix:
         raise CostParseError(f"bad size {parts[1]!r}", lineno) from None
     if n < 1:
         raise CostParseError(f"bad size {n}", lineno)
+    check_table_size(n)
     rows = _fresh(n, INF)
     listed: set[tuple[int, int]] = set()
     total = 0

@@ -9,6 +9,10 @@ condition is one of the four below.
 # text reads it without loading the oracle
 DEFAULT_LIMIT = 7
 
+# the largest n whose n x n cost table is built; larger headers and path
+# files are refused before the allocation
+TABLE_LIMIT = 2000
+
 
 class CostParseError(ValueError):
     """Malformed cost, path or permutation input text.
@@ -36,4 +40,5 @@ class InfeasibleError(RuntimeError):
 
 
 class SizeLimitError(RuntimeError):
-    """Exhaustive search refused because the instance exceeds the guard."""
+    """Refused because the instance exceeds a size guard: the exhaustive
+    search's limit, or ``TABLE_LIMIT`` for an n x n table."""

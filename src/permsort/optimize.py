@@ -18,11 +18,13 @@ beats a simple path, so the walks this formula admits change nothing.
 
 The production route is ``shortest_swaps``: one Floyd-Warshall pass for D
 with next hops, then two min-plus passes for phi* by value only, O(n^3) in
-total. The same object serves the lower bounds (which read D) and the
-expansion of an optimized swap back into raw swaps (a palindrome along the
-argmin route, at most 2n - 3 swaps); the argmin edge (u, v) is found per
-route, in O(n), when an expansion asks for it. ``all_pairs_optimize`` is its
-table.
+total. The tables are symmetric, so the pass relaxes each unordered pair
+once and mirrors the distance and the next hop; its D and next hops equal
+those of the loop over every ordered pair, entry for entry. The same
+object serves the lower bounds (which read D) and the expansion of an
+optimized swap back into raw swaps (a palindrome along the argmin route, at
+most 2n - 3 swaps); the argmin edge (u, v) is found per route, in O(n),
+when an expansion asks for it. ``all_pairs_optimize`` is its table.
 """
 from __future__ import annotations
 
@@ -34,17 +36,6 @@ from typing import Sequence
 from .costs import INF, CostMatrix, Number, _freeze, _fresh
 from .errors import ContractError, InfeasibleError
 from .permutation import Decomposition, Transposition
-
-
-def _min_plus_row(best: list[Number], arg: list, offset: Number, row: Sequence[Number], via) -> None:
-    """best[j] = min(best[j], offset + row[j]); arg[j] = via where it drops.
-
-    One Floyd-Warshall step with its next hops. The comparison runs in C
-    (map/compress); only improved entries are visited in Python.
-    """
-    for j in compress(range(len(row)), map(lt, map(add, repeat(offset), row), best)):
-        best[j] = offset + row[j]
-        arg[j] = via
 
 
 class ShortestSwaps:
@@ -132,7 +123,17 @@ class ShortestSwaps:
 
 def shortest_swaps(raw: CostMatrix) -> ShortestSwaps:
     """Floyd-Warshall with next hops: the all-pairs engine behind phi*, the
-    lower bounds and expansion."""
+    lower bounds and expansion.
+
+    The table is symmetric, so each step relaxes one triangle, j > i, and
+    writes an improvement to both halves: (j, i) would meet the same test
+    with the same sum, as x + y == y + x bit for bit. The hops it mirrors,
+    hop[i][k] and hop[j][k], cannot move during step k, since
+    d(i, k) + d(k, k) = d(i, k); so dist and hop equal, entry for entry and
+    type for type, those of the loop over every ordered pair. The
+    comparison runs in C (map/compress); only improved entries are visited
+    in Python.
+    """
     n = raw.n
     dist = [list(row) for row in raw.table]
     hop: list[list[int | None]] = [
@@ -141,9 +142,18 @@ def shortest_swaps(raw: CostMatrix) -> ShortestSwaps:
     for k in range(n):
         row_k = dist[k]
         for i in range(n):
-            d_ik = dist[i][k]
-            if d_ik != INF and i != k:
-                _min_plus_row(dist[i], hop[i], d_ik, row_k, hop[i][k])
+            row_i = dist[i]
+            d_ik = row_i[k]
+            if d_ik == INF or i == k:
+                continue
+            hop_i = hop[i]
+            via = hop_i[k]
+            for j in compress(range(i + 1, n),
+                              map(lt, map(add, repeat(d_ik), row_k[i + 1:]), row_i[i + 1:])):
+                row_i[j] = dist[j][i] = d_ik + row_k[j]
+                hop_i[j] = via
+                hop_j = hop[j]
+                hop_j[i] = hop_j[k]
     return ShortestSwaps(raw, dist, hop)
 
 

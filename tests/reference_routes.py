@@ -24,6 +24,8 @@ can require equal results:
   of ``mcd_exact`` on the single swap;
 - ``transposition_path_cost``: the swap cost 2 * total - max edge along a
   concrete path;
+- ``floyd_warshall_square``: the engine's Floyd-Warshall with next hops
+  over every ordered pair, without the mirror over one triangle;
 - ``swap_tables_with_argmins``: the engine's two min-plus passes with an
   argmin table each, and ``route_by_argmins``, the route they spell out;
 - ``tree_decomposition``: a non-crossing spanning tree on a cycle turned
@@ -47,7 +49,8 @@ use them:
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _product
+from itertools import compress, product as _product, repeat
+from operator import add, lt
 from typing import Mapping, Sequence
 
 from permsort import (
@@ -67,7 +70,7 @@ from permsort import (
 from permsort.costs import Number, _freeze, _fresh
 from permsort.errors import DEFAULT_LIMIT
 from permsort.mld import Edge, _check, _fill, _split
-from permsort.optimize import ShortestSwaps, _min_plus_row, _palindrome, shortest_swaps
+from permsort.optimize import ShortestSwaps, _palindrome, shortest_swaps
 from permsort.oracle import _check_limit
 
 Pair = tuple[int, int]
@@ -522,6 +525,37 @@ def transposition_path_cost(path: Sequence[int], costs: CostMatrix) -> Number:
         total += w
         top = max(top, w)
     return 2 * total - top
+
+
+def _min_plus_row(best: list[Number], arg: list, offset: Number, row: Sequence[Number], via) -> None:
+    """best[j] = min(best[j], offset + row[j]); arg[j] = via where it drops.
+
+    One Floyd-Warshall step with its next hops. The comparison runs in C
+    (map/compress); only improved entries are visited in Python.
+    """
+    for j in compress(range(len(row)), map(lt, map(add, repeat(offset), row), best)):
+        best[j] = offset + row[j]
+        arg[j] = via
+
+
+def floyd_warshall_square(raw: CostMatrix) -> tuple[list[list[Number]], list[list[int | None]]]:
+    """Distances and next hops of ``shortest_swaps``, relaxing every ordered pair.
+
+    Each step k improves row i from row k for every i != k with a finite
+    d(i, k), reading no symmetry of the table.
+    """
+    n = raw.n
+    dist = [list(row) for row in raw.table]
+    hop: list[list[int | None]] = [
+        [j if dist[i][j] != INF else None for j in range(n)] for i in range(n)
+    ]
+    for k in range(n):
+        row_k = dist[k]
+        for i in range(n):
+            d_ik = dist[i][k]
+            if d_ik != INF and i != k:
+                _min_plus_row(dist[i], hop[i], d_ik, row_k, hop[i][k])
+    return dist, hop
 
 
 def swap_tables_with_argmins(engine: ShortestSwaps) -> tuple[list[list[Number]], list[list], list[list]]:

@@ -319,6 +319,51 @@ def test_permutation_directory_is_an_input_error(tmp_path, capsys):
     assert err.startswith(f"error: cannot read {tmp_path}: ")
 
 
+def test_undecodable_cost_file_is_named(tmp_path, capsys):
+    f = tmp_path / "binary.cost"
+    f.write_bytes(b"n 2\n1 2 \xff\n")
+    code, out, err = run(capsys, "decompose", str(f), "(1 2)")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {f}: ")
+    assert "0xff" in err
+
+
+def test_undecodable_permutation_file_is_named(tmp_path, capsys):
+    src = cost_file(tmp_path, "sparse", sparse5_raw())
+    f = tmp_path / "binary.perm"
+    f.write_bytes(b"2 1 3 4 \xff\n")
+    code, out, err = run(capsys, "decompose", src, str(f))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {f}: ")
+    assert "0xff" in err
+
+
+def test_cost_header_past_the_table_limit_allocates_nothing(tmp_path, capsys, monkeypatch):
+    def no_table(n, fill):
+        raise AssertionError("allocated a table past the limit")
+
+    monkeypatch.setattr("permsort.costs._fresh", no_table)
+    f = tmp_path / "huge.cost"
+    f.write_text("n 100000\n1 2 1\n")
+    code, out, err = run(capsys, "decompose", str(f), "(1 2)")
+    assert (code, out) == (4, "")
+    assert err == ("error: n=100000 exceeds the cost table limit 2000: "
+                   "an n x n table would hold 10000000000 entries\n")
+
+
+def test_path_file_past_the_table_limit_needs_metric_exact(tmp_path, capsys):
+    n = 2001
+    f = tmp_path / "long.path"
+    f.write_text(format_path_file(DefiningPath(tuple(range(1, n + 1)), (1,) * (n - 1))))
+    code, out, err = run(capsys, "decompose", str(f), "(1 2)")
+    assert (code, out) == (4, "")
+    assert "exceeds the cost table limit 2000" in err
+    # metric-exact reads the path and builds no table
+    code, out, err = run(capsys, "decompose", str(f), "(1 2)", "--method", "metric-exact")
+    assert (code, err) == (0, "")
+    assert "cost: 1\n" in out
+
+
 def test_long_inline_permutation(tmp_path, capsys):
     # longer than a file name may be, so it can only be inline text
     n = 120

@@ -18,7 +18,7 @@ from permsort import (
 )
 from permsort import costs as costs_module
 from permsort.costs import tolerance
-from permsort.errors import CostParseError
+from permsort.errors import TABLE_LIMIT, CostParseError, SizeLimitError
 
 from frozen import mod5_raw, ring10_distance, ring10_raw
 from reference_routes import extended_metric_path_optimized, is_metric, segment
@@ -199,6 +199,12 @@ def test_parse_cost_input_dispatch():
     assert isinstance(parse_cost_input("n 2\n1 2 3\n"), CostMatrix)
     with pytest.raises(CostParseError):
         parse_cost_input("   \n")
+
+
+def test_cost_header_past_the_table_limit_is_refused():
+    # refused at the header line, before the n x n rows are allocated
+    with pytest.raises(SizeLimitError, match=f"n={TABLE_LIMIT + 1} exceeds the cost table limit"):
+        parse_cost_input(f"n {TABLE_LIMIT + 1}\n1 2 1\n")
 
 
 def test_metric_path_distances():

@@ -1,6 +1,8 @@
 """Generated-instance properties of the all-pairs engine and the paper's bounds.
 
 Random integer tables with zero and infinite entries, n <= 9. The engine's
+distances and next hops must equal those of the Floyd-Warshall loop over
+every ordered pair, types included, on every value family; its
 phi*, distances and expansions are checked against the reference routes in
 ``reference_routes`` (the substitution sweep ``optimize_costs`` and the
 per-source ``bellman_ford``) and against the 2n - 3 length bound of a
@@ -72,6 +74,7 @@ from permsort.multicycle import mld_std_totals  # noqa: E402
 from reference_routes import (  # noqa: E402
     bellman_ford,
     extended_metric_path_optimized,
+    floyd_warshall_square,
     mcd_dijkstra,
     merge_cycles_rescan,
     _segment_tree,
@@ -292,6 +295,18 @@ def test_astar_equals_the_reference_dijkstra(raw, data):
     m, witness = mcd_dijkstra(p, raw)
     assert (type(got.min_cost), got.min_cost) == (type(m), m)
     assert str(got.witness) == str(witness)
+
+
+@PROPERTY
+@given(st.one_of(ORACLE_VALUES, st.just(MIXED_VALUES)).flatmap(lambda values: tables(values=values)))
+def test_triangle_engine_equals_the_square_loop(raw):
+    # one triangle relaxed and mirrored against every ordered pair relaxed,
+    # on every value family: distances with their types, and next hops
+    engine = shortest_swaps(raw)
+    dist, hop = floyd_warshall_square(raw)
+    assert _typed_rows(engine.dist) == _typed_rows(dist)
+    assert engine.hop == hop
+    assert _typed_rows(engine.dist) == _typed_rows(zip(*engine.dist))
 
 
 @st.composite
