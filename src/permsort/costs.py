@@ -18,7 +18,10 @@ Each number is checked once where it enters: cost and weight tokens in
 ``_parse_value``, which knows their line; listed entries and their int
 total in ``_set_pair`` (which checks the cost itself only for ``from_pairs``);
 path weights, for hand-built paths, and their sums in ``DefiningPath``;
-hand-built tables (and the int total of raw ones) in ``CostMatrix._check``.
+hand-built tables in ``CostMatrix._check``, which bounds a raw table's
+largest int entry and the weight of its int spanning forest, both at most
+the int total the parser bounds and the int weight sum a path's tables
+are built from.
 ``_freeze`` wraps tables computed from checked numbers without a recheck.
 ``check_table_size`` refuses an n x n table past ``TABLE_LIMIT`` before it
 is allocated; ``parse_cost_file`` applies it to the header's n.
@@ -45,8 +48,32 @@ def _is_valid_cost(v) -> bool:
 
 def _ints_fit(total: int, n: int) -> bool:
     # adding inf to an int past the float range raises OverflowError; an int
-    # phi* entry is at most 5 times the int total, and a cost sums at most 2n
+    # phi* entry is at most 5 times a bound on every int entry and int
+    # distance (the int total is one), and a cost sums at most 2n
     return 10 * n * total <= sys.float_info.max
+
+
+def _int_forest_weight(table: Sequence[Sequence[Number]]) -> int:
+    """Weight of a minimum spanning forest of the int entries (Kruskal).
+
+    An int shortest distance runs along int entries only, so none exceeds it.
+    """
+    n = len(table)
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    weight = 0
+    for v, i, j in sorted((table[i][j], i, j) for i in range(n) for j in range(i + 1, n)
+                          if isinstance(table[i][j], int)):
+        a, b = find(i), find(j)
+        if a != b:
+            root[a] = b
+            weight += v
+    return weight
 
 
 def tolerance(*values: Number) -> Number:
@@ -70,14 +97,14 @@ class CostMatrix(Frozen):
         self._check()
 
     def _check(self):
-        """Every entry, the shape and the raw int total: the full check."""
+        """Every entry, the shape and the raw int bound: the full check."""
         if self.kind not in ("raw", "optimized"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("need n >= 1")
         if len(self.table) != self.n or any(len(row) != self.n for row in self.table):
             raise ValueError("table shape does not match n")
-        total = 0
+        top = 0
         for i in range(self.n):
             if self.table[i][i] != 0:
                 raise ValueError("diagonal must be zero")
@@ -87,10 +114,12 @@ class CostMatrix(Frozen):
                     raise ValueError(f"asymmetric entry at ({i + 1}, {j + 1})")
                 if not _is_valid_cost(v):
                     raise ValueError(f"bad cost {v!r} at ({i + 1}, {j + 1})")
-                if isinstance(v, int):
-                    total += v
-        # the parser's rule; phi* entries may sum past it, so it binds raw tables only
-        if self.kind == "raw" and not _ints_fit(total, self.n):
+                if isinstance(v, int) and v > top:
+                    top = v
+        # the parser bounds the int total, which is at least both of these;
+        # DefiningPath's int weight sum is at least both for its tables. phi*
+        # entries may pass the bound, so it binds raw tables only
+        if self.kind == "raw" and not _ints_fit(max(top, _int_forest_weight(self.table)), self.n):
             raise ValueError("integer costs sum past the float range")
 
     def cost(self, a: int, b: int) -> Number:

@@ -4,8 +4,11 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from textwrap import dedent
+
+import pytest
 
 from permsort import (
     Decomposition,
@@ -17,6 +20,7 @@ from permsort import (
     parse_cycles,
     validate_decomposition,
 )
+from permsort import cli
 from permsort.cli import bench_rows, main
 
 from frozen import mod5_raw, opt4_raw, random_table, ring10_raw, sparse5_raw
@@ -199,12 +203,17 @@ def test_commands_check_no_table_twice(tmp_path, capsys, tables_checked):
         assert (code, len(tables_checked)) == (0, 0), argv
 
 
-def _imported(*args):
-    """Every module a fresh ``python -X importtime ARGS`` imports."""
+def _python(*args):
+    """A fresh ``python ARGS`` with this checkout's package first on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
-                          text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def _imported(*args):
+    """Every module a fresh ``python -X importtime ARGS`` imports."""
+    proc = _python("-X", "importtime", *args)
     assert proc.returncode == 0, proc.stderr
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
@@ -580,6 +589,70 @@ def test_bench_rows_optimized_never_worse():
     for k, trials, mean_raw, mean_opt in bench_rows(3, 6, 10, 42):
         assert trials == 10
         assert mean_opt <= mean_raw
+
+
+@pytest.mark.parametrize("sweep", [(3, 6, 4), (5, 5, 1), (3, 4, 2), (6, 5, 1)])
+def test_bench_rows_do_not_depend_on_the_worker_count(monkeypatch, sweep):
+    # (5, 5, 1) and (3, 4, 2) have fewer tasks than the three CPUs, (6, 5, 1) none
+    for seed in (0, 1, 2):
+        rows = []
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            rows.append(bench_rows(*sweep, seed))
+        assert rows[0] == rows[1]
+
+
+def _assert_no_child_left():
+    # neither running nor a zombie: this process has no child to wait for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_bench_recomputes_a_failed_child_stride(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = bench_rows(3, 6, 3, 5)
+    parent = os.getpid()
+    trial_pairs = cli._trial_pairs
+
+    def fails_in_children(tasks, seed):
+        if os.getpid() != parent:
+            raise RuntimeError("child")
+        return trial_pairs(tasks, seed)
+
+    monkeypatch.setattr(cli, "_trial_pairs", fails_in_children)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert bench_rows(3, 6, 3, 5) == serial
+    _assert_no_child_left()
+
+
+def test_bench_reaps_its_children_when_its_own_stride_raises(monkeypatch):
+    parent = os.getpid()
+
+    def fails_in_the_parent(tasks, seed):
+        if os.getpid() == parent:
+            raise RuntimeError("parent")
+        time.sleep(60)    # a child the parent waited for would hold it here
+
+    monkeypatch.setattr(cli, "_trial_pairs", fails_in_the_parent)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="parent"):
+        bench_rows(3, 6, 3, 5)
+    _assert_no_child_left()
+    assert time.perf_counter() - t0 < 30
+
+
+def test_bench_prints_its_csv_once(tmp_path, capsys):
+    # a child that flushed the stdio buffers it inherited, or ran on into
+    # the parent's code, would print twice
+    argv = ["bench", "3", "8", "--trials", "5", "--seed", "1"]
+    _, csv, _ = run(capsys, *argv)
+    proc = _python("-m", "permsort", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, csv, "")
+    dst = tmp_path / "rows.csv"
+    proc = _python("-m", "permsort", *argv, "-o", str(dst))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"wrote {dst}\n", "")
+    assert dst.read_text() == csv
 
 
 def test_bench_range_guards(capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -265,6 +266,12 @@ def test_hand_built_raw_tables_follow_the_parse_time_int_rule():
     # the rule counts ints only, as the parser does
     assert CostMatrix(3, ((0, 1e308, 1e308), (1e308, 0, 1), (1e308, 1, 0))).cost(1, 2) == 1e308
     assert CostMatrix(3, ((0, 5, INF), (5, 0, 7), (INF, 7, 0))).cost(2, 3) == 7
+    # it bounds the largest int entry and the int spanning forest, each at
+    # most the parser's int total: here the entry fits, but the distance
+    # from 1 to 3 along the forest does not
+    w = int(sys.float_info.max) // 45
+    with pytest.raises(ValueError, match="integer costs sum past the float range"):
+        CostMatrix(3, ((0, w, INF), (w, 0, w), (INF, w, 0)))
 
 
 def test_is_metric():

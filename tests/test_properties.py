@@ -29,7 +29,7 @@ from itertools import accumulate
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from permsort import (  # noqa: E402
     INF,
@@ -495,8 +495,20 @@ def test_table_builders_pass_the_full_check(raw):
         assert _passes_the_full_check(m)
 
 
+# PATH_CASES plus int weights in the top half of the path limit: n - 1 of
+# them sum to at most the largest double over 10n, the most DefiningPath
+# accepts
+LIMIT_PATH_CASES = st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)),
+    st.lists(st.one_of(COST_VALUES.filter(lambda v: v != INF),
+                       st.integers(int(sys.float_info.max) // (20 * n * (n - 1)),
+                                   int(sys.float_info.max) // (10 * n * (n - 1)))),
+             min_size=n - 1, max_size=n - 1)))
+
+
 @PROPERTY
-@given(PATH_CASES)
+@given(LIMIT_PATH_CASES)
+@example((tuple(range(1, 9)), (2 * 10**305,) * 7))
 def test_path_table_builders_pass_the_full_check(case):
     order, weights = case
     assume(not _sum_overflows(weights))
