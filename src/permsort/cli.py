@@ -11,20 +11,15 @@ is printed; a decomposer that lies exits 2 rather than printing garbage.
 from __future__ import annotations
 
 import argparse
-import marshal
 import os
-import random
 import sys
 from pathlib import Path
-from typing import NoReturn
 
 from .costs import (
     CostMatrix,
     DefiningPath,
     INF,
     _format_value,
-    _freeze,
-    _fresh,
     check_table_size,
     format_cost_file,
     metric_path,
@@ -32,11 +27,9 @@ from .costs import (
     tolerance,
 )
 from .errors import DEFAULT_LIMIT, ContractError, CostParseError, InfeasibleError, SizeLimitError
-from .mld import mld_cost
 from .multicycle import METHODS, decompose, mld_std_totals, permutation_lower_bound
 from .optimize import all_pairs_optimize, expand_decomposition, shortest_swaps
 from .permutation import (
-    Cycle,
     format_cycles,
     format_one_line,
     nontrivial_cycles,
@@ -229,118 +222,6 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _trial_pairs(tasks: list[tuple[int, int]], seed: int) -> list[tuple[float, float]]:
-    """The (raw, optimized) ``mld_cost`` of the cycle (1 .. k) for each (k, t) task.
-
-    Trial t of size k draws its table from its own generator, so a task's
-    pair does not depend on the other tasks of the call.
-    """
-    pairs = []
-    for k, t in tasks:
-        rng = random.Random(seed * 1_000_003 + k * 10_007 + t)
-        costs = _fresh(k, 0)
-        for a in range(k):
-            for b in range(a + 1, k):
-                costs[a][b] = costs[b][a] = rng.random()
-        # values in [0, 1) need no check
-        table = _freeze(costs, "raw")
-        cyc = Cycle(tuple(range(1, k + 1)))
-        pairs.append((mld_cost(cyc, table.assume_optimized()),
-                      mld_cost(cyc, all_pairs_optimize(table))))
-    return pairs
-
-
-def _child(rfd: int, wfd: int, stride: list[tuple[int, int]], seed: int) -> NoReturn:
-    """Send the stride's pairs down the pipe, then leave without unwinding.
-
-    ``os._exit`` runs no exit handler and flushes none of the stdio buffers
-    inherited from the parent, so nothing the parent printed or will print
-    is written twice. The exit code is 0 only once the whole payload is
-    written.
-    """
-    code = 1
-    try:
-        os.close(rfd)
-        with open(wfd, "wb") as pipe:
-            pipe.write(marshal.dumps(_trial_pairs(stride, seed)))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _fan_out(tasks: list[tuple[int, int]], seed: int) -> list[tuple[float, float]]:
-    """The pairs of ``_trial_pairs(tasks, seed)``, computed in strides over
-    the CPUs this process may run on.
-
-    The parent forks one child per stride but the first, computes the first
-    itself and reads each child's pairs from a pipe. A child that exits
-    nonzero or sends a payload of the wrong length has its stride computed
-    again in this process, so an error surfaces as in a serial run. Every
-    child is reaped before this returns or raises.
-    """
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = 1
-    workers = max(1, min(cpus, len(tasks)))
-    strides = [tasks[w::workers] for w in range(workers)]
-    children = {}    # stride index -> (pid, read end of its pipe), until reaped
-    try:
-        for w in range(1, workers):
-            rfd, wfd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child(rfd, wfd, strides[w], seed)
-            os.close(wfd)
-            children[w] = (pid, open(rfd, "rb"))
-        done = [_trial_pairs(strides[0], seed)]
-        for w in range(1, workers):
-            pid, pipe = children[w]
-            with pipe:
-                payload = pipe.read()
-            exited_ok = os.waitpid(pid, 0)[1] == 0
-            del children[w]
-            pairs = marshal.loads(payload) if exited_ok else []
-            if len(pairs) != len(strides[w]):
-                pairs = _trial_pairs(strides[w], seed)
-            done.append(pairs)
-    finally:
-        if children:    # only when something above raised
-            import signal    # about 1 ms, so only on this path
-            for pid, pipe in children.values():
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    out: list = [None] * len(tasks)
-    for w, pairs in enumerate(done):
-        out[w::workers] = pairs
-    return out
-
-
-def bench_rows(kmin: int, kmax: int, trials: int, seed: int) -> list[tuple[int, int, float, float]]:
-    """Mean decomposition cost of a full k-cycle under random uniform costs.
-
-    Deterministic per (seed, k, trial); each trial draws a fresh table and
-    decomposes the canonical cycle (1 .. k) with and without optimizing.
-    The trials run in forked processes, one per CPU in this process's
-    affinity set (one process where ``os.fork`` or ``os.sched_getaffinity``
-    is missing); the means are summed in (k, trial) order, so every row is
-    bit for bit the same whatever the number of processes.
-    """
-    tasks = [(k, t) for k in range(kmin, kmax + 1) for t in range(trials)]
-    pairs = iter(_fan_out(tasks, seed))
-    rows = []
-    for k in range(kmin, kmax + 1):
-        raw_sum = 0.0
-        opt_sum = 0.0
-        for _ in range(trials):
-            raw, opt = next(pairs)
-            raw_sum += raw
-            opt_sum += opt
-        rows.append((k, trials, raw_sum / trials, opt_sum / trials))
-    return rows
-
-
 def _cmd_bench(args) -> int:
     if not (BENCH_MIN_K <= args.kmin <= args.kmax <= BENCH_MAX_K):
         raise CostParseError(
@@ -348,6 +229,7 @@ def _cmd_bench(args) -> int:
             f"got {args.kmin}..{args.kmax}")
     if args.trials < 1:
         raise CostParseError("--trials must be at least 1")
+    from .bench import bench_rows    # the only command that loads the sweep
     rows = bench_rows(args.kmin, args.kmax, args.trials, args.seed)
     lines = ["k,trials,mean_raw,mean_opt"]
     lines += [f"{k},{t},{r:.6f},{o:.6f}" for k, t, r, o in rows]

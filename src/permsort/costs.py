@@ -21,7 +21,8 @@ path weights, for hand-built paths, and their sums in ``DefiningPath``;
 hand-built tables in ``CostMatrix._check``, which bounds a raw table's
 largest int entry and the weight of its int spanning forest, both at most
 the int total the parser bounds and the int weight sum a path's tables
-are built from.
+are built from, and an optimized table's largest int entry, so that any
+2n entries sum to a float.
 ``_freeze`` wraps tables computed from checked numbers without a recheck.
 ``check_table_size`` refuses an n x n table past ``TABLE_LIMIT`` before it
 is allocated; ``parse_cost_file`` applies it to the header's n.
@@ -97,7 +98,7 @@ class CostMatrix(Frozen):
         self._check()
 
     def _check(self):
-        """Every entry, the shape and the raw int bound: the full check."""
+        """Every entry, the shape and the int bound of its kind: the full check."""
         if self.kind not in ("raw", "optimized"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.n < 1:
@@ -117,9 +118,14 @@ class CostMatrix(Frozen):
                 if isinstance(v, int) and v > top:
                     top = v
         # the parser bounds the int total, which is at least both of these;
-        # DefiningPath's int weight sum is at least both for its tables. phi*
-        # entries may pass the bound, so it binds raw tables only
-        if self.kind == "raw" and not _ints_fit(max(top, _int_forest_weight(self.table)), self.n):
+        # DefiningPath's int weight sum is at least both for its tables. A
+        # phi* entry may pass that bound, but one built from an accepted raw
+        # table is at most 5 times it, so 2n of them still sum to a float
+        if self.kind == "raw":
+            fits = _ints_fit(max(top, _int_forest_weight(self.table)), self.n)
+        else:
+            fits = 2 * self.n * top <= sys.float_info.max
+        if not fits:
             raise ValueError("integer costs sum past the float range")
 
     def cost(self, a: int, b: int) -> Number:

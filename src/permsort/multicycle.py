@@ -139,7 +139,9 @@ def merge_cycles(
             if comp[a] != comp[b]
         )
         for _, a, b in links:
-            bind(a, b)
+            # the last join leaves no link between two separate cycles
+            if bind(a, b) and len(applied) == len(moved) - 1:
+                break
 
     tau = Decomposition(tuple(reversed(applied)))
     merged_cycles = nontrivial_cycles(compose(tau.product(p.n), p))

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from textwrap import dedent
 
@@ -20,8 +21,9 @@ from permsort import (
     parse_cycles,
     validate_decomposition,
 )
-from permsort import cli
-from permsort.cli import bench_rows, main
+from permsort import bench
+from permsort.bench import bench_rows
+from permsort.cli import main
 
 from frozen import mod5_raw, opt4_raw, random_table, ring10_raw, sparse5_raw
 
@@ -225,10 +227,13 @@ def test_only_the_oracle_command_loads_the_oracle(tmp_path):
     bare = _imported("-c", "pass")
     decompose = _imported("-m", "permsort", "decompose", src, "(1 2 3)(4 5)", "--expand") - bare
     assert "permsort.cli" in decompose
-    assert not {"dataclasses", "inspect", "permsort.oracle"} & decompose
+    assert not {"dataclasses", "inspect", "permsort.oracle", "permsort.bench"} & decompose
     oracle = _imported("-m", "permsort", "oracle", src, "(1 2 3)(4 5)") - bare
     assert "permsort.oracle" in oracle
-    assert not {"dataclasses", "inspect"} & oracle
+    assert not {"dataclasses", "inspect", "permsort.bench"} & oracle
+    sweep = _imported("-m", "permsort", "bench", "3", "4", "--trials", "1") - bare
+    assert "permsort.bench" in sweep
+    assert not {"dataclasses", "inspect", "permsort.oracle"} & sweep
 
 
 def test_decompose_identity(tmp_path, capsys):
@@ -591,15 +596,21 @@ def test_bench_rows_optimized_never_worse():
         assert mean_opt <= mean_raw
 
 
+# the default block, and one so small that blocks cut across rows
+BLOCKS = (bench.BLOCK, 5)
+
+
 @pytest.mark.parametrize("sweep", [(3, 6, 4), (5, 5, 1), (3, 4, 2), (6, 5, 1)])
 def test_bench_rows_do_not_depend_on_the_worker_count(monkeypatch, sweep):
-    # (5, 5, 1) and (3, 4, 2) have fewer tasks than the three CPUs, (6, 5, 1) none
+    # (5, 5, 1) and (3, 4, 2) have fewer trials than the three CPUs, (6, 5, 1) none
     for seed in (0, 1, 2):
         rows = []
-        for cpus in ({0}, {0, 1, 2}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-            rows.append(bench_rows(*sweep, seed))
-        assert rows[0] == rows[1]
+        for block in BLOCKS:
+            monkeypatch.setattr(bench, "BLOCK", block)
+            for cpus in ({0}, {0, 1, 2}):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+                rows.append(bench_rows(*sweep, seed))
+        assert rows == [rows[0]] * 4
 
 
 def _assert_no_child_left():
@@ -608,51 +619,97 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+TRIAL_PAIRS = bench._trial_pairs    # the real one, before any test patches it
+
+
+def _stub_by_call(parent_steps, child_steps):
+    """A ``bench._trial_pairs`` whose c-th call in a process passes the real
+    pairs through step c of that process's list (its last step from then on)."""
+    parent = os.getpid()
+    calls = []    # a forked child counts its own calls, in its copy
+
+    def stub(kmin, trials, share, seed):
+        steps = parent_steps if os.getpid() == parent else child_steps
+        calls.append(share)
+        return steps[min(len(calls), len(steps)) - 1](TRIAL_PAIRS(kmin, trials, share, seed))
+    return stub
+
+
+def _good(pairs):
+    return pairs
+
+
+def _short(pairs):
+    return pairs[:-1]
+
+
+def _fails(pairs):
+    raise RuntimeError("failed")
+
+
+def _hangs(pairs):
+    time.sleep(60)    # a child the parent waited for would hold it here
+
+
 def test_bench_recomputes_a_failed_child_stride(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     serial = bench_rows(3, 6, 3, 5)
-    parent = os.getpid()
-    trial_pairs = cli._trial_pairs
-
-    def fails_in_children(tasks, seed):
-        if os.getpid() != parent:
-            raise RuntimeError("child")
-        return trial_pairs(tasks, seed)
-
-    monkeypatch.setattr(cli, "_trial_pairs", fails_in_children)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert bench_rows(3, 6, 3, 5) == serial
-    _assert_no_child_left()
+    # in one block each child fails at once; in blocks of 5 it sends a good
+    # list, then a short one, then fails
+    for block, child_steps in zip(BLOCKS, ([_fails], [_good, _short, _fails])):
+        monkeypatch.setattr(bench, "BLOCK", block)
+        monkeypatch.setattr(bench, "_trial_pairs", _stub_by_call([_good], child_steps))
+        assert bench_rows(3, 6, 3, 5) == serial
+        _assert_no_child_left()
 
 
 def test_bench_reaps_its_children_when_its_own_stride_raises(monkeypatch):
-    parent = os.getpid()
-
-    def fails_in_the_parent(tasks, seed):
-        if os.getpid() == parent:
-            raise RuntimeError("parent")
-        time.sleep(60)    # a child the parent waited for would hold it here
-
-    monkeypatch.setattr(cli, "_trial_pairs", fails_in_the_parent)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="parent"):
-        bench_rows(3, 6, 3, 5)
+    # in one block the parent fails at once; in blocks of 5, mid-sweep, once
+    # every child has sent its first list
+    for block, parent_steps, child_steps in zip(BLOCKS, ([_fails], [_good, _fails]),
+                                                ([_hangs], [_good, _hangs])):
+        monkeypatch.setattr(bench, "BLOCK", block)
+        monkeypatch.setattr(bench, "_trial_pairs", _stub_by_call(parent_steps, child_steps))
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="failed"):
+            bench_rows(3, 6, 3, 5)
+        _assert_no_child_left()
+        assert time.perf_counter() - t0 < 30
+
+
+def test_bench_memory_does_not_grow_with_the_trials(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(bench, "_trial_pairs",
+                        lambda kmin, trials, share, seed: [(0.5, 0.25)] * len(share))
+    tracemalloc.start()
+    try:
+        rows = bench_rows(3, 5, 200_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == [(k, 200_000, 0.5, 0.25) for k in (3, 4, 5)]
+    # one block at a time; 600,000 trials held at once take over 100 MB
+    assert peak < 8_000_000
     _assert_no_child_left()
-    assert time.perf_counter() - t0 < 30
 
 
 def test_bench_prints_its_csv_once(tmp_path, capsys):
     # a child that flushed the stdio buffers it inherited, or ran on into
-    # the parent's code, would print twice
+    # the parent's code, would print twice; blocks of 5 make each child
+    # write many lists
     argv = ["bench", "3", "8", "--trials", "5", "--seed", "1"]
     _, csv, _ = run(capsys, *argv)
-    proc = _python("-m", "permsort", *argv)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, csv, "")
     dst = tmp_path / "rows.csv"
-    proc = _python("-m", "permsort", *argv, "-o", str(dst))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"wrote {dst}\n", "")
-    assert dst.read_text() == csv
+    for block in BLOCKS:
+        entry = ("-c", "import sys; from permsort import bench, cli; "
+                       f"bench.BLOCK = {block}; sys.exit(cli.main(sys.argv[1:]))")
+        proc = _python(*entry, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, csv, "")
+        proc = _python(*entry, *argv, "-o", str(dst))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"wrote {dst}\n", "")
+        assert dst.read_text() == csv
 
 
 def test_bench_range_guards(capsys):

@@ -274,6 +274,25 @@ def test_hand_built_raw_tables_follow_the_parse_time_int_rule():
         CostMatrix(3, ((0, w, INF), (w, 0, w), (INF, w, 0)))
 
 
+def test_hand_built_optimized_tables_bound_their_int_entries():
+    # every DP, chain or merge sum has fewer than 2n entries; mld_cost on
+    # this table used to end in OverflowError
+    big = 10**308
+    rows = [[0 if i == j else big for j in range(5)] for i in range(5)]
+    rows[3][4] = rows[4][3] = INF
+    with pytest.raises(ValueError, match="integer costs sum past the float range"):
+        CostMatrix(5, tuple(map(tuple, rows)), "optimized")
+
+    def uniform(v):
+        return tuple(tuple(0 if i == j else v for j in range(5)) for i in range(5))
+
+    # 2n = 10 times the largest int entry may reach the largest double
+    top = int(sys.float_info.max) // 10
+    assert CostMatrix(5, uniform(top), "optimized").cost(1, 2) == top
+    with pytest.raises(ValueError, match="integer costs sum past the float range"):
+        CostMatrix(5, uniform(top + 1), "optimized")
+
+
 def test_is_metric():
     # mod5 satisfies the doubled substitution inequality (3 <= 1 + 2) but not
     # the plain triangle one (3 > 1 + 1), so it is not metric

@@ -515,6 +515,7 @@ def test_path_table_builders_pass_the_full_check(case):
     path = DefiningPath(tuple(order), tuple(weights))
     for build in (metric_path, extended_metric_path, extended_metric_path_optimized):
         assert _passes_the_full_check(build(path))
+        assert _passes_the_full_check(shortest_swaps(build(path)).optimized)
 
 
 @PROPERTY
