@@ -27,13 +27,10 @@ from .mld import (
     std_decomposition,
 )
 from .multicycle import (
-    BoundReport,
-    bound_report,
     decompose,
     merge_cycles,
     merged_decompose,
     permutation_lower_bound,
-    sharpened_lower_bound,
 )
 from .optimize import (
     ShortestSwaps,
@@ -74,7 +71,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "BoundReport",
     "CayleySearchResult",
     "ContractError",
     "CostMatrix",
@@ -89,7 +85,6 @@ __all__ = [
     "SizeLimitError",
     "Transposition",
     "all_pairs_optimize",
-    "bound_report",
     "compose",
     "cycles",
     "decompose",
@@ -117,7 +112,6 @@ __all__ = [
     "parse_path_file",
     "permutation_from_cycles",
     "permutation_lower_bound",
-    "sharpened_lower_bound",
     "shortest_swaps",
     "std_decomposition",
     "transposition_parity",

@@ -44,6 +44,14 @@ EXIT_CONTRACT = 2
 EXIT_INFEASIBLE = 3
 EXIT_LIMIT = 4
 
+# CostParseError is a ValueError; no other class here subclasses another
+_EXIT_CODES = {
+    ValueError: EXIT_INPUT,
+    ContractError: EXIT_CONTRACT,
+    InfeasibleError: EXIT_INFEASIBLE,
+    SizeLimitError: EXIT_LIMIT,
+}
+
 BENCH_MIN_K = 3
 BENCH_MAX_K = 14
 
@@ -93,14 +101,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise CostParseError(f"cannot read {path}: {e}") from None
+
+
 def _load_costs(path: str, keep_path: bool = False) -> CostMatrix | DefiningPath:
     """The cost table in the file; a defining path becomes its distance
     table unless ``keep_path`` asks for the path itself."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as e:
-        raise CostParseError(f"cannot read {path}: {e}") from None
-    parsed = parse_cost_input(text)
+    parsed = parse_cost_input(_read(path))
     if isinstance(parsed, DefiningPath) and not keep_path:
         check_table_size(parsed.n)
         return metric_path(parsed)
@@ -108,15 +119,9 @@ def _load_costs(path: str, keep_path: bool = False) -> CostMatrix | DefiningPath
 
 
 def _load_permutation(arg: str, n: int):
-    text = arg
     # os.path.exists says False, not an error, for inline text too long to
     # be a file name
-    if os.path.exists(arg):
-        try:
-            text = Path(arg).read_text()
-        except (OSError, UnicodeDecodeError) as e:
-            raise CostParseError(f"cannot read {arg}: {e}") from None
-    text = text.strip()
+    text = (_read(arg) if os.path.exists(arg) else arg).strip()
     perm = parse_cycles(text, n) if text.startswith("(") else parse_one_line(text)
     if perm.n != n:
         raise CostParseError(f"permutation has n={perm.n}, cost table has n={n}")
@@ -288,18 +293,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ValueError as e:    # CostParseError included
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except SizeLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_LIMIT
-    except InfeasibleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ContractError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONTRACT
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(e, cls))
 
 
 if __name__ == "__main__":

@@ -147,15 +147,9 @@ class CostMatrix(Frozen):
         for a, b in self.pairs():
             yield (a, b, self.table[a - 1][b - 1])
 
-    def finite_values(self) -> list[Number]:
-        return [v for _, _, v in self.entries() if v != INF]
-
     def assume_optimized(self) -> "CostMatrix":
         """Relabel as optimized without optimizing. Use deliberately."""
         return _freeze(self.table, "optimized")
-
-    def all_integer(self) -> bool:
-        return all(isinstance(v, int) or (isinstance(v, float) and v == INF) for _, _, v in self.entries())
 
 
 class DefiningPath(Frozen):
@@ -164,14 +158,13 @@ class DefiningPath(Frozen):
     ``positions`` holds the 0-based position of each label, and prefix[i]
     the weight sum up to position i; the distance between two labels is
     the difference of their prefix sums. Both are derived, so they stay
-    out of ``repr`` and ``==``. ``weights_checked`` skips the check of each
-    weight as a cost, for weights the parser has checked token by token.
+    out of ``repr`` and ``==``.
     """
 
     _fields = ("order", "weights")
     __slots__ = _fields + ("positions", "prefix")
 
-    def __init__(self, order: Sequence[int], weights: Sequence[Number], *, weights_checked: bool = False):
+    def __init__(self, order: Sequence[int], weights: Sequence[Number]):
         order, weights = tuple(order), tuple(weights)
         n = len(order)
         if n < 2:
@@ -182,7 +175,7 @@ class DefiningPath(Frozen):
             raise ValueError("need exactly n-1 weights")
         for w in weights:
             # a parsed 'inf' token is a valid cost, but no path weight
-            if w == INF or not (weights_checked or _is_valid_cost(w)):
+            if w == INF or not _is_valid_cost(w):
                 raise ValueError(f"bad path weight {w!r}")
         prefix: list[Number] = [0]
         for w in weights:
@@ -375,7 +368,7 @@ def parse_path_file(text: str) -> DefiningPath:
     lineno, weight_line = lines[2]
     weights = tuple(_parse_value(t, lineno) for t in weight_line.split())
     try:
-        return DefiningPath(order, weights, weights_checked=True)
+        return DefiningPath(order, weights)
     except ValueError as exc:
         raise CostParseError(str(exc), lineno) from None
 

@@ -231,7 +231,7 @@ def metric_path_mcd(cycle: Cycle, path: DefiningPath) -> tuple[Decomposition, Nu
     ring = cycle.elements
     ring_sum: Number = sum(path.distance(ring[t], ring[(t + 1) % k]) for t in range(k))
     if abs(2 * tree_cost - ring_sum) > tolerance(2 * tree_cost, ring_sum):
-        raise ContractError("segment tree misses the half-total floor")
+        raise ContractError("min-Cartesian tree misses the half-total floor")
     d = Decomposition(tuple(_rebuild(labels, split, 1, k)))
     _check(d, cycle, expected_len=k - 1)
     return d, tree_cost

@@ -21,40 +21,26 @@ MLD of sigma'.
 shortest-path distances from each moved element to its image. It reads the
 distances it is handed, the rows of ``ShortestSwaps.dist`` or a defining
 path, whose prefix-sum differences already are shortest, and never
-computes a table. ``bound_report`` collects the cost of every strategy next
-to that floor, plus the ceiling-sharpened integer variant when every cost
-is an integer, all from one ``ShortestSwaps``.
+computes a table.
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .costs import INF, CostMatrix, DefiningPath, Number
 from .errors import ContractError, InfeasibleError
 from .mld import metric_path_mcd, min_cost_mld, mld_cost, std_decomposition
-from .optimize import ShortestSwaps
 from .permutation import (
     Cycle,
     Decomposition,
     Permutation,
     Transposition,
     compose,
-    cycles,
     nontrivial_cycles,
     validate_decomposition,
 )
-from .values import Frozen
 
 METHODS = ("mld", "std", "merge", "metric-exact")
-
-
-class BoundReport(Frozen):
-    """Cost of each strategy against the lower bounds (sharpened_lower_bound
-    and alpha_worst_case may be None)."""
-
-    __slots__ = _fields = ("permutation", "lower_bound", "sharpened_lower_bound", "mld_cost",
-                           "std_cost", "merged_cost", "alpha_worst_case", "m_equals_l")
 
 
 def permutation_lower_bound(p: Permutation, dist: Sequence[Sequence[Number]] | DefiningPath) -> float:
@@ -208,37 +194,6 @@ def decompose(
     return out, total
 
 
-def _attainable(target: int, values: list[int]) -> tuple[bool, bool]:
-    """Whether an even, and an odd, number of positive values can sum to target."""
-    vals = sorted({v for v in values if 0 < v <= target})
-    even = [True] + [False] * target
-    odd = [False] * (target + 1)
-    for c in range(1, target + 1):
-        even[c] = any(odd[c - v] for v in vals if v <= c)
-        odd[c] = any(even[c - v] for v in vals if v <= c)
-    return even[target], odd[target]
-
-
-def sharpened_lower_bound(p: Permutation, raw: CostMatrix, lower_bound: float) -> int | None:
-    """Integer strengthening of the fractional floor.
-
-    Only for all-integer tables: take the ceiling, and add one more when no
-    cost multiset of the right length parity can hit the ceiling although
-    the opposite parity could. Anything subtler is left on the table.
-    """
-    if not raw.all_integer() or lower_bound == INF:
-        return None
-    target = math.ceil(lower_bound)
-    values = raw.finite_values()
-    if target == 0 or 0 in values:
-        return target    # nothing to hit, or a free swap fixes the parity
-    by_parity = _attainable(target, values)
-    parity = (p.n - len(cycles(p))) % 2
-    if not by_parity[parity] and by_parity[1 - parity]:
-        return target + 1
-    return target
-
-
 def mld_std_totals(p: Permutation, phi_star: CostMatrix) -> tuple[Number, Number]:
     """Summed per-cycle costs of the cheapest MLD (L) and of the chain (S)."""
     mld_total: Number = 0
@@ -248,45 +203,3 @@ def mld_std_totals(p: Permutation, phi_star: CostMatrix) -> tuple[Number, Number
         _, std_piece = std_decomposition(c, phi_star)
         std_total += std_piece
     return mld_total, std_total
-
-
-def _alpha_worst_case(p: Permutation, raw: CostMatrix) -> float | None:
-    k = len(cycles(p))
-    n = p.n
-    if n == k:
-        return None
-    values = [v for _, _, v in raw.entries()]
-    phi_min = min(values)
-    phi_max = max(values)
-    if phi_min == 0 or phi_min == INF:
-        return None
-    return 4 + 5 * k * phi_max / ((n - k) * phi_min)
-
-
-def bound_report(
-    p: Permutation,
-    engine: ShortestSwaps,
-    joins: Sequence[tuple[int, int]] | None = None,
-) -> BoundReport:
-    """Compare every strategy against the lower bounds for one permutation.
-
-    The raw table, phi* and the distances all come from ``engine``.
-    """
-    if p.is_identity():
-        return BoundReport(p, 0.0, 0, 0, 0, 0, None, True)
-    raw = engine.raw
-    phi_star = engine.optimized
-    lb = permutation_lower_bound(p, engine.dist)
-    sharp = sharpened_lower_bound(p, raw, lb)
-
-    mld_total, std_total = mld_std_totals(p, phi_star)
-    try:
-        _, merged_cost = merged_decompose(p, phi_star, joins)
-    except InfeasibleError:
-        merged_cost = INF
-
-    certificate = sharp is not None and mld_total == sharp
-    return BoundReport(
-        p, lb, sharp, mld_total, std_total, merged_cost,
-        _alpha_worst_case(p, raw), certificate,
-    )

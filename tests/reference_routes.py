@@ -44,9 +44,14 @@ use them:
   production fill and split rule;
 - ``is_metric``: the triangle inequality over all label triples;
 - ``segment`` and ``extended_metric_path_optimized``: the closed form of
-  phi* on an extended path table, a second phi* route for one family.
+  phi* on an extended path table, a second phi* route for one family;
+- ``sharpened_lower_bound`` with ``_attainable``: the integer floor of an
+  all-integer table, the fractional floor's ceiling raised by one when no
+  cost multiset of the permutation's length parity can hit it. Time and
+  memory are linear in the floor's value.
 """
 import heapq
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product as _product, repeat
@@ -66,6 +71,7 @@ from permsort import (
     cycles,
     mcd_exact,
     nontrivial_cycles,
+    transposition_parity,
 )
 from permsort.costs import Number, _freeze, _fresh
 from permsort.errors import DEFAULT_LIMIT
@@ -168,6 +174,37 @@ def extended_metric_path_optimized(path: DefiningPath) -> CostMatrix:
             total, top = segment(path, a, b)
             rows[a - 1][b - 1] = rows[b - 1][a - 1] = total + (total - top)
     return _freeze(rows, "optimized")
+
+
+def _attainable(target: int, values: list[int]) -> tuple[bool, bool]:
+    """Whether an even, and an odd, number of positive values can sum to target."""
+    vals = sorted({v for v in values if 0 < v <= target})
+    even = [True] + [False] * target
+    odd = [False] * (target + 1)
+    for c in range(1, target + 1):
+        even[c] = any(odd[c - v] for v in vals if v <= c)
+        odd[c] = any(even[c - v] for v in vals if v <= c)
+    return even[target], odd[target]
+
+
+def sharpened_lower_bound(p: Permutation, raw: CostMatrix, lower_bound: float) -> int | None:
+    """Integer strengthening of the fractional floor.
+
+    Only for all-integer tables: take the ceiling, and add one more when no
+    cost multiset of the right length parity can hit the ceiling although
+    the opposite parity could. Anything subtler is left on the table.
+    """
+    values = [v for _, _, v in raw.entries() if v != INF]
+    if lower_bound == INF or not all(isinstance(v, int) for v in values):
+        return None
+    target = math.ceil(lower_bound)
+    if target == 0 or 0 in values:
+        return target    # nothing to hit, or a free swap fixes the parity
+    by_parity = _attainable(target, values)
+    parity = transposition_parity(p)
+    if not by_parity[parity] and by_parity[1 - parity]:
+        return target + 1
+    return target
 
 
 def mld_table_quartic(cycle: Cycle, costs: CostMatrix) -> MldTable:

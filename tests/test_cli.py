@@ -21,7 +21,7 @@ from permsort import (
     parse_cycles,
     validate_decomposition,
 )
-from permsort import bench
+from permsort import ContractError, CostParseError, InfeasibleError, SizeLimitError, bench
 from permsort.bench import bench_rows
 from permsort.cli import main
 
@@ -729,3 +729,20 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, )[0] == 1
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys, "bench", "three", "5")[0] == 1
+
+
+def test_each_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch):
+    # a contract violation cannot be provoked from the command line, so the
+    # handler raises each class itself
+    from permsort import cli
+    src = cost_file(tmp_path, "c", opt4_raw())
+    for error, code in [(CostParseError("bad"), 1), (UnicodeDecodeError("utf-8", b"", 0, 1, "bad"), 1),
+                        (ContractError("bad"), 2), (InfeasibleError("bad"), 3),
+                        (SizeLimitError("bad"), 4)]:
+        def fail(args, error=error):
+            raise error
+        monkeypatch.setattr(cli, "_cmd_optimize", fail)
+        assert run(capsys, "optimize", src) == (code, "", f"error: {error}\n")
+    monkeypatch.setattr(cli, "_cmd_optimize", lambda args: {}["unlisted"])
+    with pytest.raises(KeyError):
+        run(capsys, "optimize", src)

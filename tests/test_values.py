@@ -11,7 +11,6 @@ import pickle
 import pytest
 
 from permsort import (
-    BoundReport,
     CayleySearchResult,
     CostMatrix,
     Cycle,
@@ -19,7 +18,6 @@ from permsort import (
     DefiningPath,
     Permutation,
     Transposition,
-    bound_report,
     from_pairs,
     mcd_exact,
     shortest_swaps,
@@ -38,8 +36,6 @@ def _samples():
         CostMatrix(2, ((0, 3), (3, 0))),
         DefiningPath((2, 1, 3), (4, 5.5)),
         mcd_exact(p, engine),
-        bound_report(p, engine),
-        bound_report(Permutation((1, 2, 3)), engine),
     ]
 
 
@@ -54,12 +50,6 @@ REPRS = [
     "DefiningPath(order=(2, 1, 3), weights=(4, 5.5))",
     "CayleySearchResult(target=Permutation(images=(2, 1, 3)), min_cost=1, "
     "witness=Decomposition(transpositions=(Transposition(a=1, b=2),)))",
-    "BoundReport(permutation=Permutation(images=(2, 1, 3)), lower_bound=1.0, "
-    "sharpened_lower_bound=1, mld_cost=1, std_cost=1, merged_cost=1, "
-    "alpha_worst_case=inf, m_equals_l=True)",
-    "BoundReport(permutation=Permutation(images=(1, 2, 3)), lower_bound=0.0, "
-    "sharpened_lower_bound=0, mld_cost=0, std_cost=0, merged_cost=0, "
-    "alpha_worst_case=None, m_equals_l=True)",
 ]
 
 
@@ -67,7 +57,7 @@ def test_repr_of_each_class():
     assert [repr(v) for v in _samples()] == REPRS
     assert {type(v) for v in _samples()} == {
         Permutation, Transposition, Cycle, Decomposition, CostMatrix, DefiningPath,
-        CayleySearchResult, BoundReport}
+        CayleySearchResult}
 
 
 def test_equal_values_hash_equal():
