@@ -45,12 +45,10 @@ from .permutation import (
     Permutation,
     Transposition,
     compose,
-    cycles,
     format_cycles,
     format_one_line,
     inverse,
     nontrivial_cycles,
-    parity,
     parse_cycles,
     parse_one_line,
     permutation_from_cycles,
@@ -86,7 +84,6 @@ __all__ = [
     "Transposition",
     "all_pairs_optimize",
     "compose",
-    "cycles",
     "decompose",
     "expand_decomposition",
     "expand_transposition",
@@ -104,7 +101,6 @@ __all__ = [
     "metric_path_mcd",
     "min_cost_mld",
     "nontrivial_cycles",
-    "parity",
     "parse_cost_file",
     "parse_cost_input",
     "parse_cycles",

@@ -17,7 +17,7 @@ integer instances are exact.
 Each number is checked once where it enters: cost and weight tokens in
 ``_parse_value``, which knows their line; listed entries and their int
 total in ``_set_pair`` (which checks the cost itself only for ``from_pairs``);
-path weights, for hand-built paths, and their sums in ``DefiningPath``;
+path weights and their sums in ``DefiningPath``;
 hand-built tables in ``CostMatrix._check``, which bounds a raw table's
 largest int entry and the weight of its int spanning forest, both at most
 the int total the parser bounds and the int weight sum a path's tables
@@ -25,7 +25,8 @@ are built from, and an optimized table's largest int entry, so that any
 2n entries sum to a float.
 ``_freeze`` wraps tables computed from checked numbers without a recheck.
 ``check_table_size`` refuses an n x n table past ``TABLE_LIMIT`` before it
-is allocated; ``parse_cost_file`` applies it to the header's n.
+is allocated; the two allocators, ``_fresh`` and ``metric_path``, call it
+first, so every builder and the parser are guarded.
 """
 from __future__ import annotations
 
@@ -135,9 +136,6 @@ class CostMatrix(Frozen):
             raise ValueError(f"pair ({a}, {b}) outside 1..{self.n}")
         return self.table[a - 1][b - 1]
 
-    def is_finite(self, a: int, b: int) -> bool:
-        return self.cost(a, b) != INF
-
     def pairs(self) -> Iterator[tuple[int, int]]:
         for a in range(1, self.n + 1):
             for b in range(a + 1, self.n + 1):
@@ -192,10 +190,6 @@ class DefiningPath(Frozen):
     def n(self) -> int:
         return len(self.order)
 
-    def position(self, label: int) -> int:
-        """0-based position of a label along the path."""
-        return self.positions[label]
-
     def distance(self, a: int, b: int) -> Number:
         """Weight sum along the path between a and b.
 
@@ -213,6 +207,7 @@ def check_table_size(n: int) -> None:
 
 
 def _fresh(n: int, fill: Number) -> list[list[Number]]:
+    check_table_size(n)
     rows = [[fill] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = 0
@@ -264,6 +259,7 @@ def from_pairs(n: int, entries: Iterable[tuple[int, int, Number]]) -> CostMatrix
 
 def metric_path(path: DefiningPath) -> CostMatrix:
     """Charge every pair the weight sum between its labels along the path."""
+    check_table_size(path.n)
     # the row-wise form of DefiningPath.distance
     at = [path.prefix[path.positions[label]] for label in range(1, path.n + 1)]
     rows = [[abs(y - x) for y in at] for x in at]
@@ -333,7 +329,6 @@ def parse_cost_file(text: str) -> CostMatrix:
         raise CostParseError(f"bad size {parts[1]!r}", lineno) from None
     if n < 1:
         raise CostParseError(f"bad size {n}", lineno)
-    check_table_size(n)
     rows = _fresh(n, INF)
     listed: set[tuple[int, int]] = set()
     total = 0

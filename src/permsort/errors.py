@@ -9,8 +9,8 @@ condition is one of the four below.
 # text reads it without loading the oracle
 DEFAULT_LIMIT = 7
 
-# the largest n whose n x n cost table is built; larger headers and path
-# files are refused before the allocation
+# the largest n whose n x n cost table is built; every table allocator
+# refuses a larger n before it allocates, from a file or a builder call
 TABLE_LIMIT = 2000
 
 

@@ -33,6 +33,10 @@ the resulting MLD is a true minimum cost decomposition. The tree is an
 interval split of the same recurrence, so it is rebuilt by the same
 ``_rebuild``, in O(k). The lower bound itself lives in ``multicycle``; it
 reads distances and never computes a table.
+
+``min_cost_mld``, ``std_decomposition`` and ``metric_path_mcd`` each return
+a decomposition and its cost, and raise InfeasibleError when no finite-cost
+sequence of their kind exists.
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ from typing import Callable
 
 from .costs import INF, CostMatrix, DefiningPath, Number, tolerance
 from .errors import ContractError, InfeasibleError
-from .permutation import Cycle, Decomposition, Transposition, validate_decomposition
+from .permutation import Cycle, Decomposition, Permutation, Transposition, validate_decomposition
 
 Edge = tuple[int, int]
 
@@ -153,12 +157,12 @@ def min_cost_mld(cycle: Cycle, costs: CostMatrix) -> tuple[Decomposition, Number
     return d, total
 
 
-def std_decomposition(cycle: Cycle, costs: CostMatrix) -> tuple[Decomposition | None, Number]:
+def std_decomposition(cycle: Cycle, costs: CostMatrix) -> tuple[Decomposition, Number]:
     """Chain of consecutive cycle pairs, skipping the priciest one.
 
-    Cost is the sum of all consecutive pair costs minus the maximum. When a
-    needed edge is infinite the cost is inf and no sequence is returned.
-    Ties for the skipped pair resolve to the last position.
+    Cost is the sum of all consecutive pair costs minus the maximum. Raises
+    InfeasibleError when a needed edge is infinite. Ties for the skipped
+    pair resolve to the last position.
     """
     _require_optimized(costs)
     labels = cycle.elements
@@ -172,7 +176,7 @@ def std_decomposition(cycle: Cycle, costs: CostMatrix) -> tuple[Decomposition | 
     for step in range(1, k):
         t = (skip + step) % k
         if ring[t] == INF:
-            return None, INF
+            raise InfeasibleError(f"cycle {cycle} has an unreachable consecutive pair")
         total += ring[t]
         seq.append(Transposition(labels[t], labels[(t + 1) % k]))
     d = Decomposition(tuple(seq))
@@ -249,5 +253,5 @@ def _check(d: Decomposition, cycle: Cycle, expected_len: int):
     on_support = all(t.a in index and t.b in index for t in d)
     if not (on_support and validate_decomposition(
             Decomposition(tuple(Transposition(index[t.a], index[t.b]) for t in d)),
-            Cycle(tuple(range(1, cycle.k + 1))).as_permutation())):
+            Permutation(tuple(range(2, cycle.k + 1)) + (1,)))):
         raise ContractError(f"decomposition {d} does not multiply to {cycle}")

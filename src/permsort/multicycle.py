@@ -1,7 +1,9 @@
 """Decomposing arbitrary permutations, cycle by cycle or merged.
 
 Disjoint cycles commute, so a permutation can be decomposed one cycle at a
-time and the pieces concatenated. Sometimes gluing helps instead: joining
+time and the pieces concatenated. ``decompose`` is the one route that sums
+the pieces: with 'mld' its cost is L, the paper's interval-DP total, and
+with 'std' it is S, the chain total. Sometimes gluing helps instead: joining
 the cycles into one big cycle with cheap extra transpositions, decomposing
 that, and prepending the joins' inverses can beat the per-cycle total
 because the bigger cycle has more routing freedom.
@@ -29,7 +31,7 @@ from typing import Sequence
 
 from .costs import INF, CostMatrix, DefiningPath, Number
 from .errors import ContractError, InfeasibleError
-from .mld import metric_path_mcd, min_cost_mld, mld_cost, std_decomposition
+from .mld import metric_path_mcd, min_cost_mld, std_decomposition
 from .permutation import (
     Cycle,
     Decomposition,
@@ -174,32 +176,15 @@ def decompose(
     if method == "metric-exact" and not isinstance(costs, DefiningPath):
         raise ValueError("metric-exact needs the defining path")
 
+    per_cycle = {"mld": min_cost_mld, "std": std_decomposition,
+                 "metric-exact": metric_path_mcd}[method]
     seq: list[Transposition] = []
     total: Number = 0
     for c in nontrivial_cycles(p):
-        if method == "mld":
-            d, piece = min_cost_mld(c, costs)
-        elif method == "std":
-            maybe, piece = std_decomposition(c, costs)
-            if maybe is None:
-                raise InfeasibleError(f"cycle {c} has an unreachable consecutive pair")
-            d = maybe
-        else:
-            d, piece = metric_path_mcd(c, costs)
+        d, piece = per_cycle(c, costs)
         seq.extend(d.transpositions)
         total += piece
     out = Decomposition(tuple(seq))
     if not validate_decomposition(out, p):
         raise ContractError("per-cycle decomposition does not multiply back to the input")
     return out, total
-
-
-def mld_std_totals(p: Permutation, phi_star: CostMatrix) -> tuple[Number, Number]:
-    """Summed per-cycle costs of the cheapest MLD (L) and of the chain (S)."""
-    mld_total: Number = 0
-    std_total: Number = 0
-    for c in nontrivial_cycles(p):
-        mld_total += mld_cost(c, phi_star)
-        _, std_piece = std_decomposition(c, phi_star)
-        std_total += std_piece
-    return mld_total, std_total

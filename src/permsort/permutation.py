@@ -113,17 +113,6 @@ class Cycle(Frozen):
     def k(self) -> int:
         return len(self.elements)
 
-    def as_permutation(self, n: int | None = None) -> Permutation:
-        """The permutation mapping each element to its cyclic successor."""
-        if n is None:
-            n = max(self.elements)
-        if n < max(self.elements):
-            raise ValueError(f"cycle {self.elements} does not fit in 1..{n}")
-        images = list(range(1, n + 1))
-        for i, e in enumerate(self.elements):
-            images[e - 1] = self.elements[(i + 1) % len(self.elements)]
-        return Permutation(tuple(images))
-
     def __str__(self) -> str:
         return "(" + " ".join(str(e) for e in self.elements) + ")"
 
@@ -175,7 +164,7 @@ def compose(outer: Permutation, inner: Permutation) -> Permutation:
 
     >>> p = permutation_from_cycles(4, [(1, 2, 4)])
     >>> q = permutation_from_cycles(4, [(2, 1, 3)])
-    >>> cycles(compose(p, q))[0].elements
+    >>> nontrivial_cycles(compose(p, q))[0].elements
     (1, 3, 4)
     """
     if outer.n != inner.n:
@@ -194,13 +183,20 @@ def inverse(p: Permutation) -> Permutation:
     return Permutation(tuple(images))
 
 
-def _walk(images: tuple[int, ...], skip_fixed: bool) -> list[Cycle]:
-    """Cycles of the images, each from its least label: the minimum, so
-    ``Cycle`` keeps the order. Fixed points are skipped before any walk."""
+def nontrivial_cycles(p: Permutation) -> list[Cycle]:
+    """Cycles of length at least two, sorted by minimum element.
+
+    Fixed points are skipped before any walk, and each walk starts from its
+    least label, the minimum, so ``Cycle`` keeps the order.
+
+    >>> [c.elements for c in nontrivial_cycles(Permutation((3, 1, 2, 5, 4, 6)))]
+    [(1, 3, 2), (4, 5)]
+    """
+    images = p.images
     seen = [False] * (len(images) + 1)
     out = []
     for start, image in enumerate(images, start=1):
-        if seen[start] or (skip_fixed and image == start):
+        if seen[start] or image == start:
             continue
         cur, elems = start, []
         while not seen[cur]:
@@ -211,28 +207,9 @@ def _walk(images: tuple[int, ...], skip_fixed: bool) -> list[Cycle]:
     return out
 
 
-def cycles(p: Permutation) -> list[Cycle]:
-    """Disjoint cycles of p, fixed points included, sorted by minimum element.
-
-    >>> [c.elements for c in cycles(Permutation((3, 1, 2, 5, 4)))]
-    [(1, 3, 2), (4, 5)]
-    """
-    return _walk(p.images, skip_fixed=False)
-
-
-def nontrivial_cycles(p: Permutation) -> list[Cycle]:
-    """Cycles of length at least two; no ``Cycle`` is built for a fixed point."""
-    return _walk(p.images, skip_fixed=True)
-
-
-def parity(p: Permutation) -> str:
-    """'even' or 'odd'; every decomposition length has this parity."""
-    return "even" if transposition_parity(p) == 0 else "odd"
-
-
 def transposition_parity(p: Permutation) -> int:
-    """Length of any transposition product for p, modulo 2."""
-    return (p.n - len(cycles(p))) % 2
+    """Length of any transposition product for p, modulo 2: a k-cycle takes k - 1."""
+    return sum(c.k - 1 for c in nontrivial_cycles(p)) % 2
 
 
 def permutation_from_cycles(n: int, cycle_list: Iterable[Sequence[int] | Cycle]) -> Permutation:
@@ -283,8 +260,8 @@ def parse_one_line(text: str) -> Permutation:
         raise CostParseError(str(exc)) from None
 
 
-def format_cycles(cycle_list: Iterable[Cycle], *, skip_fixed: bool = False) -> str:
-    parts = [str(c) for c in cycle_list if c.k > 1 or not skip_fixed]
+def format_cycles(cycle_list: Iterable[Cycle]) -> str:
+    parts = [str(c) for c in cycle_list]
     return "".join(parts) if parts else "()"
 
 

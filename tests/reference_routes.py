@@ -40,6 +40,8 @@ use them:
 
 - ``apply_transposition`` and ``cayley_length``: one swap applied to a
   permutation, and the fewest swaps that sort it;
+- ``cycles``: every cycle of a permutation, fixed points included, the
+  reference for ``nontrivial_cycles``;
 - ``mld_table`` and ``MldTable``: the interval DP with every split, by the
   production fill and split rule;
 - ``is_metric``: the triangle inequality over all label triples;
@@ -68,7 +70,6 @@ from permsort import (
     InfeasibleError,
     Permutation,
     Transposition,
-    cycles,
     mcd_exact,
     nontrivial_cycles,
     transposition_parity,
@@ -103,6 +104,21 @@ def apply_transposition(p: Permutation, t: Transposition) -> Permutation:
         elif v == b:
             images[i] = a
     return Permutation(tuple(images))
+
+
+def cycles(p: Permutation) -> list[Cycle]:
+    """Disjoint cycles of p, fixed points included, sorted by minimum element."""
+    seen: set[int] = set()
+    out = []
+    for start in range(1, p.n + 1):
+        if start in seen:
+            continue
+        elems = [start]
+        while p(elems[-1]) != start:
+            elems.append(p(elems[-1]))
+        seen.update(elems)
+        out.append(Cycle(elems))
+    return out
 
 
 def cayley_length(p: Permutation) -> int:
@@ -153,7 +169,7 @@ def is_metric(costs: CostMatrix) -> bool:
 
 def segment(path: DefiningPath, a: int, b: int) -> tuple[Number, Number]:
     """(weight sum, largest single weight) strictly between a and b."""
-    i, j = sorted((path.position(a), path.position(b)))
+    i, j = sorted((path.positions[a], path.positions[b]))
     if i == j:
         raise ValueError("segment endpoints must differ")
     chunk = path.weights[i:j]

@@ -2,6 +2,7 @@
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -34,6 +35,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_traced(capsys, *argv):
+    """``run``, and the tracemalloc peak of it. Meanwhile the address space
+    is capped 512 MiB past its size, so a table that a broken size guard
+    lets through ends in MemoryError, not in the machine's memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as statm:
+        cap = int(statm.read().split()[0]) * resource.getpagesize() + (512 << 20)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    return code, out, err, peak
 
 
 def cost_file(tmp_path, name, matrix):
@@ -144,14 +165,10 @@ def test_decompose_metric_exact_unit_path_400_cycle(tmp_path, capsys):
     assert "lower bound: 399.0\ncost: 399\nratio: 1.000000\n" in out
 
 
-def test_decompose_metric_exact_large_involution_builds_no_table(tmp_path, capsys, monkeypatch,
-                                                                engines_built):
+def test_decompose_metric_exact_large_involution_builds_no_table(tmp_path, capsys, engines_built):
     # 10^4 two-cycles on a 2*10^4-label path: O(k) per cycle, no n^2 path
-    # table and no engine
-    def no_table(path):
-        raise AssertionError("metric-exact built the path's distance table")
-
-    monkeypatch.setattr("permsort.cli.metric_path", no_table)
+    # table and no engine. The path is past TABLE_LIMIT, so building its
+    # table would exit 4
     rng = random.Random(20_000)
     n = 20_000
     order = list(range(1, n + 1))
@@ -270,6 +287,14 @@ def test_decompose_std_method(tmp_path, capsys):
     assert "cost: 111\n" in out
 
 
+def test_decompose_std_trust_raw_unreachable(tmp_path, capsys):
+    # optimized, the bridge (1 3) makes every swap finite; trusted raw, the
+    # ring pairs (2 3) and (4 1) are both inf, and the chain skips only one
+    src = cost_file(tmp_path, "bridged", from_pairs(4, [(1, 2, 1), (3, 4, 1), (1, 3, 2)]))
+    code, out, err = run(capsys, "decompose", src, "(1 2 3 4)", "--method", "std", "--trust-raw")
+    assert (code, out, err) == (3, "", "error: cycle (1 2 3 4) has an unreachable consecutive pair\n")
+
+
 def test_decompose_permutation_from_file(tmp_path, capsys):
     src = cost_file(tmp_path, "sparse", sparse5_raw())
     inline = run(capsys, "decompose", src, "(1 2 3 4 5)")
@@ -352,17 +377,27 @@ def test_undecodable_permutation_file_is_named(tmp_path, capsys):
     assert "0xff" in err
 
 
-def test_cost_header_past_the_table_limit_allocates_nothing(tmp_path, capsys, monkeypatch):
-    def no_table(n, fill):
-        raise AssertionError("allocated a table past the limit")
+HUGE_TABLE_ERROR = ("error: n=100000 exceeds the cost table limit 2000: "
+                    "an n x n table would hold 10000000000 entries\n")
 
-    monkeypatch.setattr("permsort.costs._fresh", no_table)
+
+def test_cost_header_past_the_table_limit_allocates_nothing(tmp_path, capsys):
     f = tmp_path / "huge.cost"
     f.write_text("n 100000\n1 2 1\n")
-    code, out, err = run(capsys, "decompose", str(f), "(1 2)")
-    assert (code, out) == (4, "")
-    assert err == ("error: n=100000 exceeds the cost table limit 2000: "
-                   "an n x n table would hold 10000000000 entries\n")
+    code, out, err, peak = run_traced(capsys, "decompose", str(f), "(1 2)")
+    assert (code, out, err) == (4, "", HUGE_TABLE_ERROR)
+    # the refusal takes about 250 kB; one row of the table alone, 800 kB
+    assert peak < 800_000
+
+
+def test_path_file_of_100000_labels_allocates_nothing(tmp_path, capsys):
+    n = 100_000
+    f = tmp_path / "huge.path"
+    f.write_text(format_path_file(DefiningPath(tuple(range(1, n + 1)), (1,) * (n - 1))))
+    code, out, err, peak = run_traced(capsys, "decompose", str(f), "(1 2)", "--method", "mld")
+    assert (code, out, err) == (4, "", HUGE_TABLE_ERROR)
+    # the parsed path takes about 21 MB; 80 rows of the table, 64 MB
+    assert peak < 64_000_000
 
 
 def test_path_file_past_the_table_limit_needs_metric_exact(tmp_path, capsys):
@@ -481,6 +516,58 @@ def test_oracle_output(tmp_path, capsys):
         """)
 
 
+FLOAT6 = """\
+n 6
+1 2 0.7
+1 3 2.5
+1 4 1.3
+1 5 4.1
+1 6 0.2
+2 3 1.1
+2 4 3.3
+2 5 0.9
+2 6 2.2
+3 4 0.4
+3 5 1.7
+3 6 5.0
+4 5 2.8
+4 6 0.6
+5 6 1.5
+"""
+
+FLOAT5_SPARSE = "n 5\n1 2 0.1\n2 3 0.2\n3 4 0.3\n4 5 0.7\n1 5 2.5\n2 4 0.05\n"
+
+# every pair but (2 3), which is inf and a ring pair of (1 2 3 4 5) and (2 5 3)
+RING_HOLE5 = "n 5\n1 2 2\n1 3 5\n1 4 7\n1 5 1\n2 4 3\n2 5 6\n3 4 1\n3 5 4\n4 5 2\n"
+
+
+def test_oracle_frozen_float_and_ring_hole_tables(tmp_path, capsys):
+    # float sums pin the order L's and S's per-cycle pieces are added in:
+    # on (1 3)(2 5)(4 6), 1.8 + 0.9 + 0.6 prints as 3.3 the other way round
+    cases = [
+        (FLOAT6, "(1 2)(3 4)(5 6)", "2 1 4 3 6 5", "(3 4)(5 6)(1 2)",
+         "M=2.5999999999999996 L=2.6 S=2.6"),
+        (FLOAT6, "(1 3)(2 5)(4 6)", "3 5 1 6 2 4", "(1 6)(4 6)(1 6)(3 4)(4 6)(1 6)(2 5)",
+         "M=3.1 L=3.3000000000000003 S=3.3000000000000003"),
+        (FLOAT6, "(1 2 3 4)(5 6)", "2 3 4 1 6 5", "(1 6)(3 4)(4 6)(1 6)(1 2)(5 6)",
+         "M=3.6 L=3.6 S=3.5999999999999996"),
+        (FLOAT6, "(2 5 6 3)(1 4)", "4 5 2 1 6 3", "(1 6)(2 3)(4 6)(1 2)(1 6)(2 5)",
+         "M=3.6999999999999997 L=4.1 S=4.4"),
+        (FLOAT6, "(1 3 2 5)(4 6)", "3 5 2 6 1 4", "(2 3)(1 2)(4 6)(2 5)",
+         "M=3.3 L=3.3000000000000003 S=4.4"),
+        (FLOAT5_SPARSE, "(1 3)(2 5 4)", "3 5 1 2 4", "(4 5)(2 4)(1 2)(2 3)(1 2)",
+         "M=1.1500000000000001 L=1.15 S=1.15"),
+        (RING_HOLE5, "(1 2 3 4 5)", "2 3 4 5 1", "(3 4)(4 5)(1 5)(1 2)", "M=6 L=6 S=6"),
+        (RING_HOLE5, "(1 4)(2 5 3)", "4 5 2 1 3", "(1 5)(2 4)(3 4)(1 2)(4 5)", "M=9 L=12 S=12"),
+    ]
+    for text, cycles, images, witness, chain in cases:
+        src = tmp_path / "table.cost"
+        src.write_text(text)
+        code, out, err = run(capsys, "oracle", str(src), cycles)
+        assert (code, err) == (0, ""), cycles
+        assert out == f"permutation: {images}\nwitness: {witness}\n{chain} chain OK\n", cycles
+
+
 def test_oracle_runs_one_floyd_warshall(tmp_path, capsys, engines_built):
     # the oracle's floor and phi* for L and S come from one engine
     for name, table, cycles in [("mod5", mod5_raw(), "(1 2 3 4 5)"),
@@ -521,13 +608,12 @@ def test_oracle_size_guard(tmp_path, capsys, engines_built):
     assert not engines_built
 
 
-def test_oracle_env_limit(tmp_path, capsys, monkeypatch):
+def test_oracle_limit_option(tmp_path, capsys):
     seven = from_pairs(7, [(1, 2, 1)])
     src = cost_file(tmp_path, "seven", seven)
-    monkeypatch.setenv("PERMSORT_LIMIT", "6")
-    code, _, err = run(capsys, "oracle", src, "(1 2)")
+    code, _, err = run(capsys, "oracle", src, "(1 2)", "--limit", "6")
     assert code == 4
-    # an explicit --limit wins over the environment
+    assert "exceeds the exhaustive-search limit 6" in err
     code, out, _ = run(capsys, "oracle", src, "(1 2)", "--limit", "7")
     assert code == 0
     assert "M=1" in out
@@ -547,12 +633,11 @@ def test_oracle_answers_a_dense_nine(tmp_path, capsys):
     assert (int(m), verdict) == (witness.cost(raw), "chain OK")
 
 
-def test_oracle_env_limit_must_be_integer(tmp_path, capsys, monkeypatch):
+def test_oracle_limit_must_be_an_integer(tmp_path, capsys):
     src = cost_file(tmp_path, "mod5", mod5_raw())
-    monkeypatch.setenv("PERMSORT_LIMIT", "plenty")
-    code, _, err = run(capsys, "oracle", src, "(1 2 3 4 5)")
+    code, _, err = run(capsys, "oracle", src, "(1 2 3 4 5)", "--limit", "plenty")
     assert code == 1
-    assert "PERMSORT_LIMIT must be an integer" in err
+    assert "argument --limit: invalid int value: 'plenty'" in err
 
 
 def test_bench_frozen_rows(capsys):
@@ -712,7 +797,7 @@ def test_bench_prints_its_csv_once(tmp_path, capsys):
         assert dst.read_text() == csv
 
 
-def test_bench_range_guards(capsys):
+def test_bench_range_guards(capsys, monkeypatch):
     code, _, err = run(capsys, "bench", "2", "5")
     assert code == 1
     assert "need 3 <= kmin <= kmax <= 14" in err
@@ -723,6 +808,10 @@ def test_bench_range_guards(capsys):
     code, _, err = run(capsys, "bench", "3", "5", "--trials", "0")
     assert code == 1
     assert "--trials must be at least 1" in err
+    # refused before the sweep is loaded, let alone forked: importing it fails here
+    monkeypatch.setitem(sys.modules, "permsort.bench", None)
+    code, out, err = run(capsys, "bench", "3", "3", "--trials", "99999999999999999999999")
+    assert (code, out, err) == (1, "", f"error: --trials must be at most {sys.maxsize}\n")
 
 
 def test_usage_errors_exit_one(capsys):

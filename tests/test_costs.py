@@ -42,7 +42,6 @@ def test_lookup_guards():
     m = from_pairs(3, [(1, 2, 5)])
     assert m.cost(2, 1) == 5
     assert m.cost(1, 3) == INF
-    assert not m.is_finite(1, 3)
     with pytest.raises(ValueError):
         m.cost(2, 2)
     with pytest.raises(ValueError):
@@ -141,7 +140,7 @@ def test_format_round_trip():
 def test_defining_path_validation():
     p = DefiningPath((2, 1, 3), (4, 1))
     assert p.n == 3
-    assert p.position(2) == 0 and p.position(3) == 2
+    assert p.positions[2] == 0 and p.positions[3] == 2
     assert segment(p, 2, 3) == (5, 4)
     assert segment(p, 3, 2) == (5, 4)
     with pytest.raises(ValueError):
@@ -204,6 +203,19 @@ def test_cost_header_past_the_table_limit_is_refused():
     # refused at the header line, before the n x n rows are allocated
     with pytest.raises(SizeLimitError, match=f"n={TABLE_LIMIT + 1} exceeds the cost table limit"):
         parse_cost_input(f"n {TABLE_LIMIT + 1}\n1 2 1\n")
+
+
+@pytest.mark.parametrize("build", ["from_pairs", "metric_path", "extended_metric_path"])
+def test_table_builders_refuse_past_the_table_limit(build):
+    # TABLE_LIMIT + 1 labels: a builder that skipped the guard would
+    # allocate about four million entries, and fail the raises
+    n = TABLE_LIMIT + 1
+    path = DefiningPath(tuple(range(1, n + 1)), (1,) * (n - 1))
+    call = {"from_pairs": lambda: from_pairs(n, []),
+            "metric_path": lambda: metric_path(path),
+            "extended_metric_path": lambda: extended_metric_path(path)}[build]
+    with pytest.raises(SizeLimitError, match=f"^n={n} exceeds the cost table limit {TABLE_LIMIT}: "):
+        call()
 
 
 def test_metric_path_distances():

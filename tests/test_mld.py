@@ -4,7 +4,6 @@ import random
 import pytest
 
 from permsort import (
-    INF,
     Cycle,
     Decomposition,
     DefiningPath,
@@ -13,6 +12,7 @@ from permsort import (
     metric_path,
     metric_path_mcd,
     min_cost_mld,
+    permutation_from_cycles,
     permutation_lower_bound,
     shortest_swaps,
     std_decomposition,
@@ -40,7 +40,8 @@ def optimized(table):
 
 def cycle_floor(cycle, table):
     # the permutation lower bound of one cycle, over the table's distances
-    return permutation_lower_bound(cycle.as_permutation(table.n), shortest_swaps(table).dist)
+    p = permutation_from_cycles(table.n, [cycle])
+    return permutation_lower_bound(p, shortest_swaps(table).dist)
 
 
 def pairs_dict(matrix):
@@ -63,7 +64,7 @@ def test_dp4_reconstruction():
     d, cost = min_cost_mld(Cycle((1, 2, 3, 4)), star)
     assert cost == 8
     assert [t.pair for t in d] == [(2, 4), (2, 3), (1, 4)]
-    assert validate_decomposition(d, Cycle((1, 2, 3, 4)).as_permutation())
+    assert validate_decomposition(d, permutation_from_cycles(4, [(1, 2, 3, 4)]))
     assert d.cost(star) == 8
 
 
@@ -105,7 +106,7 @@ def test_rebuild_follows_a_deep_split_chain():
     seq = _rebuild(cyc.elements, lambda i, j: split[i][j], 1, k)
     assert len(seq) == k - 1
     assert [t.pair for t in seq[:2]] == [(k - 1, k), (k - 2, k)]
-    assert validate_decomposition(Decomposition(tuple(seq)), cyc.as_permutation())
+    assert validate_decomposition(Decomposition(tuple(seq)), permutation_from_cycles(k, [cyc]))
 
 
 def test_dp_tie_break_prefers_small_r_then_small_s():
@@ -147,8 +148,8 @@ def test_std_skips_the_last_of_tied_maxima():
 
 def test_std_reports_unreachable_chains():
     table = from_pairs(4, [(1, 2, 1), (3, 4, 1)]).assume_optimized()
-    d, cost = std_decomposition(Cycle((1, 2, 3, 4)), table)
-    assert d is None and cost == INF
+    with pytest.raises(InfeasibleError, match=r"^cycle \(1 2 3 4\) has an unreachable consecutive pair$"):
+        std_decomposition(Cycle((1, 2, 3, 4)), table)
 
 
 def test_std_single_label():
@@ -169,8 +170,8 @@ def test_ring10_cycle_quantities():
     assert mld_cost == 20
     assert std_cost == 28
     assert cycle_floor(c, star) == 10
-    assert validate_decomposition(mld, c.as_permutation(10))
-    assert validate_decomposition(std, c.as_permutation(10))
+    assert validate_decomposition(mld, permutation_from_cycles(10, [c]))
+    assert validate_decomposition(std, permutation_from_cycles(10, [c]))
 
 
 def test_cycle_lower_bound_values():
@@ -230,9 +231,9 @@ def test_dp_is_monotone_in_the_table():
 def test_tree_decomposition_star_and_path():
     cyc = Cycle((1, 2, 3, 4))
     fan = tree_decomposition(cyc, [(1, 2), (1, 3), (1, 4)])
-    assert validate_decomposition(fan, cyc.as_permutation())
+    assert validate_decomposition(fan, permutation_from_cycles(4, [cyc]))
     chain = tree_decomposition(cyc, [(1, 2), (2, 3), (3, 4)])
-    assert validate_decomposition(chain, cyc.as_permutation())
+    assert validate_decomposition(chain, permutation_from_cycles(4, [cyc]))
 
 
 def test_tree_decomposition_rejects_bad_trees():
@@ -255,7 +256,7 @@ def test_tree_decomposition_random_noncrossing_trees():
         cyc = Cycle(tuple(labels))
         enum = mld_exact_enumeration(cyc, random_table(9, rng, hi=9).assume_optimized())
         assert enum.witness is not None
-        assert validate_decomposition(enum.witness, cyc.as_permutation(9))
+        assert validate_decomposition(enum.witness, permutation_from_cycles(9, [cyc]))
 
 
 def test_metric_path_mcd_frozen():
@@ -263,7 +264,7 @@ def test_metric_path_mcd_frozen():
     table = metric_path(path)
     d, cost = metric_path_mcd(Cycle((1, 2, 3, 4, 5)), path)
     assert cost == 7
-    assert validate_decomposition(d, Cycle((1, 2, 3, 4, 5)).as_permutation())
+    assert validate_decomposition(d, permutation_from_cycles(5, [(1, 2, 3, 4, 5)]))
     # half the ring sum: (1+2+1+3+7) / 2
     assert cost == cycle_floor(Cycle((1, 2, 3, 4, 5)), table)
 
@@ -277,7 +278,7 @@ def test_metric_path_mcd_long_cycle_needs_no_recursion():
     d, cost = metric_path_mcd(cyc, path)
     assert cost == n - 1
     assert len(d) == n - 1
-    assert validate_decomposition(d, cyc.as_permutation(n))
+    assert validate_decomposition(d, permutation_from_cycles(n, [cyc]))
 
 
 def test_metric_path_mcd_float_weights_meet_the_floor():
@@ -287,7 +288,7 @@ def test_metric_path_mcd_float_weights_meet_the_floor():
     table = metric_path(path)
     cyc = Cycle((1, 2, 3, 4, 5))
     d, cost = metric_path_mcd(cyc, path)
-    assert validate_decomposition(d, cyc.as_permutation(5))
+    assert validate_decomposition(d, permutation_from_cycles(5, [cyc]))
     assert cost == pytest.approx(cycle_floor(cyc, table))
 
 
@@ -302,7 +303,7 @@ def test_metric_path_mcd_random_orders():
         k = rng.randint(2, n)
         cyc = Cycle(tuple(rng.sample(range(1, n + 1), k)))
         d, cost = metric_path_mcd(cyc, path)
-        assert validate_decomposition(d, cyc.as_permutation(n))
+        assert validate_decomposition(d, permutation_from_cycles(n, [cyc]))
         assert cost == cycle_floor(cyc, table)
         # the DP on the same table can do no better than the exact floor
         _, dp_cost = min_cost_mld(cyc, optimized(table))

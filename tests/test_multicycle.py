@@ -21,7 +21,7 @@ from permsort import (
     shortest_swaps,
     validate_decomposition,
 )
-from permsort.multicycle import mld_std_totals
+from permsort.mld import mld_cost
 
 from frozen import RING10_IMAGES, random_table, ring10_raw, sparse5_raw
 from reference_routes import _attainable, sharpened_lower_bound
@@ -200,7 +200,8 @@ def bounds(p, raw):
     """The floor, its integer sharpening, L, S and the merged cost, from one engine."""
     engine = shortest_swaps(raw)
     lower_bound = permutation_lower_bound(p, engine.dist)
-    big_l, big_s = mld_std_totals(p, engine.optimized)
+    big_l = decompose(p, engine.optimized, "mld")[1]
+    big_s = decompose(p, engine.optimized, "std")[1]
     _, merged = merged_decompose(p, engine.optimized)
     return lower_bound, sharpened_lower_bound(p, raw, lower_bound), big_l, big_s, merged
 
@@ -230,7 +231,7 @@ def test_bound_report_merge_infeasible_is_inf():
     raw = from_pairs(4, [(1, 2, 1), (3, 4, 1)])
     p = Permutation((2, 1, 4, 3))
     star = shortest_swaps(raw).optimized
-    assert mld_std_totals(p, star) == (2, 2)
+    assert (decompose(p, star, "mld")[1], decompose(p, star, "std")[1]) == (2, 2)
     with pytest.raises(InfeasibleError):
         merged_decompose(p, star)
 
@@ -254,3 +255,5 @@ def test_random_strategies_respect_bounds():
             d, cost = decompose(p, star, method)
             assert validate_decomposition(d, p)
             assert cost == {"mld": big_l, "std": big_s, "merge": merged}[method]
+        # the value-only DP that bench reads sums to the same L
+        assert sum(mld_cost(c, star) for c in nontrivial_cycles(p)) == big_l

@@ -40,7 +40,6 @@ from permsort import (  # noqa: E402
     Permutation,
     Transposition,
     all_pairs_optimize,
-    cycles,
     decompose,
     expand_transposition,
     extended_metric_path,
@@ -68,10 +67,10 @@ from permsort import (  # noqa: E402
 from permsort.costs import _format_value, tolerance  # noqa: E402
 from permsort.errors import CostParseError, InfeasibleError  # noqa: E402
 from permsort.mld import _rebuild, mld_cost  # noqa: E402
-from permsort.multicycle import mld_std_totals  # noqa: E402
 
 from reference_routes import (  # noqa: E402
     bellman_ford,
+    cycles,
     extended_metric_path_optimized,
     floyd_warshall_square,
     mcd_dijkstra,
@@ -184,7 +183,7 @@ def test_lower_bound_matches_bellman_ford_route(case):
         else:
             assert permutation_lower_bound(p, dist) == want
     if want != INF:
-        per_cycle = [permutation_lower_bound(c.as_permutation(raw.n), engine.dist)
+        per_cycle = [permutation_lower_bound(permutation_from_cycles(raw.n, [c]), engine.dist)
                      for c in nontrivial_cycles(p)]
         assert sum(per_cycle) == want
 
@@ -216,7 +215,8 @@ def test_bounds_chain_around_the_exhaustive_minimum(case):
         return
     lb = permutation_lower_bound(p, engine.dist)
     sharp = sharpened_lower_bound(p, raw, lb)
-    big_l, big_s = mld_std_totals(p, engine.optimized)
+    big_l = decompose(p, engine.optimized, "mld")[1]
+    big_s = decompose(p, engine.optimized, "std")[1]
     assert lb <= sharp <= m <= big_l <= big_s <= 4 * m
 
 
@@ -258,7 +258,7 @@ def test_metric_path_mcd_equals_the_segment_tree_route(case):
     want_cost = sum(path.distance(u, v) for u, v in edges)
     assert sorted(t.pair for t in d) == sorted(t.pair for t in want)
     assert (type(cost), repr(cost)) == (type(want_cost), repr(want_cost))
-    assert validate_decomposition(d, cyc.as_permutation(path.n))
+    assert validate_decomposition(d, permutation_from_cycles(path.n, [cyc]))
 
 
 @PROPERTY
@@ -417,7 +417,7 @@ def test_adjacent_only_paths_stay_within_twice_the_minimum(path, data):
         assert abs(got - want) <= tolerance(got, want)
     p = Permutation(tuple(data.draw(st.permutations(range(1, path.n + 1)))))
     m = mcd_exact(p, shortest_swaps(raw), ORACLE_N).min_cost
-    big_l, _ = mld_std_totals(p, star)
+    big_l = decompose(p, star, "mld")[1]
     assert big_l <= 2 * m + tolerance(big_l, m)
 
 
@@ -519,8 +519,10 @@ def test_path_table_builders_pass_the_full_check(case):
 
 
 @PROPERTY
-@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))), st.booleans())
-def test_permutation_text_round_trip(images, skip_fixed):
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_permutation_text_round_trip(images):
     p = Permutation(tuple(images))
     assert parse_one_line(format_one_line(p)) == p
-    assert parse_cycles(format_cycles(cycles(p), skip_fixed=skip_fixed), p.n) == p
+    # the parser also reads fixed points written as 1-cycles
+    for written in (nontrivial_cycles(p), cycles(p)):
+        assert parse_cycles(format_cycles(written), p.n) == p
