@@ -2,10 +2,11 @@
 
 Workflow: parse or build a cost table, optimize it so every swap price
 reflects the cheapest route that realizes the swap, then decompose each
-cycle (or the merged cycle) against the optimized table. The oracle module
-cross-checks everything exhaustively on small instances; it, and with it
-``heapq``, is imported on first use of ``mcd_exact`` or
-``CayleySearchResult``, so commands other than ``oracle`` never load it.
+cycle (or the merged cycle) against the optimized table. Every solver,
+the oracle's ``mcd_exact`` included, returns ``(Decomposition, cost)`` or
+raises InfeasibleError. The oracle cross-checks everything exhaustively on
+small instances; it, and with it ``heapq``, is imported on first use of
+``mcd_exact``, so commands other than ``oracle`` never load it.
 """
 from .costs import (
     CostMatrix,
@@ -29,7 +30,6 @@ from .mld import (
 from .multicycle import (
     decompose,
     merge_cycles,
-    merged_decompose,
     permutation_lower_bound,
 )
 from .optimize import (
@@ -58,18 +58,14 @@ from .permutation import (
 
 __version__ = "0.1.0"
 
-_ORACLE_NAMES = ("CayleySearchResult", "mcd_exact")
-
-
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
+    if name == "mcd_exact":
         from . import oracle
         return getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
-    "CayleySearchResult",
     "ContractError",
     "CostMatrix",
     "CostParseError",
@@ -96,7 +92,6 @@ __all__ = [
     "inverse",
     "mcd_exact",
     "merge_cycles",
-    "merged_decompose",
     "metric_path",
     "metric_path_mcd",
     "min_cost_mld",

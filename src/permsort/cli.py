@@ -18,7 +18,6 @@ from pathlib import Path
 from .costs import (
     CostMatrix,
     DefiningPath,
-    INF,
     _format_value,
     format_cost_file,
     metric_path,
@@ -178,8 +177,6 @@ def _cmd_decompose(args) -> int:
         raise CostParseError("--expand applies to optimized-table methods only")
 
     if args.method == "metric-exact":
-        if not isinstance(raw, DefiningPath):
-            raise CostParseError("metric-exact needs a defining-path file")
         d, cost = decompose(p, raw, "metric-exact")
         dist = raw    # path distances already are shortest
     else:
@@ -243,18 +240,10 @@ def _cmd_oracle(args) -> int:
     _check_limit(p.n, args.limit)    # before the O(n^3) engine
     # one Floyd-Warshall: the oracle's floor, and phi* for L and S
     engine = shortest_swaps(raw)
-    result = mcd_exact(p, engine, args.limit)
-    if result.min_cost == INF:
-        raise InfeasibleError("target unreachable: some required swap has no finite route")
-    witness = result.witness
-    assert witness is not None
-    if not validate_decomposition(witness, p):
-        raise ContractError("oracle witness failed validation")
-
+    witness, m = mcd_exact(p, engine, args.limit)
     l_total = decompose(p, engine.optimized, "mld")[1]
     s_total = decompose(p, engine.optimized, "std")[1]
 
-    m = result.min_cost
     print(f"permutation: {format_one_line(p)}")
     print(f"witness: {witness if len(witness) else '(none)'}")
     tol = tolerance(m, l_total, s_total)

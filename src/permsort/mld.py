@@ -86,15 +86,13 @@ def _fill(cycle: Cycle, costs: CostMatrix) -> tuple[list[list[Number]], ...]:
     return phi, row, col, brow
 
 
-def _split(tables: tuple[list[list[Number]], ...], i: int, j: int) -> Edge | None:
-    """(s, r) for C(i, j), j >= i + 2, or None when it is inf: the smallest r
-    whose (B(i, r) + C(r, j)) + phi(i, r) is C(i, j), then the smallest s whose
+def _split(tables: tuple[list[list[Number]], ...], i: int, j: int) -> Edge:
+    """(s, r) for a finite C(i, j), j >= i + 2: the smallest r whose
+    (B(i, r) + C(r, j)) + phi(i, r) is C(i, j), then the smallest s whose
     ((C(i, s) + C(s+1, r)) + C(r, j)) + phi(i, r) is. Float addition is
     monotone, so the s attaining B(i, r) is one."""
     phi, row, col, brow = tables
     best = row[i][j - i]
-    if best == INF:
-        return None
     totals = list(map(add, map(add, brow[i], col[j][j - i - 1::-1]), phi[i][i + 1:]))
     r = i + 1 + totals.index(best)
     ri, tail, edge = row[i], col[j][j - r], phi[i][r]
@@ -102,7 +100,8 @@ def _split(tables: tuple[list[list[Number]], ...], i: int, j: int) -> Edge | Non
 
 
 def _rebuild(labels: tuple[int, ...], split: Callable, i: int, j: int) -> list[Transposition]:
-    """Positions i..j, each split(i, j) asked for once: (s+1..r), (i r), (r..j), (i..s)."""
+    """Positions i..j, each split(i, j) asked for once: (s+1..r), (i r), (r..j), (i..s).
+    C(i, j) is finite, and so, its terms being non-negative, is every part of its split."""
     out: list[Transposition] = []
     stack: list[tuple[int, int] | Transposition] = [(i, j)]
     while stack:
@@ -116,10 +115,7 @@ def _rebuild(labels: tuple[int, ...], split: Callable, i: int, j: int) -> list[T
         if j == i + 1:
             out.append(Transposition(labels[i - 1], labels[j - 1]))
             continue
-        chosen = split(i, j)
-        if chosen is None:
-            raise InfeasibleError(f"sub-cycle positions {i}..{j} admit no finite decomposition")
-        s, r = chosen
+        s, r = split(i, j)
         stack += [(i, s), (r, j), Transposition(labels[i - 1], labels[r - 1]), (s + 1, r)]
     return out
 

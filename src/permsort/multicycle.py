@@ -6,7 +6,7 @@ the pieces: with 'mld' its cost is L, the paper's interval-DP total, and
 with 'std' it is S, the chain total. Sometimes gluing helps instead: joining
 the cycles into one big cycle with cheap extra transpositions, decomposing
 that, and prepending the joins' inverses can beat the per-cycle total
-because the bigger cycle has more routing freedom.
+because the bigger cycle has more routing freedom; method 'merge' does so.
 
 ``merge_cycles`` picks the joins by Kruskal's algorithm over phi*: the
 swaps between moved elements of different cycles are sorted once by cost,
@@ -57,6 +57,7 @@ def permutation_lower_bound(p: Permutation, dist: Sequence[Sequence[Number]] | D
     else:
         n, distance = len(dist), lambda a, b: dist[a - 1][b - 1]
     total: Number = 0
+    halves: Number = 0    # the floor where the plain total passes the largest double
     for c in nontrivial_cycles(p):
         labels = c.elements
         if max(labels) > n:
@@ -66,7 +67,8 @@ def permutation_lower_bound(p: Permutation, dist: Sequence[Sequence[Number]] | D
             if d == INF:
                 raise InfeasibleError(f"no finite swap route from {a} to {b}")
             total += d
-    return total / 2
+            halves += d / 2
+    return total / 2 if total != INF else halves
 
 
 def merge_cycles(
@@ -114,6 +116,8 @@ def merge_cycles(
                 raise ValueError(f"join ({a}, {b}) touches a fixed element")
             if not bind(a, b):
                 raise ValueError(f"join ({a}, {b}) does not link two separate cycles")
+            if phi_star.cost(a, b) == INF:
+                raise InfeasibleError(f"join ({a}, {b}) has no finite cost")
         if len(applied) != len(moved) - 1:
             raise ValueError("joins given do not merge all cycles")
     elif len(moved) > 1:
@@ -138,22 +142,6 @@ def merge_cycles(
     return tau, merged_cycles[0]
 
 
-def merged_decompose(
-    p: Permutation,
-    phi_star: CostMatrix,
-    joins: Sequence[tuple[int, int]] | None = None,
-) -> tuple[Decomposition, Number]:
-    """Merge the cycles, decompose the merged cycle, undo the joins up front."""
-    if p.is_identity():
-        return Decomposition(), 0
-    tau, merged = merge_cycles(p, phi_star, joins)
-    mld, sigma_cost = min_cost_mld(merged, phi_star)
-    d = Decomposition(tuple(reversed(tau.transpositions)) + mld.transpositions)
-    if not validate_decomposition(d, p):
-        raise ContractError("merged decomposition does not multiply back to the input")
-    return d, tau.cost(phi_star) + sigma_cost
-
-
 def decompose(
     p: Permutation,
     costs: CostMatrix | DefiningPath,
@@ -165,26 +153,37 @@ def decompose(
 
     'mld' and 'std' work cycle by cycle on an optimized table, 'merge' glues
     the cycles first, 'metric-exact' takes the defining path itself as
-    ``costs`` and reads every distance off it.
+    ``costs`` and reads every distance off it. Raises InfeasibleError when a
+    piece is infeasible or the pieces sum past the largest double.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
+    if method == "metric-exact" and not isinstance(costs, DefiningPath):
+        raise ValueError("metric-exact needs a defining-path file")
     if p.is_identity():
         return Decomposition(), 0
-    if method == "merge":
-        return merged_decompose(p, costs, joins)
-    if method == "metric-exact" and not isinstance(costs, DefiningPath):
-        raise ValueError("metric-exact needs the defining path")
 
-    per_cycle = {"mld": min_cost_mld, "std": std_decomposition,
-                 "metric-exact": metric_path_mcd}[method]
-    seq: list[Transposition] = []
-    total: Number = 0
-    for c in nontrivial_cycles(p):
-        d, piece = per_cycle(c, costs)
-        seq.extend(d.transpositions)
-        total += piece
-    out = Decomposition(tuple(seq))
+    if method == "merge":
+        # the joins' inverses up front, then an MLD of the merged cycle
+        tau, merged = merge_cycles(p, costs, joins)
+        mld, sigma_cost = min_cost_mld(merged, costs)
+        out = Decomposition(tuple(reversed(tau.transpositions)) + mld.transpositions)
+        total = tau.cost(costs) + sigma_cost
+        broken = "merged decomposition does not multiply back to the input"
+    else:
+        per_cycle = {"mld": min_cost_mld, "std": std_decomposition,
+                     "metric-exact": metric_path_mcd}[method]
+        seq: list[Transposition] = []
+        total = 0
+        for c in nontrivial_cycles(p):
+            d, piece = per_cycle(c, costs)
+            seq.extend(d.transpositions)
+            total += piece
+        out = Decomposition(tuple(seq))
+        broken = "per-cycle decomposition does not multiply back to the input"
     if not validate_decomposition(out, p):
-        raise ContractError("per-cycle decomposition does not multiply back to the input")
+        raise ContractError(broken)
+    if total == INF:
+        # every piece is finite, so their sum passed the largest double
+        raise InfeasibleError("decomposition cost sums past the float range")
     return out, total

@@ -22,8 +22,9 @@ distance M, and no state at M or beyond can precede it. Every state on a
 cheapest path to a closed state, and every tight predecessor of one, has
 g + h no larger than that state's, so it is closed too. Dijkstra replayed
 over the closed states alone therefore relaxes every edge that decides M
-and the witness, and returns both bit for bit. A floor of inf means some
-label cannot reach its place, and the identity is unreachable.
+and the witness, and returns both bit for bit, as ``(witness, M)``. A floor
+of inf means some label cannot reach its place: the identity is unreachable,
+and ``mcd_exact`` raises InfeasibleError.
 
 Every key the search compares stays below 8n times the sum of the finite
 weights: a distance is at most that sum, the floor at most n times it and
@@ -40,17 +41,9 @@ from __future__ import annotations
 import heapq
 
 from .costs import INF, Number, tolerance
-from .errors import DEFAULT_LIMIT, SizeLimitError
+from .errors import DEFAULT_LIMIT, ContractError, InfeasibleError, SizeLimitError
 from .optimize import ShortestSwaps
-from .permutation import Decomposition, Permutation, Transposition
-from .values import Frozen
-
-
-class CayleySearchResult(Frozen):
-    """``CayleySearchResult(target, min_cost, witness)``; the witness is a
-    ``Decomposition``, or None when the target is unreachable."""
-
-    __slots__ = _fields = ("target", "min_cost", "witness")
+from .permutation import Decomposition, Permutation, Transposition, validate_decomposition
 
 
 def _check_limit(n: int, limit: int):
@@ -61,15 +54,16 @@ def _check_limit(n: int, limit: int):
         )
 
 
-def mcd_exact(p: Permutation, engine: ShortestSwaps, limit: int = DEFAULT_LIMIT) -> CayleySearchResult:
+def mcd_exact(p: Permutation, engine: ShortestSwaps,
+              limit: int = DEFAULT_LIMIT) -> tuple[Decomposition, Number]:
     """True minimum-cost sorting by shortest path through S_n.
 
     A* from p over image tuples under the paper's floor, then Dijkstra
     replayed over the states the A* closed (see the module docstring). The
-    swaps are ``engine.raw``'s and the floor reads ``engine.dist``. The
-    witness multiplies back to p and its cost is exactly ``min_cost``.
-    Unreachable targets (infinite costs can disconnect the graph) come back
-    with cost inf and no witness.
+    swaps are ``engine.raw``'s and the floor reads ``engine.dist``. Returns
+    the witness, which multiplies back to p, and its cost M. Raises
+    InfeasibleError when the target is unreachable: infinite costs can
+    disconnect the graph, and float sums can pass the largest double.
     """
     n = p.n
     costs = engine.raw
@@ -86,17 +80,16 @@ def mcd_exact(p: Permutation, engine: ShortestSwaps, limit: int = DEFAULT_LIMIT)
         dist = engine.dist
     start = p.images
     floor = sum(dist[i][x - 1] for i, x in enumerate(start))
-    if floor == INF:
-        # some label cannot reach its place; otherwise the swaps inside each
-        # connected component generate every permutation of it
-        return CayleySearchResult(p, INF, None)
-    closed = _closed_states(start, floor, swaps, dist)
+    # an infinite floor: some label cannot reach its place; otherwise the
+    # swaps inside each connected component generate every permutation of it
+    closed = _closed_states(start, floor, swaps, dist) if floor != INF else set()
     if tuple(range(1, n + 1)) not in closed:
-        # float sums past the largest double: every route costs inf
-        return CayleySearchResult(p, INF, None)
+        # with a finite floor, float sums past the largest double: every route costs inf
+        raise InfeasibleError("target unreachable: some required swap has no finite route")
     cost, witness = _replay(start, swaps, closed)
-    assert witness.product(n) == p
-    return CayleySearchResult(p, cost, witness)
+    if not validate_decomposition(witness, p):
+        raise ContractError("oracle witness failed validation")
+    return witness, cost
 
 
 def _closed_states(start: tuple[int, ...], floor: Number, swaps, dist) -> set[tuple[int, ...]]:

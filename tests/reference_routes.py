@@ -21,7 +21,7 @@ can require equal results:
 - ``mcd_dijkstra``: the exhaustive minimum M and its witness by plain
   Dijkstra through S_n, the search ``mcd_exact`` narrows with A*;
 - ``transposition_min_cost_exact``: phi*(a, b) as the exhaustive minimum
-  of ``mcd_exact`` on the single swap;
+  of ``mcd_exact`` on the single swap, inf where it is unreachable;
 - ``transposition_path_cost``: the swap cost 2 * total - max edge along a
   concrete path;
 - ``floyd_warshall_square``: the engine's Floyd-Warshall with next hops
@@ -139,11 +139,13 @@ class MldTable:
 
 
 def mld_table(cycle: Cycle, costs: CostMatrix) -> MldTable:
-    """The interval table with every split. Ties pick the smallest r, then smallest s."""
+    """The interval table with every split, None on an infinite interval.
+    Ties pick the smallest r, then smallest s."""
     tables = _fill(cycle, costs)
     k = cycle.k
     cost = ((0,) * (k + 1),) + tuple((0,) * i + tuple(tables[1][i]) for i in range(1, k + 1))
-    split = tuple(tuple(_split(tables, i, j) if 0 < i < j - 1 else None for j in range(k + 1))
+    split = tuple(tuple(_split(tables, i, j) if 0 < i < j - 1 and cost[i][j] != INF else None
+                        for j in range(k + 1))
                   for i in range(k + 1))
     return MldTable(cycle, cost, split)
 
@@ -562,7 +564,10 @@ def transposition_min_cost_exact(a: int, b: int, costs: CostMatrix,
     """Exhaustively computed cheapest way to realize a single swap."""
     images = list(range(1, costs.n + 1))
     images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
-    return mcd_exact(Permutation(tuple(images)), shortest_swaps(costs), limit).min_cost
+    try:
+        return mcd_exact(Permutation(tuple(images)), shortest_swaps(costs), limit)[1]
+    except InfeasibleError:
+        return INF
 
 
 def transposition_path_cost(path: Sequence[int], costs: CostMatrix) -> Number:

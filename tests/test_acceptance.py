@@ -19,7 +19,6 @@ from permsort import (
     expand_decomposition,
     extended_metric_path,
     mcd_exact,
-    merged_decompose,
     metric_path,
     metric_path_mcd,
     min_cost_mld,
@@ -145,7 +144,7 @@ def test_criterion_04():
     # in two orders since (23) and (14) commute: (24)(23)(14), which the
     # frozen splits rebuild and the exhaustive search returns, and
     # (24)(14)(23). The old sequence stays checked as valid and costing 13.
-    assert mcd_exact(p, shortest_swaps(dp4_raw())).min_cost == cost
+    assert mcd_exact(p, shortest_swaps(dp4_raw()))[1] == cost
     named = Decomposition((Transposition(3, 4), Transposition(2, 4), Transposition(1, 4)))
     assert validate_decomposition(named, p)
     assert named.cost(star) == 13
@@ -158,9 +157,9 @@ def test_criterion_05():
     # on the mod-5 table, with the sandwich M <= L <= S <= 4M
     t0 = time.perf_counter()
     raw = mod5_raw()
-    exact = mcd_exact(FIVE_CYCLE, shortest_swaps(raw))
-    assert exact.min_cost == 6
-    emit("c5 exact", exact.witness, FIVE_CYCLE)
+    witness, m = mcd_exact(FIVE_CYCLE, shortest_swaps(raw))
+    assert m == 6
+    emit("c5 exact", witness, FIVE_CYCLE)
 
     star = all_pairs_optimize(raw)
     cyc = nontrivial_cycles(FIVE_CYCLE)[0]
@@ -172,7 +171,7 @@ def test_criterion_05():
     assert s_cost == 12
     emit("c5 std", std, FIVE_CYCLE)
 
-    assert exact.min_cost <= l_cost <= s_cost <= 4 * exact.min_cost
+    assert m <= l_cost <= s_cost <= 4 * m
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -213,7 +212,7 @@ def test_criterion_07():
     std, std_cost = decompose(p, star, "std")
     assert std_cost == 56
     emit("c7 std", std, p)
-    merged, merged_cost = merged_decompose(p, star, joins=[(1, 2)])
+    merged, merged_cost = decompose(p, star, "merge", joins=[(1, 2)])
     assert merged_cost == 38
     emit("c7 merged", merged, p)
     assert permutation_lower_bound(p, engine.dist) == 20.0
@@ -244,9 +243,9 @@ def test_criterion_08():
         assert dp_cost == cost
         emit("c8 dp", dp_d, p)
 
-        exact = mcd_exact(p, shortest_swaps(metric))
-        assert exact.min_cost == cost
-        emit("c8 exact", exact.witness, p)
+        witness, m = mcd_exact(p, shortest_swaps(metric))
+        assert m == cost
+        emit("c8 exact", witness, p)
     assert time.perf_counter() - t0 < 60.0
 
 
@@ -269,9 +268,9 @@ def test_criterion_09():
         p = permutation_from_cycles(n, [cyc])
         d, dp_cost = min_cost_mld(cyc, closed)
         emit("c9 dp", d, p)
-        exact = mcd_exact(p, shortest_swaps(raw))
-        emit("c9 exact", exact.witness, p)
-        assert dp_cost <= 2 * exact.min_cost
+        witness, m = mcd_exact(p, shortest_swaps(raw))
+        emit("c9 exact", witness, p)
+        assert dp_cost <= 2 * m
 
 
 def test_criterion_10():
@@ -285,9 +284,8 @@ def test_criterion_10():
         rng.shuffle(images)
         p = Permutation(tuple(images))
 
-        exact = mcd_exact(p, shortest_swaps(raw))
-        m = exact.min_cost
-        emit("c10 exact", exact.witness, p)
+        witness, m = mcd_exact(p, shortest_swaps(raw))
+        emit("c10 exact", witness, p)
 
         engine = shortest_swaps(raw)
         star = engine.optimized

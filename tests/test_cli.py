@@ -22,7 +22,7 @@ from permsort import (
     parse_cycles,
     validate_decomposition,
 )
-from permsort import ContractError, CostParseError, InfeasibleError, SizeLimitError, bench
+from permsort import ContractError, CostParseError, InfeasibleError, SizeLimitError, bench, cli, oracle
 from permsort.bench import bench_rows
 from permsort.cli import main
 
@@ -338,11 +338,12 @@ def test_expand_rejected_for_metric_exact(tmp_path, capsys):
 
 
 def test_parse_error_carries_line_number(tmp_path, capsys):
-    f = tmp_path / "bad.cost"
-    f.write_text("n 3\n1 2 1\n1 3 -4\n")
-    code, _, err = run(capsys, "decompose", str(f), "(1 2)")
-    assert code == 1
-    assert "line 3" in err
+    for text, error in (("n 3\n1 2 1\n1 3 -4\n", "line 3: bad cost value '-4'"),
+                        ("n 3\n1 x 2\n", "line 2: bad pair in '1 x 2'"),
+                        ("path\n1 x 3\n1 1\n", "line 2: bad path order '1 x 3'")):
+        f = tmp_path / "bad"
+        f.write_text(text)
+        assert run(capsys, "decompose", str(f), "(1 2)") == (1, "", f"error: {error}\n")
 
 
 def test_missing_cost_file(tmp_path, capsys):
@@ -400,7 +401,12 @@ def test_path_file_of_100000_labels_allocates_nothing(tmp_path, capsys):
     assert peak < 64_000_000
 
 
-def test_path_file_past_the_table_limit_needs_metric_exact(tmp_path, capsys):
+def test_path_file_past_the_table_limit_needs_metric_exact(tmp_path, capsys, monkeypatch):
+    # a table past the limit that reaches Floyd-Warshall fails here at once
+    # rather than running for minutes
+    def built_past_the_limit(raw):
+        pytest.fail(f"a table of {raw.n} labels reached shortest_swaps")
+    monkeypatch.setattr(cli, "shortest_swaps", built_past_the_limit)
     n = 2001
     f = tmp_path / "long.path"
     f.write_text(format_path_file(DefiningPath(tuple(range(1, n + 1)), (1,) * (n - 1))))
@@ -411,6 +417,69 @@ def test_path_file_past_the_table_limit_needs_metric_exact(tmp_path, capsys):
     code, out, err = run(capsys, "decompose", str(f), "(1 2)", "--method", "metric-exact")
     assert (code, err) == (0, "")
     assert "cost: 1\n" in out
+
+
+def test_metric_exact_on_a_table_file(tmp_path, capsys):
+    # the identity is refused too: the check runs before its shortcut
+    src = cost_file(tmp_path, "unit3", from_pairs(3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)]))
+    for perm in ("2 3 1", "1 2 3"):
+        code, out, err = run(capsys, "decompose", src, perm, "--method", "metric-exact")
+        assert (code, out, err) == (1, "", "error: metric-exact needs a defining-path file\n"), perm
+
+
+def test_free_swaps_meet_a_zero_bound(tmp_path, capsys):
+    src = cost_file(tmp_path, "zero3", from_pairs(3, [(1, 2, 0), (1, 3, 0), (2, 3, 0)]))
+    code, out, err = run(capsys, "decompose", src, "(1 2 3)")
+    assert (code, err) == (0, "")
+    assert out == dedent("""\
+        permutation: 2 3 1
+        cycles: (1 2 3)
+        method: mld
+        lower bound: 0.0
+        cost: 0
+        ratio: 0.000000
+        # transpositions are applied right-to-left
+        decomposition: (1 2)(2 3)
+        """)
+
+
+def test_float_distances_summing_past_the_largest_double(tmp_path, capsys):
+    # the floor halves 1e308 and 1e308 before it adds them
+    src = cost_file(tmp_path, "huge", from_pairs(2, [(1, 2, 1e308)]))
+    code, out, err = run(capsys, "decompose", src, "(1 2)")
+    assert (code, err) == (0, "")
+    assert out == dedent("""\
+        permutation: 2 1
+        cycles: (1 2)
+        method: mld
+        lower bound: 1e+308
+        cost: 1e+308
+        ratio: 1.000000
+        # transpositions are applied right-to-left
+        decomposition: (1 2)
+        """)
+
+
+def test_decomposition_cost_summing_past_the_largest_double(tmp_path, capsys):
+    # every piece is finite, their sum is not
+    two = cost_file(tmp_path, "two", from_pairs(4, [(1, 2, 1e308), (3, 4, 1e308)]))
+    big3 = cost_file(tmp_path, "big3", from_pairs(3, [(1, 2, 1.5e308), (1, 3, 1.5e308),
+                                                      (2, 3, 1.5e308)]))
+    overflow = "error: decomposition cost sums past the float range\n"
+    for argv, err in (
+            (("decompose", two, "(1 2)(3 4)"), overflow),
+            (("decompose", big3, "(1 2 3)", "--method", "std", "--trust-raw"), overflow),
+            (("decompose", two, "(1 2)(3 4)", "--method", "merge"),
+             "error: cycle (1 2 3 4) admits no finite-cost decomposition\n")):
+        assert run(capsys, *argv) == (3, "", err), argv
+
+
+def test_forced_join_of_infinite_cost(tmp_path, capsys):
+    # trusted raw, (1 3) stays inf though the chain 1-2-3-4 links the cycles
+    src = cost_file(tmp_path, "chain4", from_pairs(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)]))
+    code, out, err = run(capsys, "decompose", src, "(1 2)(3 4)", "--trust-raw",
+                         "--method", "merge", "--join", "1,3")
+    assert (code, out, err) == (3, "", "error: join (1, 3) has no finite cost\n")
 
 
 def test_long_inline_permutation(tmp_path, capsys):
@@ -579,11 +648,11 @@ def test_oracle_runs_one_floyd_warshall(tmp_path, capsys, engines_built):
 
 
 def test_oracle_unreachable(tmp_path, capsys):
-    holes = from_pairs(3, [(1, 2, 1)])
-    src = cost_file(tmp_path, "holes", holes)
-    code, _, err = run(capsys, "oracle", src, "(1 3)")
-    assert code == 3
-    assert "target unreachable" in err
+    # an infinite floor; and a finite one, where every route sums past the largest double
+    for name, table, cycles in (("holes", from_pairs(3, [(1, 2, 1)]), "(1 3)"),
+                                ("two", from_pairs(4, [(1, 2, 1e308), (3, 4, 1e308)]), "(1 2)(3 4)")):
+        assert run(capsys, "oracle", cost_file(tmp_path, name, table), cycles) == (
+            3, "", "error: target unreachable: some required swap has no finite route\n"), name
 
 
 def test_oracle_near_the_largest_double(tmp_path, capsys):
@@ -596,6 +665,14 @@ def test_oracle_near_the_largest_double(tmp_path, capsys):
         witness: (1 2)
         M=1e+308 L=1e+308 S=1e+308 chain OK
         """)
+
+
+def test_oracle_validates_its_witness(tmp_path, capsys, monkeypatch):
+    # a search that returns a wrong witness exits 2, also under python -O
+    monkeypatch.setattr(oracle, "_replay", lambda start, swaps, closed: (6, Decomposition()))
+    src = cost_file(tmp_path, "mod5", mod5_raw())
+    code, out, err = run(capsys, "oracle", src, "(1 2 3 4 5)")
+    assert (code, out, err) == (2, "", "error: oracle witness failed validation\n")
 
 
 def test_oracle_size_guard(tmp_path, capsys, engines_built):
@@ -823,7 +900,6 @@ def test_usage_errors_exit_one(capsys):
 def test_each_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch):
     # a contract violation cannot be provoked from the command line, so the
     # handler raises each class itself
-    from permsort import cli
     src = cost_file(tmp_path, "c", opt4_raw())
     for error, code in [(CostParseError("bad"), 1), (UnicodeDecodeError("utf-8", b"", 0, 1, "bad"), 1),
                         (ContractError("bad"), 2), (InfeasibleError("bad"), 3),

@@ -1,5 +1,7 @@
 """The package's documented surface: its docstring examples run as part of
-the suite, and ``__all__`` names exactly what ``import *`` hands out."""
+the suite, ``__all__`` names exactly what ``import *`` hands out, and no
+internal check hides in an ``assert`` that ``python -O`` strips."""
+import ast
 import doctest
 import importlib
 import os
@@ -35,3 +37,13 @@ def test_all_is_sorted_unique_and_resolves():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_package_holds_no_assert_statement():
+    # a broken internal contract must exit 2 whatever the optimisation level
+    found = []
+    for path in sorted(Path(permsort.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -13,7 +13,6 @@ from permsort import (
     decompose,
     from_pairs,
     merge_cycles,
-    merged_decompose,
     metric_path,
     nontrivial_cycles,
     parse_cycles,
@@ -89,7 +88,7 @@ def test_merge_identity_rejected():
 
 def test_merged_decompose_two_rings():
     engine = shortest_swaps(ring10_raw())
-    d, cost = merged_decompose(TWO_RINGS, engine.optimized)
+    d, cost = decompose(TWO_RINGS, engine.optimized, "merge")
     assert cost == 38  # one join at 1 plus a length-10 chain at 37
     lower_bound = permutation_lower_bound(TWO_RINGS, engine.dist)
     assert lower_bound == 20.0
@@ -116,8 +115,10 @@ def test_decompose_rejects_unknown_method():
 
 def test_decompose_metric_exact_needs_path():
     star = all_pairs_optimize(complete(5, 1))
-    with pytest.raises(ValueError, match="needs the defining path"):
-        decompose(FIVE_CYCLE, star, "metric-exact")
+    # checked before the identity shortcut, so the identity is refused too
+    for p in (FIVE_CYCLE, Permutation((1, 2, 3, 4, 5))):
+        with pytest.raises(ValueError, match="^metric-exact needs a defining-path file$"):
+            decompose(p, star, "metric-exact")
 
 
 def test_decompose_std_unreachable():
@@ -202,7 +203,7 @@ def bounds(p, raw):
     lower_bound = permutation_lower_bound(p, engine.dist)
     big_l = decompose(p, engine.optimized, "mld")[1]
     big_s = decompose(p, engine.optimized, "std")[1]
-    _, merged = merged_decompose(p, engine.optimized)
+    merged = decompose(p, engine.optimized, "merge")[1]
     return lower_bound, sharpened_lower_bound(p, raw, lower_bound), big_l, big_s, merged
 
 
@@ -233,7 +234,7 @@ def test_bound_report_merge_infeasible_is_inf():
     star = shortest_swaps(raw).optimized
     assert (decompose(p, star, "mld")[1], decompose(p, star, "std")[1]) == (2, 2)
     with pytest.raises(InfeasibleError):
-        merged_decompose(p, star)
+        decompose(p, star, "merge")
 
 
 def test_random_strategies_respect_bounds():

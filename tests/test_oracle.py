@@ -6,6 +6,8 @@ import pytest
 from permsort import (
     INF,
     Cycle,
+    Decomposition,
+    InfeasibleError,
     Permutation,
     SizeLimitError,
     all_pairs_optimize,
@@ -34,30 +36,30 @@ FIVE_CYCLE = parse_cycles("(1 2 3 4 5)", 5)
 
 
 def test_exact_search_mod_five():
-    result = mcd_exact(FIVE_CYCLE, shortest_swaps(mod5_raw()))
-    assert result.min_cost == 6
-    assert str(result.witness) == "(1 3)(2 4)(1 4)(2 5)(2 4)(3 5)"
-    assert validate_decomposition(result.witness, FIVE_CYCLE)
-    assert result.witness.cost(mod5_raw()) == 6
+    witness, m = mcd_exact(FIVE_CYCLE, shortest_swaps(mod5_raw()))
+    assert m == 6
+    assert str(witness) == "(1 3)(2 4)(1 4)(2 5)(2 4)(3 5)"
+    assert validate_decomposition(witness, FIVE_CYCLE)
+    assert witness.cost(mod5_raw()) == 6
 
 
 def test_exact_search_path_distances():
     path = DefiningPath((1, 2, 3, 4, 5), (1, 2, 1, 3))
-    assert mcd_exact(FIVE_CYCLE, shortest_swaps(metric_path(path))).min_cost == 7
+    assert mcd_exact(FIVE_CYCLE, shortest_swaps(metric_path(path)))[1] == 7
 
 
 def test_exact_search_four_cycle():
     p = parse_cycles("(1 2 3 4)", 4)
-    result = mcd_exact(p, shortest_swaps(dp4_raw()))
-    assert result.min_cost == 8
-    assert [t.pair for t in result.witness] == [(2, 4), (2, 3), (1, 4)]
+    witness, m = mcd_exact(p, shortest_swaps(dp4_raw()))
+    assert m == 8
+    assert [t.pair for t in witness] == [(2, 4), (2, 3), (1, 4)]
 
 
 def test_exact_search_disconnected():
     holes = from_pairs(3, [(1, 2, 1)])
-    result = mcd_exact(parse_cycles("(1 3)", 3), shortest_swaps(holes))
-    assert result.min_cost == INF
-    assert result.witness is None
+    with pytest.raises(InfeasibleError) as e:
+        mcd_exact(parse_cycles("(1 3)", 3), shortest_swaps(holes))
+    assert str(e.value) == "target unreachable: some required swap has no finite route"
 
 
 @pytest.mark.parametrize("raw, cycles", [
@@ -68,10 +70,10 @@ def test_exact_search_disconnected():
 ])
 def test_exact_search_near_the_largest_double(raw, cycles):
     p = parse_cycles(cycles, raw.n)
-    result = mcd_exact(p, shortest_swaps(raw))
+    got_witness, got_m = mcd_exact(p, shortest_swaps(raw))
     m, witness = mcd_dijkstra(p, raw)
     assert m < INF
-    assert (result.min_cost, str(result.witness)) == (m, str(witness))
+    assert (got_m, str(got_witness)) == (m, str(witness))
 
 
 def test_exact_search_random_witnesses():
@@ -82,12 +84,12 @@ def test_exact_search_random_witnesses():
         images = list(range(1, n + 1))
         rng.shuffle(images)
         p = Permutation(tuple(images))
-        result = mcd_exact(p, shortest_swaps(table))
+        witness, m = mcd_exact(p, shortest_swaps(table))
         if p.is_identity():
-            assert result.min_cost == 0
+            assert (witness, m) == (Decomposition(), 0)
             continue
-        assert validate_decomposition(result.witness, p)
-        assert result.witness.cost(table) == result.min_cost
+        assert validate_decomposition(witness, p)
+        assert witness.cost(table) == m
 
 
 def test_single_swap_exact_agrees_with_frozen_table():
@@ -110,7 +112,7 @@ def test_explicit_limit_override():
     p = parse_cycles("(1 6)", 6)
     with pytest.raises(SizeLimitError):
         mcd_exact(p, shortest_swaps(six), limit=5)
-    assert mcd_exact(p, shortest_swaps(six), limit=6).min_cost == 2
+    assert mcd_exact(p, shortest_swaps(six), limit=6)[1] == 2
 
 
 def test_tree_counts():

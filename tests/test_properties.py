@@ -210,8 +210,9 @@ def test_expansions_multiply_back_at_optimized_cost(raw):
 def test_bounds_chain_around_the_exhaustive_minimum(case):
     raw, p = case
     engine = shortest_swaps(raw)
-    m = mcd_exact(p, engine, ORACLE_N).min_cost
-    if m == INF:
+    try:
+        m = mcd_exact(p, engine, ORACLE_N)[1]
+    except InfeasibleError:
         return
     lb = permutation_lower_bound(p, engine.dist)
     sharp = sharpened_lower_bound(p, raw, lb)
@@ -226,7 +227,7 @@ def test_metric_exact_meets_the_exhaustive_minimum(case):
     path, p = case
     metric = metric_path(path)
     _, cost = decompose(p, path, "metric-exact")
-    assert cost == mcd_exact(p, shortest_swaps(metric), ORACLE_N).min_cost
+    assert cost == mcd_exact(p, shortest_swaps(metric), ORACLE_N)[1]
     # a path metric is its own distance table, and the floor is exact on it
     assert permutation_lower_bound(p, metric.table) == cost
     assert permutation_lower_bound(p, path) == cost
@@ -265,12 +266,13 @@ def test_metric_path_mcd_equals_the_segment_tree_route(case):
 @given(tables_and_permutations(max_n=ORACLE_N))
 def test_exhaustive_witness_multiplies_back_at_its_cost(case):
     raw, p = case
-    result = mcd_exact(p, shortest_swaps(raw), ORACLE_N)
-    if result.min_cost == INF:
-        assert result.witness is None
+    try:
+        witness, m = mcd_exact(p, shortest_swaps(raw), ORACLE_N)
+    except InfeasibleError as e:
+        assert str(e) == "target unreachable: some required swap has no finite route"
         return
-    assert result.witness.product(raw.n) == p
-    assert result.witness.cost(raw) == result.min_cost
+    assert witness.product(raw.n) == p
+    assert witness.cost(raw) == m
 
 
 # the value families the A* must agree with Dijkstra on: ints, floats,
@@ -291,10 +293,14 @@ ORACLE_VALUES = st.sampled_from([
 @given(ORACLE_VALUES.flatmap(lambda values: tables(6, values)), st.data())
 def test_astar_equals_the_reference_dijkstra(raw, data):
     p = Permutation(tuple(data.draw(st.permutations(range(1, raw.n + 1)))))
-    got = mcd_exact(p, shortest_swaps(raw))
     m, witness = mcd_dijkstra(p, raw)
-    assert (type(got.min_cost), got.min_cost) == (type(m), m)
-    assert str(got.witness) == str(witness)
+    if m == INF:
+        with pytest.raises(InfeasibleError, match="target unreachable"):
+            mcd_exact(p, shortest_swaps(raw))
+        return
+    got_witness, got_m = mcd_exact(p, shortest_swaps(raw))
+    assert (type(got_m), got_m) == (type(m), m)
+    assert str(got_witness) == str(witness)
 
 
 @PROPERTY
@@ -416,7 +422,7 @@ def test_adjacent_only_paths_stay_within_twice_the_minimum(path, data):
     for (_, _, got), (_, _, want) in zip(star.entries(), closed.entries()):
         assert abs(got - want) <= tolerance(got, want)
     p = Permutation(tuple(data.draw(st.permutations(range(1, path.n + 1)))))
-    m = mcd_exact(p, shortest_swaps(raw), ORACLE_N).min_cost
+    m = mcd_exact(p, shortest_swaps(raw), ORACLE_N)[1]
     big_l = decompose(p, star, "mld")[1]
     assert big_l <= 2 * m + tolerance(big_l, m)
 
