@@ -167,14 +167,16 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    # which flags the method reads, decided before any file is read
+    if args.join is not None and args.method != "merge":
+        raise CostParseError("--join only makes sense with --method merge")
+    table_flag = "--expand" if args.expand else "--trust-raw" if args.trust_raw else None
+    if table_flag and args.method == "metric-exact":
+        raise CostParseError(f"{table_flag} applies to optimized-table methods only")
     # metric-exact reads the path itself and never builds its n^2 table
     raw = _load_costs(args.costs, keep_path=args.method == "metric-exact")
     p = _load_permutation(args.perm, raw.n)
     joins = _parse_joins(args.join) if args.join is not None else None
-    if joins is not None and args.method != "merge":
-        raise CostParseError("--join only makes sense with --method merge")
-    if args.expand and args.method == "metric-exact":
-        raise CostParseError("--expand applies to optimized-table methods only")
 
     if args.method == "metric-exact":
         d, cost = decompose(p, raw, "metric-exact")

@@ -84,7 +84,8 @@ def merge_cycles(
     the greedy picks and must each link two separate cycles.
     """
     moved = nontrivial_cycles(p)
-    if not moved:
+    # a forced join on the identity fails below, as on any fixed element
+    if not moved and not joins:
         raise ValueError("identity permutation: nothing to merge")
     comp: dict[int, int] = {}
     for idx, c in enumerate(moved):
@@ -153,14 +154,17 @@ def decompose(
 
     'mld' and 'std' work cycle by cycle on an optimized table, 'merge' glues
     the cycles first, 'metric-exact' takes the defining path itself as
-    ``costs`` and reads every distance off it. Raises InfeasibleError when a
-    piece is infeasible or the pieces sum past the largest double.
+    ``costs`` and reads every distance off it. Only 'merge' takes ``joins``.
+    Raises InfeasibleError when a piece is infeasible or the pieces sum past
+    the largest double.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
     if method == "metric-exact" and not isinstance(costs, DefiningPath):
         raise ValueError("metric-exact needs a defining-path file")
-    if p.is_identity():
+    if joins is not None and method != "merge":
+        raise ValueError(f"joins apply to method 'merge' only, not {method!r}")
+    if p.is_identity() and not joins:
         return Decomposition(), 0
 
     if method == "merge":

@@ -16,6 +16,7 @@ import re
 from functools import total_ordering
 from typing import Iterable, Sequence
 
+from .errors import CostParseError
 from .values import Frozen, set_field
 
 
@@ -245,8 +246,6 @@ def format_one_line(p: Permutation) -> str:
 
 
 def parse_one_line(text: str) -> Permutation:
-    from .errors import CostParseError
-
     tokens = text.split()
     if not tokens:
         raise CostParseError("empty permutation")
@@ -266,8 +265,6 @@ def format_cycles(cycle_list: Iterable[Cycle]) -> str:
 
 
 def parse_cycles(text: str, n: int) -> Permutation:
-    from .errors import CostParseError
-
     body = text.strip()
     if not re.fullmatch(r"(\(\s*(\d+(\s+\d+)*\s*)?\)\s*)*", body):
         raise CostParseError(f"bad cycle notation: {text!r}")

@@ -337,6 +337,25 @@ def test_expand_rejected_for_metric_exact(tmp_path, capsys):
     assert "--expand applies to optimized-table methods only" in err
 
 
+def test_forced_join_on_the_identity(tmp_path, capsys):
+    # refused like a join on any fixed element, not skipped by the identity
+    src = cost_file(tmp_path, "unit3", from_pairs(3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)]))
+    for perm in ("1 2 3", "1 3 2"):
+        assert run(capsys, "decompose", src, perm, "--method", "merge", "--join", "1,2") == (
+            1, "", "error: join (1, 2) touches a fixed element\n")
+
+
+def test_flags_the_method_does_not_read(tmp_path, capsys):
+    # refused before any file is read, so a missing file goes unreported
+    for costs in (path_file(tmp_path), str(tmp_path / "nope.cost")):
+        for flags, err in ((("--method", "metric-exact", "--trust-raw"),
+                            "error: --trust-raw applies to optimized-table methods only\n"),
+                           (("--method", "metric-exact", "--expand"),
+                            "error: --expand applies to optimized-table methods only\n"),
+                           (("--join", "1,2"), "error: --join only makes sense with --method merge\n")):
+            assert run(capsys, "decompose", costs, "(1 3)", *flags) == (1, "", err), (costs, flags)
+
+
 def test_parse_error_carries_line_number(tmp_path, capsys):
     for text, error in (("n 3\n1 2 1\n1 3 -4\n", "line 3: bad cost value '-4'"),
                         ("n 3\n1 x 2\n", "line 2: bad pair in '1 x 2'"),

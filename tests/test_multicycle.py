@@ -16,6 +16,7 @@ from permsort import (
     metric_path,
     nontrivial_cycles,
     parse_cycles,
+    parse_one_line,
     permutation_lower_bound,
     shortest_swaps,
     validate_decomposition,
@@ -82,8 +83,12 @@ def test_merge_single_cycle_is_noop():
 
 
 def test_merge_identity_rejected():
+    star = all_pairs_optimize(complete(3, 1))
     with pytest.raises(ValueError, match="nothing to merge"):
-        merge_cycles(Permutation((1, 2, 3)), all_pairs_optimize(complete(3, 1)))
+        merge_cycles(Permutation((1, 2, 3)), star)
+    # a forced join is checked first, as on any other fixed element
+    with pytest.raises(ValueError, match=r"^join \(1, 2\) touches a fixed element$"):
+        merge_cycles(Permutation((1, 2, 3)), star, [(1, 2)])
 
 
 def test_merged_decompose_two_rings():
@@ -106,6 +111,17 @@ def test_decompose_identity_every_method():
         assert d == Decomposition()
         assert cost == 0
         assert permutation_lower_bound(p, engine.dist) == 0.0
+
+
+def test_decompose_takes_joins_under_merge_only():
+    engine = shortest_swaps(complete(3, 1))
+    swap = parse_one_line("2 1 3")
+    for method in ("mld", "std"):
+        with pytest.raises(ValueError, match=f"^joins apply to method 'merge' only, not '{method}'$"):
+            decompose(swap, engine.optimized, method, joins=[(5, 9)])
+    # the identity takes no shortcut past forced joins
+    with pytest.raises(ValueError, match=r"^join \(1, 2\) touches a fixed element$"):
+        decompose(Permutation((1, 2, 3)), engine.optimized, "merge", joins=[(1, 2)])
 
 
 def test_decompose_rejects_unknown_method():

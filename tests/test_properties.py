@@ -21,8 +21,15 @@ the two passes with argmin tables, and ``mld_cost`` and the splits found
 per visited interval against the full interval table, number types
 included. Cost files, path files, one-line and cycle notation must read
 back what was written, and every table builder's output must pass the full
-``CostMatrix`` check it skips.
+``CostMatrix`` check it skips. The command line, fed small cost and path
+files with hostile tokens, must exit 0, 1, 3 or 4 without a traceback,
+print nothing on an error, and print only decompositions that multiply back
+at their printed cost.
 """
+import contextlib
+import io
+import random
+import re
 import sys
 from itertools import accumulate
 
@@ -64,6 +71,7 @@ from permsort import (  # noqa: E402
     shortest_swaps,
     validate_decomposition,
 )
+from permsort.cli import main  # noqa: E402
 from permsort.costs import _format_value, tolerance  # noqa: E402
 from permsort.errors import CostParseError, InfeasibleError  # noqa: E402
 from permsort.mld import _rebuild, mld_cost  # noqa: E402
@@ -532,3 +540,105 @@ def test_permutation_text_round_trip(images):
     # the parser also reads fixed points written as 1-cycles
     for written in (nontrivial_cycles(p), cycles(p)):
         assert parse_cycles(format_cycles(written), p.n) == p
+
+
+# Tokens that a cost, path or permutation file may hold in place of a good
+# one: out of range, not a number, past the float range, or a header.
+HOSTILE_TOKENS = ("0", "-1", "7", "x", "inf", "nan", "2.5", "1e400",
+                  "1.7976931348623157e308", "99999999999999999999", "path", "n", "(", ")")
+
+
+def _mutated(rng, text, count):
+    """``text`` with ``count`` tokens replaced by hostile ones or lines dropped."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(count):
+        if not lines:
+            break
+        words = lines[rng.randrange(len(lines))]
+        if words and rng.random() < 0.7:
+            words[rng.randrange(len(words))] = rng.choice(HOSTILE_TOKENS)
+        else:
+            lines.remove(words)
+    return "".join(" ".join(words) + "\n" for words in lines)
+
+
+@st.composite
+def cli_runs(draw):
+    """A cost or path file of n <= 6 labels, a permutation and a command line.
+
+    Hypothesis draws the shape; the file contents come from one drawn seed,
+    which keeps a hundred runs inside a second."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    if n > 1 and draw(st.booleans()):
+        order = rng.sample(range(1, n + 1), n)
+        costs = format_path_file(DefiningPath(tuple(order), tuple(rng.randint(0, 9) for _ in order[1:])))
+    else:
+        # sparse tables leave cycles without a finite route
+        holes = rng.choice((0.0, 0.3, 0.8))
+        costs = format_cost_file(from_pairs(n, [
+            (a, b, INF if rng.random() < holes else rng.choice((0, 1, 2, 5, 30)))
+            for a in range(1, n + 1) for b in range(a + 1, n + 1)]))
+    m = n if rng.random() < 0.9 else n % 6 + 1
+    p = Permutation(tuple(rng.sample(range(1, m + 1), m)))
+    perm = format_one_line(p) if draw(st.booleans()) else format_cycles(nontrivial_cycles(p))
+    # two runs in five get a hostile token or lose a line
+    hostile = rng.choice((None, None, None, "costs", "perm"))
+    if hostile == "costs":
+        costs = _mutated(rng, costs, rng.randint(1, 2))
+    elif hostile == "perm":
+        perm = _mutated(rng, perm, 1).strip()
+    command = draw(st.sampled_from(("decompose", "decompose", "oracle", "optimize")))
+    options = []
+    if command == "decompose":
+        options += draw(st.sampled_from(([], ["--method", "std"], ["--method", "merge"],
+                                         ["--method", "metric-exact"])))
+        options += draw(st.sampled_from(([], ["--expand"], ["--trust-raw"])))
+        if rng.random() < (0.5 if "merge" in options else 0.1):
+            options += ["--join", rng.choice(("1,2", "1,3;2,4", "1,2,3", "a,b", ""))]
+    elif command == "oracle":
+        options += rng.choice(([], ["--limit", "3"]))
+    return costs, perm, command, options
+
+
+def _number(text):
+    return int(text) if text.isdigit() else float(text)
+
+
+def _check_printed_decomposition(costs_text, perm_text, options, out):
+    printed = dict(line.split(": ", 1) for line in out.splitlines() if not line.startswith("#"))
+    p = parse_one_line(printed["permutation"])
+    assert p == (parse_cycles(perm_text, p.n) if perm_text.startswith("(")
+                 else parse_one_line(perm_text))
+    d = Decomposition(tuple(Transposition(int(a), int(b))
+                            for a, b in re.findall(r"\((\d+) (\d+)\)", printed["decomposition"])))
+    assert validate_decomposition(d, p)
+    parsed = parse_cost_input(costs_text)
+    if "metric-exact" in options:
+        expected = sum(parsed.distance(t.a, t.b) for t in d.transpositions)
+    else:
+        raw = metric_path(parsed) if isinstance(parsed, DefiningPath) else parsed
+        expected = d.cost(raw if "--trust-raw" in options else all_pairs_optimize(raw))
+    cost = _number(printed["cost"])
+    assert abs(cost - expected) <= tolerance(cost, expected)
+
+
+@pytest.fixture(scope="module")
+def cost_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile") / "t.cost"
+
+
+@PROPERTY
+@given(cli_runs())
+def test_command_line_survives_hostile_files(cost_path, case):
+    costs, perm, command, options = case
+    cost_path.write_text(costs)
+    argv = [command, str(cost_path)] + ([perm] if command != "optimize" else []) + options
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 3, 4), (argv, costs, err.getvalue())
+    if code:
+        assert out.getvalue() == "", argv
+    elif command == "decompose":
+        _check_printed_decomposition(costs, perm, options, out.getvalue())
