@@ -5,8 +5,9 @@ contract violation, 3 infeasible (an infinite cost where a finite one is
 required), 4 size guard (the exhaustive search's limit, or a cost table past
 ``TABLE_LIMIT`` labels).
 
-Every decomposition is validated against its permutation before anything
-is printed; a decomposer that lies exits 2 rather than printing garbage.
+Each command returns its whole output, which ``main`` writes only once the
+command has succeeded: a failed command prints nothing to stdout, and a
+decomposer that lies exits 2 rather than printing garbage.
 """
 from __future__ import annotations
 
@@ -149,7 +150,7 @@ def _write_output(path: str, text: str) -> None:
         raise CostParseError(f"cannot write {path}: {e}") from None
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> str:
     raw = _load_costs(args.costs)
     opt = all_pairs_optimize(raw)
     lines = []
@@ -159,14 +160,12 @@ def _cmd_optimize(args) -> int:
             lines.append(f"{a} {b}: {_format_value(v)} -> {_format_value(w)}")
     lines.append(f"{len(lines)} entries changed")
     if args.output:
-        # written before anything is printed, so a failed write prints nothing
         _write_output(args.output, format_cost_file(opt))
         lines.append(f"wrote {args.output}")
-    print("\n".join(lines))
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> str:
     # which flags the method reads, decided before any file is read
     if args.join is not None and args.method != "merge":
         raise CostParseError("--join only makes sense with --method merge")
@@ -188,30 +187,30 @@ def _cmd_decompose(args) -> int:
         dist = engine.dist
     lower_bound = permutation_lower_bound(p, dist)
 
-    print(f"permutation: {format_one_line(p)}")
-    print(f"cycles: {format_cycles(nontrivial_cycles(p))}")
-    print(f"method: {args.method}")
-    print(f"lower bound: {_format_value(lower_bound)}")
-    print(f"cost: {_format_value(cost)}")
+    lines = [f"permutation: {format_one_line(p)}",
+             f"cycles: {format_cycles(nontrivial_cycles(p))}",
+             f"method: {args.method}",
+             f"lower bound: {_format_value(lower_bound)}",
+             f"cost: {_format_value(cost)}"]
     if lower_bound > 0:
-        print(f"ratio: {cost / lower_bound:.6f}")
+        lines.append(f"ratio: {cost / lower_bound:.6f}")
     elif cost == 0 and not p.is_identity():
-        print("ratio: 0.000000")    # free swaps meet a zero bound
-    print("# transpositions are applied right-to-left")
-    print(f"decomposition: {d if len(d) else '(none)'}")
+        lines.append("ratio: 0.000000")    # free swaps meet a zero bound
+    lines += ["# transpositions are applied right-to-left",
+              f"decomposition: {d if len(d) else '(none)'}"]
 
     if args.expand:
         # a trusted table's swaps already are raw swaps
         expanded = d if args.trust_raw else expand_decomposition(d, engine)
         if not validate_decomposition(expanded, p):
             raise ContractError("expanded decomposition failed validation")
-        print("# same permutation in raw swaps, applied right-to-left")
-        print(f"expansion: {expanded if len(expanded) else '(none)'}")
-        print(f"expansion cost: {_format_value(expanded.cost(raw))}")
-    return EXIT_OK
+        lines += ["# same permutation in raw swaps, applied right-to-left",
+                  f"expansion: {expanded if len(expanded) else '(none)'}",
+                  f"expansion cost: {_format_value(expanded.cost(raw))}"]
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> str:
     if not (BENCH_MIN_K <= args.kmin <= args.kmax <= BENCH_MAX_K):
         raise CostParseError(
             f"need {BENCH_MIN_K} <= kmin <= kmax <= {BENCH_MAX_K}, "
@@ -225,15 +224,15 @@ def _cmd_bench(args) -> int:
     lines = ["k,trials,mean_raw,mean_opt"]
     lines += [f"{k},{t},{r:.6f},{o:.6f}" for k, t, r, o in rows]
     csv = "\n".join(lines) + "\n"
-    if args.output:
-        _write_output(args.output, csv)
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(csv)
-    return EXIT_OK
+    if not args.output:
+        return csv
+    _write_output(args.output, csv)
+    return f"wrote {args.output}\n"
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> str:
+    if args.limit < 1:
+        raise CostParseError("--limit must be at least 1")
     # the only command that searches; the others never load the oracle
     from .oracle import _check_limit, mcd_exact
 
@@ -246,15 +245,13 @@ def _cmd_oracle(args) -> int:
     l_total = decompose(p, engine.optimized, "mld")[1]
     s_total = decompose(p, engine.optimized, "std")[1]
 
-    print(f"permutation: {format_one_line(p)}")
-    print(f"witness: {witness if len(witness) else '(none)'}")
+    chain = f"M={_format_value(m)} L={_format_value(l_total)} S={_format_value(s_total)}"
     tol = tolerance(m, l_total, s_total)
-    ok = m <= l_total + tol and l_total <= s_total + tol and s_total <= 4 * m + tol
-    verdict = "chain OK" if ok else "chain VIOLATED"
-    print(f"M={_format_value(m)} L={_format_value(l_total)} S={_format_value(s_total)} {verdict}")
-    if not ok:
-        raise ContractError("M <= L <= S <= 4M failed")
-    return EXIT_OK
+    if not (m <= l_total + tol and l_total <= s_total + tol and s_total <= 4 * m + tol):
+        raise ContractError(f"M <= L <= S <= 4M failed: {chain}")
+    return (f"permutation: {format_one_line(p)}\n"
+            f"witness: {witness if len(witness) else '(none)'}\n"
+            f"{chain} chain OK\n")
 
 
 def main(argv=None) -> int:
@@ -270,10 +267,12 @@ def main(argv=None) -> int:
         "oracle": _cmd_oracle,
     }[args.command]
     try:
-        return handler(args)
+        text = handler(args)
     except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(e, cls))
+    sys.stdout.write(text)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

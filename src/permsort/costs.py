@@ -31,7 +31,7 @@ first, so every builder and the parser are guarded.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import TABLE_LIMIT, CostParseError, SizeLimitError
 from .values import Frozen, set_field
@@ -55,25 +55,35 @@ def _ints_fit(total: int, n: int) -> bool:
     return 10 * n * total <= sys.float_info.max
 
 
-def _int_forest_weight(table: Sequence[Sequence[Number]]) -> int:
-    """Weight of a minimum spanning forest of the int entries (Kruskal).
-
-    An int shortest distance runs along int entries only, so none exceeds it.
-    """
-    n = len(table)
-    root = list(range(n))
+def _linker(size: int) -> Callable[[int, int], bool]:
+    """Union-find over 0..size-1 with path halving: ``link(i, j)`` joins the
+    components of i and j and says whether they were two (Kruskal's test)."""
+    root = list(range(size))
 
     def find(x: int) -> int:
         while root[x] != x:
             root[x] = x = root[root[x]]
         return x
 
+    def link(i: int, j: int) -> bool:
+        a, b = find(i), find(j)
+        root[a] = b
+        return a != b
+
+    return link
+
+
+def _int_forest_weight(table: Sequence[Sequence[Number]]) -> int:
+    """Weight of a minimum spanning forest of the int entries (Kruskal).
+
+    An int shortest distance runs along int entries only, so none exceeds it.
+    """
+    n = len(table)
+    link = _linker(n)
     weight = 0
     for v, i, j in sorted((table[i][j], i, j) for i in range(n) for j in range(i + 1, n)
                           if isinstance(table[i][j], int)):
-        a, b = find(i), find(j)
-        if a != b:
-            root[a] = b
+        if link(i, j):
             weight += v
     return weight
 

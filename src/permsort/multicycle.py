@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .costs import INF, CostMatrix, DefiningPath, Number
+from .costs import INF, CostMatrix, DefiningPath, Number, _linker
 from .errors import ContractError, InfeasibleError
 from .mld import metric_path_mcd, min_cost_mld, std_decomposition
 from .permutation import (
@@ -92,22 +92,12 @@ def merge_cycles(
         for e in c.elements:
             comp[e] = idx
     support = sorted(comp)
-    # union-find over cycle indices: parent[x] == x marks a root
-    parent = list(range(len(moved)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    link = _linker(len(moved))    # over cycle indices
     applied: list[Transposition] = []
 
     def bind(a: int, b: int) -> bool:
-        ra, rb = find(comp[a]), find(comp[b])
-        if ra == rb:
+        if not link(comp[a], comp[b]):
             return False
-        parent[rb] = ra
         applied.append(Transposition(a, b))
         return True
 

@@ -337,6 +337,15 @@ def test_expand_rejected_for_metric_exact(tmp_path, capsys):
     assert "--expand applies to optimized-table methods only" in err
 
 
+def test_expansion_that_fails_validation_prints_nothing(tmp_path, capsys, monkeypatch):
+    # the decomposition's own lines are ready before the expansion is checked
+    monkeypatch.setattr(cli, "expand_decomposition",
+                        lambda d, engine: Decomposition((Transposition(1, 2),)))
+    src = cost_file(tmp_path, "unit3", from_pairs(3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)]))
+    assert run(capsys, "decompose", src, "(1 2 3)", "--expand") == (
+        2, "", "error: expanded decomposition failed validation\n")
+
+
 def test_forced_join_on_the_identity(tmp_path, capsys):
     # refused like a join on any fixed element, not skipped by the identity
     src = cost_file(tmp_path, "unit3", from_pairs(3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)]))
@@ -727,6 +736,28 @@ def test_oracle_answers_a_dense_nine(tmp_path, capsys):
     assert validate_decomposition(witness, parse_cycles("(1 4 7 2 9 3)(5 8)", 9))
     m, _, _, verdict = re.fullmatch(r"M=(\S+) L=(\S+) S=(\S+) (.*)", chain_line).groups()
     assert (int(m), verdict) == (witness.cost(raw), "chain OK")
+
+
+def test_oracle_chain_violation_prints_nothing(tmp_path, capsys, monkeypatch):
+    real = cli.decompose
+
+    def l_above_s(p, phi, method, **kwargs):
+        d, cost = real(p, phi, method, **kwargs)
+        return d, (cost + 5 if method == "mld" else cost)
+
+    monkeypatch.setattr(cli, "decompose", l_above_s)
+    src = cost_file(tmp_path, "mod5", mod5_raw())
+    assert run(capsys, "oracle", src, "(1 2 3 4 5)") == (
+        2, "", "error: M <= L <= S <= 4M failed: M=6 L=13 S=12\n")
+
+
+def test_oracle_limit_below_one_is_an_input_error(tmp_path, capsys):
+    # refused before any file is read, so a missing file is not reported
+    src = cost_file(tmp_path, "mod5", mod5_raw())
+    for costs in (src, str(tmp_path / "missing.cost")):
+        for limit in ("0", "-1"):
+            assert run(capsys, "oracle", costs, "(1 3)", "--limit", limit) == (
+                1, "", "error: --limit must be at least 1\n"), (costs, limit)
 
 
 def test_oracle_limit_must_be_an_integer(tmp_path, capsys):

@@ -6,20 +6,28 @@ import pytest
 from permsort import (
     INF,
     CostMatrix,
+    Cycle,
+    Decomposition,
     DefiningPath,
+    Transposition,
     all_pairs_optimize,
     extended_metric_path,
     format_cost_file,
     format_path_file,
     from_pairs,
+    mcd_exact,
     metric_path,
     parse_cost_file,
     parse_cost_input,
+    parse_cycles,
     parse_path_file,
 )
 from permsort import costs as costs_module
 from permsort.costs import tolerance
 from permsort.errors import TABLE_LIMIT, CostParseError, SizeLimitError
+from permsort.mld import metric_path_mcd
+from permsort.multicycle import merge_cycles, permutation_lower_bound
+from permsort.optimize import shortest_swaps
 
 from frozen import mod5_raw, ring10_distance, ring10_raw
 from reference_routes import extended_metric_path_optimized, is_metric, segment
@@ -334,3 +342,28 @@ def test_ring10_distance_helper():
     assert m.cost(2, 9) == INF
     assert ring10_distance(1, 6) == 5
     assert ring10_distance(2, 10) == 2
+
+
+def test_library_input_checks_raise_their_messages():
+    # raise sites no other test reaches; each must keep its class and text
+    cases = [
+        (lambda: from_pairs(2, [(1, 2, True)]), "bad cost True for pair (1, 2)"),
+        (lambda: from_pairs(2, [(1, 2, "1")]), "bad cost '1' for pair (1, 2)"),
+        (lambda: CostMatrix(0, ()), "need n >= 1"),
+        (lambda: DefiningPath((1,), ()), "a defining path needs at least two vertices"),
+        (lambda: from_pairs(0, []), "need n >= 1"),
+        (lambda: Cycle((0, 1)), "labels start at 1"),
+        (lambda: Decomposition((Transposition(1, 3),)).product(2), "label 3 outside 1..2"),
+        (lambda: metric_path_mcd(Cycle((1, 3)), DefiningPath((1, 2), (1,))),
+         "cycle label 3 outside 1..2"),
+        (lambda: permutation_lower_bound(parse_cycles("(1 3)", 3), [[0, 1], [1, 0]]),
+         "cycle label 3 outside 1..2"),
+        (lambda: merge_cycles(parse_cycles("(1 2)(3 4)", 4), from_pairs(3, [(1, 2, 1)])),
+         "label 4 outside 1..3"),
+        (lambda: mcd_exact(parse_cycles("(1 2)", 2), shortest_swaps(from_pairs(3, [(1, 2, 1)]))),
+         "cost table is for n=3, permutation has n=2"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert (caught.type, str(caught.value)) == (ValueError, message)
