@@ -17,9 +17,7 @@ from .costs import (
     format_path_file,
     from_pairs,
     metric_path,
-    parse_cost_file,
     parse_cost_input,
-    parse_path_file,
 )
 from .errors import ContractError, CostParseError, InfeasibleError, SizeLimitError
 from .mld import (
@@ -47,12 +45,10 @@ from .permutation import (
     compose,
     format_cycles,
     format_one_line,
-    inverse,
     nontrivial_cycles,
     parse_cycles,
     parse_one_line,
     permutation_from_cycles,
-    transposition_parity,
     validate_decomposition,
 )
 
@@ -89,22 +85,18 @@ __all__ = [
     "format_one_line",
     "format_path_file",
     "from_pairs",
-    "inverse",
     "mcd_exact",
     "merge_cycles",
     "metric_path",
     "metric_path_mcd",
     "min_cost_mld",
     "nontrivial_cycles",
-    "parse_cost_file",
     "parse_cost_input",
     "parse_cycles",
     "parse_one_line",
-    "parse_path_file",
     "permutation_from_cycles",
     "permutation_lower_bound",
     "shortest_swaps",
     "std_decomposition",
-    "transposition_parity",
     "validate_decomposition",
 ]

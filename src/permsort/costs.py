@@ -146,14 +146,11 @@ class CostMatrix(Frozen):
             raise ValueError(f"pair ({a}, {b}) outside 1..{self.n}")
         return self.table[a - 1][b - 1]
 
-    def pairs(self) -> Iterator[tuple[int, int]]:
+    def entries(self) -> Iterator[tuple[int, int, Number]]:
+        """(a, b, cost) for every pair a < b, in lexicographic order."""
         for a in range(1, self.n + 1):
             for b in range(a + 1, self.n + 1):
-                yield (a, b)
-
-    def entries(self) -> Iterator[tuple[int, int, Number]]:
-        for a, b in self.pairs():
-            yield (a, b, self.table[a - 1][b - 1])
+                yield (a, b, self.table[a - 1][b - 1])
 
     def assume_optimized(self) -> "CostMatrix":
         """Relabel as optimized without optimizing. Use deliberately."""
@@ -243,6 +240,7 @@ def _set_pair(rows: list[list[Number]], listed: set, a: int, b: int, v: Number, 
         raise ValueError(f"bad pair ({a}, {b}) for n={n}")
     if not cost_checked and not _is_valid_cost(v):
         raise ValueError(f"bad cost {v!r} for pair ({a}, {b})")
+    v += 0    # -0.0 + 0 is 0.0: a zero cost is never stored as -0.0
     if isinstance(v, int):
         total += v
         if not _ints_fit(total, n):
@@ -315,7 +313,7 @@ def _parse_value(tok: str, lineno: int) -> Number:
         raise CostParseError(f"cost value {tok!r} is out of range; only 'inf' means infinity", lineno)
     if not _is_valid_cost(v):
         raise CostParseError(f"bad cost value {tok!r}", lineno)
-    return v
+    return v + 0    # '-0.0' is stored as 0.0
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -325,10 +323,7 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def parse_cost_file(text: str) -> CostMatrix:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise CostParseError("empty cost file")
+def _parse_table(lines: list[tuple[int, str]]) -> CostMatrix:
     lineno, head = lines[0]
     parts = head.split()
     if len(parts) != 2 or parts[0] != "n":
@@ -358,11 +353,8 @@ def parse_cost_file(text: str) -> CostMatrix:
     return _freeze(rows, "raw")
 
 
-def parse_path_file(text: str) -> DefiningPath:
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != "path":
-        lineno = lines[0][0] if lines else None
-        raise CostParseError("expected 'path' header", lineno)
+def _parse_path(lines: list[tuple[int, str]]) -> DefiningPath:
+    # lines[0] is the 'path' header
     if len(lines) != 3:
         raise CostParseError("a path file needs an order line and a weight line")
     lineno, order_line = lines[1]
@@ -379,12 +371,11 @@ def parse_path_file(text: str) -> DefiningPath:
 
 
 def parse_cost_input(text: str) -> CostMatrix | DefiningPath:
-    """Dispatch on the header line: 'n <size>' or 'path'."""
-    for _, line in _content_lines(text):
-        if line == "path":
-            return parse_path_file(text)
-        return parse_cost_file(text)
-    raise CostParseError("empty cost file")
+    """A cost table, or a defining path when the first content line is 'path'."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise CostParseError("empty cost file")
+    return (_parse_path if lines[0][1] == "path" else _parse_table)(lines)
 
 
 def _format_value(v: Number) -> str:

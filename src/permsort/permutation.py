@@ -13,7 +13,6 @@ and refuse assignment, as frozen dataclasses do.
 from __future__ import annotations
 
 import re
-from functools import total_ordering
 from typing import Iterable, Sequence
 
 from .errors import CostParseError
@@ -24,7 +23,7 @@ class Permutation(Frozen):
     """Bijection on {1, ..., n} in one-line notation.
 
     >>> p = Permutation((3, 1, 2, 5, 4))
-    >>> p(1), p(4)
+    >>> p.images[1 - 1], p.images[4 - 1]
     (3, 5)
     """
 
@@ -43,22 +42,12 @@ class Permutation(Frozen):
     def n(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"label {i} outside 1..{self.n}")
-        return self.images[i - 1]
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
 
-@total_ordering
 class Transposition(Frozen):
-    """Unordered pair of distinct labels, normalised so a < b; ordered by (a, b).
+    """Unordered pair of distinct labels, normalised so a < b.
 
     >>> Transposition(4, 1)
     Transposition(a=1, b=4)
@@ -75,13 +64,6 @@ class Transposition(Frozen):
             raise ValueError(f"labels start at 1, got {a}")
         set_field(self, "a", a)
         set_field(self, "b", b)
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
-    def __lt__(self, other):
-        return self.pair < other.pair if other.__class__ is self.__class__ else NotImplemented
 
     def __str__(self) -> str:
         return f"({self.a} {self.b})"
@@ -173,17 +155,6 @@ def compose(outer: Permutation, inner: Permutation) -> Permutation:
     return Permutation(tuple(outer.images[j - 1] for j in inner.images))
 
 
-def inverse(p: Permutation) -> Permutation:
-    """
-    >>> inverse(Permutation((3, 1, 2, 5, 4))).images
-    (2, 3, 1, 5, 4)
-    """
-    images = [0] * p.n
-    for i, v in enumerate(p.images, start=1):
-        images[v - 1] = i
-    return Permutation(tuple(images))
-
-
 def nontrivial_cycles(p: Permutation) -> list[Cycle]:
     """Cycles of length at least two, sorted by minimum element.
 
@@ -206,11 +177,6 @@ def nontrivial_cycles(p: Permutation) -> list[Cycle]:
             cur = images[cur - 1]
         out.append(Cycle(elems))
     return out
-
-
-def transposition_parity(p: Permutation) -> int:
-    """Length of any transposition product for p, modulo 2: a k-cycle takes k - 1."""
-    return sum(c.k - 1 for c in nontrivial_cycles(p)) % 2
 
 
 def permutation_from_cycles(n: int, cycle_list: Iterable[Sequence[int] | Cycle]) -> Permutation:

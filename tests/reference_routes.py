@@ -72,7 +72,6 @@ from permsort import (
     Transposition,
     mcd_exact,
     nontrivial_cycles,
-    transposition_parity,
 )
 from permsort.costs import Number, _freeze, _fresh
 from permsort.errors import DEFAULT_LIMIT
@@ -114,8 +113,8 @@ def cycles(p: Permutation) -> list[Cycle]:
         if start in seen:
             continue
         elems = [start]
-        while p(elems[-1]) != start:
-            elems.append(p(elems[-1]))
+        while p.images[elems[-1] - 1] != start:
+            elems.append(p.images[elems[-1] - 1])
         seen.update(elems)
         out.append(Cycle(elems))
     return out
@@ -219,7 +218,7 @@ def sharpened_lower_bound(p: Permutation, raw: CostMatrix, lower_bound: float) -
     if target == 0 or 0 in values:
         return target    # nothing to hit, or a free swap fixes the parity
     by_parity = _attainable(target, values)
-    parity = transposition_parity(p)
+    parity = cayley_length(p) % 2
     if not by_parity[parity] and by_parity[1 - parity]:
         return target + 1
     return target
@@ -287,7 +286,7 @@ def merge_cycles_rescan(p: Permutation, phi_star: CostMatrix) -> tuple[Decomposi
 
 def product_by_fold(d: Decomposition, n: int) -> Permutation:
     """Multiply out d one transposition at a time, rightmost first."""
-    p = Permutation.identity(n)
+    p = Permutation(range(1, n + 1))
     for t in reversed(d.transpositions):
         p = apply_transposition(p, t)
     return p

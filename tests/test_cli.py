@@ -94,6 +94,14 @@ def test_optimize_path_distances_are_fixed_point(tmp_path, capsys):
     assert out == "0 entries changed\n"
 
 
+def test_negative_zero_costs_print_as_zero(tmp_path, capsys):
+    # '-0.0' is a valid zero cost; it is stored as 0.0, so no sum of it
+    # prints as '-0.0'
+    f = tmp_path / "zeros.cost"
+    f.write_text("n 3\n1 2 -0.0\n2 3 -0.0\n1 3 10\n")
+    assert run(capsys, "optimize", str(f)) == (0, "1 3: 10 -> 0.0\n1 entries changed\n", "")
+
+
 def test_decompose_with_expansion(tmp_path, capsys):
     src = cost_file(tmp_path, "sparse", sparse5_raw())
     code, out, err = run(capsys, "decompose", src, "(1 2 3 4 5)", "--expand")

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 
@@ -17,10 +18,8 @@ from permsort import (
     from_pairs,
     mcd_exact,
     metric_path,
-    parse_cost_file,
     parse_cost_input,
     parse_cycles,
-    parse_path_file,
 )
 from permsort import costs as costs_module
 from permsort.costs import tolerance
@@ -72,10 +71,15 @@ def test_from_pairs():
 
 def test_helpers():
     m = from_pairs(3, [(1, 2, 5), (1, 3, INF), (2, 3, 0.5)])
-    assert list(m.pairs()) == [(1, 2), (1, 3), (2, 3)]
     assert list(m.entries()) == [(1, 2, 5), (1, 3, INF), (2, 3, 0.5)]
     opt = m.assume_optimized()
     assert opt.kind == "optimized" and opt.table == m.table
+
+
+def test_a_zero_is_stored_as_positive_zero():
+    assert math.copysign(1, from_pairs(2, [(1, 2, -0.0)]).cost(1, 2)) == 1
+    assert math.copysign(1, parse_cost_input("n 2\n1 2 -0.0\n").cost(1, 2)) == 1
+    assert math.copysign(1, parse_cost_input("path\n1 2\n-0.0\n").weights[0]) == 1
 
 
 def test_tolerance_is_exact_on_integers():
@@ -93,7 +97,7 @@ def test_parse_cost_file():
     1 3 inf
     2 3 0.5
     """
-    m = parse_cost_file(text)
+    m = parse_cost_input(text)
     assert m.n == 3
     assert m.cost(1, 2) == 5 and isinstance(m.cost(1, 2), int)
     assert m.cost(1, 3) == INF
@@ -113,7 +117,7 @@ def test_parse_cost_file():
 ])
 def test_parse_errors_name_the_line(text, lineno):
     with pytest.raises(CostParseError) as err:
-        parse_cost_file(text)
+        parse_cost_input(text)
     assert err.value.line == lineno
     assert f"line {lineno}:" in str(err.value)
 
@@ -122,23 +126,23 @@ def test_parse_rejects_overflowing_costs():
     # float() reads all of these as inf; only the literal 'inf' may mean it
     for tok in ("1e400", "Infinity", "INF", "1" + "0" * 400):
         with pytest.raises(CostParseError) as err:
-            parse_cost_file(f"n 3\n1 2 5\n2 3 {tok}\n")
+            parse_cost_input(f"n 3\n1 2 5\n2 3 {tok}\n")
         assert err.value.line == 3
         assert "only 'inf' means infinity" in str(err.value)
     with pytest.raises(CostParseError) as err:
-        parse_path_file("path\n1 2 3\n1 1e400\n")
+        parse_cost_input("path\n1 2 3\n1 1e400\n")
     assert err.value.line == 3
-    assert parse_cost_file("n 2\n1 2 1e308\n").cost(1, 2) == 1e308
+    assert parse_cost_input("n 2\n1 2 1e308\n").cost(1, 2) == 1e308
 
 
 def test_parse_empty_file():
     with pytest.raises(CostParseError):
-        parse_cost_file("# nothing here\n")
+        parse_cost_input("# nothing here\n")
 
 
 def test_format_round_trip():
     m = from_pairs(3, [(1, 2, 5), (2, 3, 0.5)])
-    again = parse_cost_file(format_cost_file(m))
+    again = parse_cost_input(format_cost_file(m))
     assert again.table == m.table
     text = format_cost_file(m)
     assert text.splitlines()[0] == "n 3"
@@ -163,12 +167,10 @@ def test_defining_path_validation():
 
 def test_path_file_round_trip():
     p = DefiningPath((1, 3, 5, 2, 4), (2, 1, 4, 1))
-    again = parse_path_file(format_path_file(p))
+    again = parse_cost_input(format_path_file(p))
     assert again == p
     with pytest.raises(CostParseError):
-        parse_path_file("path\n1 2 3\n")
-    with pytest.raises(CostParseError):
-        parse_path_file("n 3\n1 2 5\n")
+        parse_cost_input("path\n1 2 3\n")
 
 
 def test_each_parsed_cost_is_checked_once(monkeypatch):
@@ -182,10 +184,10 @@ def test_each_parsed_cost_is_checked_once(monkeypatch):
         return valid(v)
 
     monkeypatch.setattr(costs_module, "_is_valid_cost", counting)
-    parse_cost_file("n 4\n1 2 3\n1 3 inf\n2 4 0.5\n3 4 7\n")
+    parse_cost_input("n 4\n1 2 3\n1 3 inf\n2 4 0.5\n3 4 7\n")
     assert checked == [3, 0.5, 7]    # the literal 'inf' needs no check
     checked.clear()
-    parse_path_file("path\n1 3 5 2 4\n2 1 4.5 1\n")
+    parse_cost_input("path\n1 3 5 2 4\n2 1 4.5 1\n")
     assert checked == [2, 1, 4.5, 1] * 2
     # a listed pair and a hand-built path are still checked in full
     checked.clear()
@@ -265,7 +267,7 @@ def test_integer_costs_summing_past_the_float_range():
     with pytest.raises(ValueError, match="integer costs sum past the float range"):
         from_pairs(3, [(1, 2, big), (2, 3, big)])
     with pytest.raises(CostParseError) as err:
-        parse_cost_file(f"n 3\n1 2 5\n2 3 {big}\n")
+        parse_cost_input(f"n 3\n1 2 5\n2 3 {big}\n")
     assert err.value.line == 3
     with pytest.raises(ValueError, match="path weights sum past the float range"):
         DefiningPath((1, 2, 3), (8 * 10**307, 8 * 10**307))

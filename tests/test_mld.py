@@ -7,6 +7,7 @@ from permsort import (
     Cycle,
     Decomposition,
     DefiningPath,
+    Transposition,
     all_pairs_optimize,
     from_pairs,
     metric_path,
@@ -63,7 +64,7 @@ def test_dp4_reconstruction():
     star = optimized(dp4_raw())
     d, cost = min_cost_mld(Cycle((1, 2, 3, 4)), star)
     assert cost == 8
-    assert [t.pair for t in d] == [(2, 4), (2, 3), (1, 4)]
+    assert [(t.a, t.b) for t in d] == [(2, 4), (2, 3), (1, 4)]
     assert validate_decomposition(d, permutation_from_cycles(4, [(1, 2, 3, 4)]))
     assert d.cost(star) == 8
 
@@ -80,7 +81,7 @@ def test_dp_tiny_cycles():
     d, cost = min_cost_mld(Cycle((3,)), star)
     assert len(d) == 0 and cost == 0
     d, cost = min_cost_mld(Cycle((2, 4)), star)
-    assert [t.pair for t in d] == [(2, 4)] and cost == 3
+    assert [(t.a, t.b) for t in d] == [(2, 4)] and cost == 3
     with pytest.raises(ValueError):
         min_cost_mld(Cycle((1, 5)), star)
 
@@ -105,7 +106,7 @@ def test_rebuild_follows_a_deep_split_chain():
     cyc = Cycle(tuple(range(1, k + 1)))
     seq = _rebuild(cyc.elements, lambda i, j: split[i][j], 1, k)
     assert len(seq) == k - 1
-    assert [t.pair for t in seq[:2]] == [(k - 1, k), (k - 2, k)]
+    assert [(t.a, t.b) for t in seq[:2]] == [(k - 1, k), (k - 2, k)]
     assert validate_decomposition(Decomposition(tuple(seq)), permutation_from_cycles(k, [cyc]))
 
 
@@ -117,7 +118,7 @@ def test_dp_tie_break_prefers_small_r_then_small_s():
     assert table.split[1][4] == (1, 2)
     d, cost = min_cost_mld(Cycle((1, 2, 3, 4)), star)
     assert cost == 3
-    assert [t.pair for t in d] == [(1, 2), (2, 3), (3, 4)]
+    assert [(t.a, t.b) for t in d] == [(1, 2), (2, 3), (3, 4)]
 
 
 def test_sparse5_decompositions():
@@ -135,7 +136,7 @@ def test_sparse5_decompositions():
     assert len(d) == 4
     std, std_cost = std_decomposition(Cycle((1, 2, 3, 4, 5)), opt)
     assert std_cost == 111
-    assert [t.pair for t in std] == [(1, 2), (2, 3), (3, 4), (4, 5)]
+    assert [(t.a, t.b) for t in std] == [(1, 2), (2, 3), (3, 4), (4, 5)]
 
 
 def test_std_skips_the_last_of_tied_maxima():
@@ -143,7 +144,7 @@ def test_std_skips_the_last_of_tied_maxima():
     # lands on 4, so the chain starts at the pair (1 2)
     opt = optimized(sparse5_raw())
     d, _ = std_decomposition(Cycle((1, 2, 3, 4, 5)), opt)
-    assert d.transpositions[0].pair == (1, 2)
+    assert d.transpositions[0] == Transposition(1, 2)
 
 
 def test_std_reports_unreachable_chains():
@@ -162,7 +163,7 @@ def test_ring10_cycle_quantities():
     star = optimized(ring10_raw())
     # closed form on the ring: twice the hop distance minus one
     from frozen import ring10_distance
-    for a, b in star.pairs():
+    for a, b, _ in star.entries():
         assert star.cost(a, b) == 2 * ring10_distance(a, b) - 1
     c = Cycle((1, 7, 3, 9, 5))
     mld, mld_cost = min_cost_mld(c, star)

@@ -9,6 +9,7 @@ from permsort import (
     DefiningPath,
     InfeasibleError,
     Permutation,
+    Transposition,
     all_pairs_optimize,
     decompose,
     from_pairs,
@@ -54,7 +55,7 @@ def test_lower_bound_disconnected():
 def test_merge_greedy_two_rings():
     star = all_pairs_optimize(ring10_raw())
     tau, merged = merge_cycles(TWO_RINGS, star)
-    assert [t.pair for t in tau] == [(1, 2)]
+    assert [(t.a, t.b) for t in tau] == [(1, 2)]
     assert merged.k == 10
     assert set(merged.elements) == set(range(1, 11))
 
@@ -100,7 +101,7 @@ def test_merged_decompose_two_rings():
     assert cost / lower_bound == 1.9
     assert validate_decomposition(d, TWO_RINGS)
     # first written factor is the join's inverse, which is the join itself
-    assert d.transpositions[0].pair == (1, 2)
+    assert d.transpositions[0] == Transposition(1, 2)
 
 
 def test_decompose_identity_every_method():

@@ -98,7 +98,7 @@ def test_optimized_never_exceeds_raw_and_satisfies_substitution():
         for a, b, v in table.entries():
             assert star.cost(a, b) <= v
         # no triple can improve any further
-        for a, b in star.pairs():
+        for a, b, _ in star.entries():
             for c in range(1, n + 1):
                 if c in (a, b):
                     continue
@@ -167,11 +167,11 @@ def test_swap_path_cost():
 def test_expand_transposition_via_witnesses():
     report = optimize_costs(opt4_raw())
     d = expand_by_reference(1, 4, report, opt4_raw())
-    assert [t.pair for t in d] == [(3, 4), (1, 3), (3, 4)]
+    assert [(t.a, t.b) for t in d] == [(3, 4), (1, 3), (3, 4)]
     assert d.cost(opt4_raw()) == 8
     # an unimproved pair expands to itself
     plain = expand_by_reference(1, 2, report, opt4_raw())
-    assert [t.pair for t in plain] == [(1, 2)]
+    assert [(t.a, t.b) for t in plain] == [(1, 2)]
 
 
 def test_expand_transposition_via_path_table():
@@ -179,12 +179,12 @@ def test_expand_transposition_via_path_table():
     table = bellman_ford(raw, 4)
     # path 4-2-5; the earliest maximum edge (4 2) becomes the single-use centre
     d = expand_by_reference(4, 5, table, raw)
-    assert [t.pair for t in d] == [(2, 5), (2, 4), (2, 5)]
+    assert [(t.a, t.b) for t in d] == [(2, 5), (2, 4), (2, 5)]
     assert d.cost(raw) == 3
     # the witness route spells the same swap differently at the same cost
     report = optimize_costs(raw)
     w = expand_by_reference(4, 5, report, raw)
-    assert [t.pair for t in w] == [(2, 4), (2, 5), (2, 4)]
+    assert [(t.a, t.b) for t in w] == [(2, 4), (2, 5), (2, 4)]
     assert w.cost(raw) == 3
 
 
@@ -223,7 +223,7 @@ def test_expand_against_exhaustive_minimum():
         n = rng.randint(2, 5)
         raw = random_table(n, rng, inf_share=0.2, hi=20)
         star = optimize_costs(raw).optimized
-        for a, b in star.pairs():
+        for a, b, _ in star.entries():
             assert star.cost(a, b) == transposition_min_cost_exact(a, b, raw)
 
 

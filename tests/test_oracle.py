@@ -52,7 +52,7 @@ def test_exact_search_four_cycle():
     p = parse_cycles("(1 2 3 4)", 4)
     witness, m = mcd_exact(p, shortest_swaps(dp4_raw()))
     assert m == 8
-    assert [t.pair for t in witness] == [(2, 4), (2, 3), (1, 4)]
+    assert [(t.a, t.b) for t in witness] == [(2, 4), (2, 3), (1, 4)]
 
 
 def test_exact_search_disconnected():
@@ -94,7 +94,7 @@ def test_exact_search_random_witnesses():
 
 def test_single_swap_exact_agrees_with_frozen_table():
     raw = opt4_raw()
-    got = {pair: transposition_min_cost_exact(*pair, raw) for pair in raw.pairs()}
+    got = {(a, b): transposition_min_cost_exact(a, b, raw) for a, b, _ in raw.entries()}
     assert got == OPT4_STAR
 
 
