@@ -383,7 +383,7 @@ def _format_value(v: Number) -> str:
         return "inf"
     if isinstance(v, int):
         return str(v)
-    return repr(v)
+    return repr(v + 0)    # -0.0 + 0 is 0.0, so a hand-built -0.0 prints as 0.0
 
 
 def format_cost_file(costs: CostMatrix) -> str:

@@ -258,7 +258,9 @@ def test_only_the_oracle_command_loads_the_oracle(tmp_path):
     assert not {"dataclasses", "inspect", "permsort.bench"} & oracle
     sweep = _imported("-m", "permsort", "bench", "3", "4", "--trials", "1") - bare
     assert "permsort.bench" in sweep
-    assert not {"dataclasses", "inspect", "permsort.oracle"} & sweep
+    # the hand-made fork stays: a process pool costs up to about 48 ms to import and start
+    assert not {"dataclasses", "inspect", "permsort.oracle",
+                "multiprocessing", "concurrent.futures"} & sweep
 
 
 def test_decompose_identity(tmp_path, capsys):
@@ -816,21 +818,15 @@ def test_bench_rows_optimized_never_worse():
         assert mean_opt <= mean_raw
 
 
-# the default block, and one so small that blocks cut across rows
-BLOCKS = (bench.BLOCK, 5)
-
-
 @pytest.mark.parametrize("sweep", [(3, 6, 4), (5, 5, 1), (3, 4, 2), (6, 5, 1)])
 def test_bench_rows_do_not_depend_on_the_worker_count(monkeypatch, sweep):
     # (5, 5, 1) and (3, 4, 2) have fewer trials than the three CPUs, (6, 5, 1) none
     for seed in (0, 1, 2):
         rows = []
-        for block in BLOCKS:
-            monkeypatch.setattr(bench, "BLOCK", block)
-            for cpus in ({0}, {0, 1, 2}):
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-                rows.append(bench_rows(*sweep, seed))
-        assert rows == [rows[0]] * 4
+        for cpus in ({0}, {0, 1}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            rows.append(bench_rows(*sweep, seed))
+        assert rows == [rows[0]] * 3
 
 
 def _assert_no_child_left():
@@ -839,35 +835,42 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-TRIAL_PAIRS = bench._trial_pairs    # the real one, before any test patches it
+TRIAL_PAIR = bench._trial_pair    # the real one, before any test patches it
 
 
-def _stub_by_call(parent_steps, child_steps):
-    """A ``bench._trial_pairs`` whose c-th call in a process passes the real
-    pairs through step c of that process's list (its last step from then on)."""
+def _cheap_pair(kmin, trials, i, seed):
+    # a different pair for each trial, and sums that round, so that both
+    # the trial each record lands on and the order of the sum show
+    return (i / 3, 1 / (i + 1))
+
+
+def _stub_by_call(parent_steps, child_steps, pair=TRIAL_PAIR):
+    """A ``bench._trial_pair`` whose c-th call in a process passes ``pair``'s
+    result through step c of that process's list (its last step from then on)."""
     parent = os.getpid()
     calls = []    # a forked child counts its own calls, in its copy
 
-    def stub(kmin, trials, share, seed):
+    def stub(kmin, trials, i, seed):
         steps = parent_steps if os.getpid() == parent else child_steps
-        calls.append(share)
-        return steps[min(len(calls), len(steps)) - 1](TRIAL_PAIRS(kmin, trials, share, seed))
+        calls.append(i)
+        return steps[min(len(calls), len(steps)) - 1](pair(kmin, trials, i, seed))
     return stub
 
 
-def _good(pairs):
-    return pairs
+def _good(pair):
+    return pair
 
 
-def _short(pairs):
-    return pairs[:-1]
+def _pauses(pair):
+    time.sleep(0.5)
+    return pair
 
 
-def _fails(pairs):
+def _fails(pair):
     raise RuntimeError("failed")
 
 
-def _hangs(pairs):
+def _hangs(pair):
     time.sleep(60)    # a child the parent waited for would hold it here
 
 
@@ -875,23 +878,33 @@ def test_bench_recomputes_a_failed_child_stride(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     serial = bench_rows(3, 6, 3, 5)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    # in one block each child fails at once; in blocks of 5 it sends a good
-    # list, then a short one, then fails
-    for block, child_steps in zip(BLOCKS, ([_fails], [_good, _short, _fails])):
-        monkeypatch.setattr(bench, "BLOCK", block)
-        monkeypatch.setattr(bench, "_trial_pairs", _stub_by_call([_good], child_steps))
+    # each child fails at once, or sends two records and then fails
+    for child_steps in ([_fails], [_good, _good, _fails]):
+        monkeypatch.setattr(bench, "_trial_pair", _stub_by_call([_good], child_steps))
         assert bench_rows(3, 6, 3, 5) == serial
         _assert_no_child_left()
 
 
+def test_bench_recomputes_a_child_that_dies_past_a_full_pipe(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(bench, "_trial_pair", _cheap_pair)
+    serial = bench_rows(3, 5, 10_000, 0)
+    # each child has 10,000 trials and fails after 5,000 records; the parent
+    # pauses at its first trial, so each child first fills its 64 KiB pipe
+    # (4,096 records) and waits
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(bench, "_trial_pair",
+                        _stub_by_call([_pauses, _good], [_good] * 5_000 + [_fails], _cheap_pair))
+    assert bench_rows(3, 5, 10_000, 0) == serial
+    _assert_no_child_left()
+
+
 def test_bench_reaps_its_children_when_its_own_stride_raises(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    # in one block the parent fails at once; in blocks of 5, mid-sweep, once
-    # every child has sent its first list
-    for block, parent_steps, child_steps in zip(BLOCKS, ([_fails], [_good, _fails]),
-                                                ([_hangs], [_good, _hangs])):
-        monkeypatch.setattr(bench, "BLOCK", block)
-        monkeypatch.setattr(bench, "_trial_pairs", _stub_by_call(parent_steps, child_steps))
+    # the parent fails at once, or mid-sweep, once every child has sent its
+    # first record and hangs on its second
+    for parent_steps, child_steps in (([_fails], [_hangs]), ([_good, _fails], [_good, _hangs])):
+        monkeypatch.setattr(bench, "_trial_pair", _stub_by_call(parent_steps, child_steps))
         t0 = time.perf_counter()
         with pytest.raises(RuntimeError, match="failed"):
             bench_rows(3, 6, 3, 5)
@@ -901,8 +914,7 @@ def test_bench_reaps_its_children_when_its_own_stride_raises(monkeypatch):
 
 def test_bench_memory_does_not_grow_with_the_trials(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(bench, "_trial_pairs",
-                        lambda kmin, trials, share, seed: [(0.5, 0.25)] * len(share))
+    monkeypatch.setattr(bench, "_trial_pair", lambda kmin, trials, i, seed: (0.5, 0.25))
     tracemalloc.start()
     try:
         rows = bench_rows(3, 5, 200_000, 0)
@@ -910,26 +922,22 @@ def test_bench_memory_does_not_grow_with_the_trials(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rows == [(k, 200_000, 0.5, 0.25) for k in (3, 4, 5)]
-    # one block at a time; 600,000 trials held at once take over 100 MB
+    # the pipes are the only buffer; 600,000 pairs held at once take over 100 MB
     assert peak < 8_000_000
     _assert_no_child_left()
 
 
 def test_bench_prints_its_csv_once(tmp_path, capsys):
     # a child that flushed the stdio buffers it inherited, or ran on into
-    # the parent's code, would print twice; blocks of 5 make each child
-    # write many lists
+    # the parent's code, would print twice; each child writes many records
     argv = ["bench", "3", "8", "--trials", "5", "--seed", "1"]
     _, csv, _ = run(capsys, *argv)
     dst = tmp_path / "rows.csv"
-    for block in BLOCKS:
-        entry = ("-c", "import sys; from permsort import bench, cli; "
-                       f"bench.BLOCK = {block}; sys.exit(cli.main(sys.argv[1:]))")
-        proc = _python(*entry, *argv)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, csv, "")
-        proc = _python(*entry, *argv, "-o", str(dst))
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"wrote {dst}\n", "")
-        assert dst.read_text() == csv
+    proc = _python("-m", "permsort", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, csv, "")
+    proc = _python("-m", "permsort", *argv, "-o", str(dst))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"wrote {dst}\n", "")
+    assert dst.read_text() == csv
 
 
 def test_bench_range_guards(capsys, monkeypatch):

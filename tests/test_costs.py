@@ -82,6 +82,14 @@ def test_a_zero_is_stored_as_positive_zero():
     assert math.copysign(1, parse_cost_input("path\n1 2\n-0.0\n").weights[0]) == 1
 
 
+def test_a_hand_built_negative_zero_prints_as_zero():
+    # the constructors keep -0.0; the writer prints it as 0.0
+    assert format_cost_file(CostMatrix(2, ((0, -0.0), (-0.0, 0)))) == "n 2\n1 2 0.0\n"
+    path = DefiningPath((1, 2), (-0.0,))
+    assert format_cost_file(extended_metric_path(path)) == "n 2\n1 2 0.0\n"
+    assert format_path_file(path) == "path\n1 2\n0.0\n"
+
+
 def test_tolerance_is_exact_on_integers():
     assert tolerance(3, 0, 12) == 0
     assert tolerance(0.5, 0.25) == 1e-9
