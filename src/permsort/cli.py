@@ -273,7 +273,3 @@ def main(argv=None) -> int:
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(e, cls))
     sys.stdout.write(text)
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

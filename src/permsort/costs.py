@@ -15,14 +15,14 @@ finite. Costs stay ints when the inputs are ints, so equality checks on
 integer instances are exact.
 
 Each number is checked once where it enters: cost and weight tokens in
-``_parse_value``, which knows their line; listed entries and their int
-total in ``_set_pair`` (which checks the cost itself only for ``from_pairs``);
-path weights and their sums in ``DefiningPath``;
-hand-built tables in ``CostMatrix._check``, which bounds a raw table's
-largest int entry and the weight of its int spanning forest, both at most
-the int total the parser bounds and the int weight sum a path's tables
-are built from, and an optimized table's largest int entry, so that any
-2n entries sum to a float.
+``_parse_value``, which knows their line, and ``from_pairs`` costs before
+it hands them on; listed pairs and their int total in ``_set_pair``, where
+a pair listed again must repeat its cost and counts once; path weights and
+their sums in ``DefiningPath``; hand-built tables in ``CostMatrix._check``,
+which bounds a raw table's largest int entry and the weight of its int
+spanning forest, both at most the int total the parser bounds and the int
+weight sum a path's tables are built from, and an optimized table's largest
+int entry, so that any 2n entries sum to a float.
 ``_freeze`` wraps tables computed from checked numbers without a recheck.
 ``check_table_size`` refuses an n x n table past ``TABLE_LIMIT`` before it
 is allocated; the two allocators, ``_fresh`` and ``metric_path``, call it
@@ -229,26 +229,26 @@ def _freeze(rows: Sequence[Sequence[Number]], kind: str) -> CostMatrix:
     return m
 
 
-def _set_pair(rows: list[list[Number]], listed: set, a: int, b: int, v: Number, total: int,
-              cost_checked: bool = False) -> int:
-    """Check a listed (a, b, cost) entry, write both halves, return the new int total.
-
-    ``cost_checked`` skips the check of the cost itself, for a value the
-    parser has checked on its line."""
+def _set_pair(rows: list[list[Number]], listed: set, a: int, b: int, v: Number, total: int) -> int:
+    """Write a listed (a, b, cost) entry, its cost already checked, to both
+    halves; return the int total of the stored entries. A pair listed again
+    must repeat its cost, and the later listing replaces the earlier one."""
     n = len(rows)
     if a == b or not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"bad pair ({a}, {b}) for n={n}")
-    if not cost_checked and not _is_valid_cost(v):
-        raise ValueError(f"bad cost {v!r} for pair ({a}, {b})")
     v += 0    # -0.0 + 0 is 0.0: a zero cost is never stored as -0.0
+    key = (min(a, b), max(a, b))
+    if key in listed:
+        old = rows[a - 1][b - 1]
+        if old != v:
+            raise ValueError(f"conflicting duplicate for pair {key}")
+        if isinstance(old, int):
+            total -= old
+    listed.add(key)
     if isinstance(v, int):
         total += v
         if not _ints_fit(total, n):
             raise ValueError("integer costs sum past the float range")
-    key = (min(a, b), max(a, b))
-    if key in listed and rows[a - 1][b - 1] != v:
-        raise ValueError(f"conflicting duplicate for pair {key}")
-    listed.add(key)
     rows[a - 1][b - 1] = rows[b - 1][a - 1] = v
     return total
 
@@ -261,6 +261,8 @@ def from_pairs(n: int, entries: Iterable[tuple[int, int, Number]]) -> CostMatrix
     listed: set[tuple[int, int]] = set()
     total = 0
     for a, b, v in entries:
+        if not _is_valid_cost(v):
+            raise ValueError(f"bad cost {v!r} for pair ({a}, {b})")
         total = _set_pair(rows, listed, a, b, v, total)
     return _freeze(rows, "raw")
 
@@ -347,7 +349,7 @@ def _parse_table(lines: list[tuple[int, str]]) -> CostMatrix:
             raise CostParseError(f"bad pair in {line!r}", lineno) from None
         v = _parse_value(toks[2], lineno)
         try:
-            total = _set_pair(rows, listed, a, b, v, total, cost_checked=True)
+            total = _set_pair(rows, listed, a, b, v, total)
         except ValueError as exc:
             raise CostParseError(str(exc), lineno) from None
     return _freeze(rows, "raw")

@@ -36,7 +36,9 @@ reads distances and never computes a table.
 
 ``min_cost_mld``, ``std_decomposition`` and ``metric_path_mcd`` each return
 a decomposition and its cost, and raise InfeasibleError when no finite-cost
-sequence of their kind exists.
+sequence of their kind exists. A 1-cycle takes the same path as a longer
+one and meets the same checks of the table's kind and the cycle's labels;
+C(1, 1) = 0, so it comes back with no swaps and an int cost 0.
 """
 from __future__ import annotations
 
@@ -50,12 +52,15 @@ from .permutation import Cycle, Decomposition, Permutation, Transposition, valid
 Edge = tuple[int, int]
 
 
-def _require_optimized(costs: CostMatrix):
+def _require_optimized(cycle: Cycle, costs: CostMatrix):
+    """An optimized table that holds every label of the cycle."""
     if costs.kind != "optimized":
         raise ValueError(
             "this routine needs optimized costs; optimize the table first "
             "or use assume_optimized() to trust it as is"
         )
+    if max(cycle.elements) > costs.n:
+        raise ValueError(f"cycle label {max(cycle.elements)} outside 1..{costs.n}")
 
 
 def _fill(cycle: Cycle, costs: CostMatrix) -> tuple[list[list[Number]], ...]:
@@ -65,11 +70,9 @@ def _fill(cycle: Cycle, costs: CostMatrix) -> tuple[list[list[Number]], ...]:
     and r, row[i][t] = C(i, i+t), col[j][t] = C(j-t, j), brow[i][t] =
     B(i, i+1+t). Rows fill from the last up by appending: no per-cell slices.
     """
-    _require_optimized(costs)
+    _require_optimized(cycle, costs)
     labels = cycle.elements
     k = len(labels)
-    if max(labels) > costs.n:
-        raise ValueError(f"cycle label {max(labels)} outside 1..{costs.n}")
     phi = [[]] + [[0] + [costs.table[a - 1][b - 1] for b in labels] for a in labels]
     row: list[list[Number]] = [[0] for _ in range(k + 1)]
     col: list[list[Number]] = [[0] for _ in range(k + 1)]
@@ -132,8 +135,6 @@ def mld_cost(cycle: Cycle, costs: CostMatrix) -> Number:
 
     Raises InfeasibleError when every spanning tree needs an infinite edge.
     """
-    if cycle.k == 1:
-        return 0
     return _feasible_cost(cycle, _fill(cycle, costs))
 
 
@@ -144,8 +145,6 @@ def min_cost_mld(cycle: Cycle, costs: CostMatrix) -> tuple[Decomposition, Number
     InfeasibleError when every spanning tree needs an infinite edge.
     """
     k = cycle.k
-    if k == 1:
-        return Decomposition(), 0
     tables = _fill(cycle, costs)
     total = _feasible_cost(cycle, tables)
     d = Decomposition(tuple(_rebuild(cycle.elements, lambda i, j: _split(tables, i, j), 1, k)))
@@ -160,12 +159,10 @@ def std_decomposition(cycle: Cycle, costs: CostMatrix) -> tuple[Decomposition, N
     InfeasibleError when a needed edge is infinite. Ties for the skipped
     pair resolve to the last position.
     """
-    _require_optimized(costs)
+    _require_optimized(cycle, costs)
     labels = cycle.elements
     k = cycle.k
-    if k == 1:
-        return Decomposition(), 0
-    ring = [costs.cost(labels[t], labels[(t + 1) % k]) for t in range(k)]
+    ring = [costs.table[a - 1][b - 1] for a, b in zip(labels, labels[1:] + labels[:1])]
     skip = max(range(k), key=lambda t: (ring[t], t))
     total: Number = 0
     seq: list[Transposition] = []
@@ -193,8 +190,6 @@ def metric_path_mcd(cycle: Cycle, path: DefiningPath) -> tuple[Decomposition, Nu
     split of the interval recurrence per node, O(k) in all.
     """
     k = cycle.k
-    if k == 1:
-        return Decomposition(), 0
     if max(cycle.elements) > path.n:
         raise ValueError(f"cycle label {max(cycle.elements)} outside 1..{path.n}")
     pos = path.positions

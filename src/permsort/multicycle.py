@@ -111,7 +111,7 @@ def merge_cycles(
                 raise InfeasibleError(f"join ({a}, {b}) has no finite cost")
         if len(applied) != len(moved) - 1:
             raise ValueError("joins given do not merge all cycles")
-    elif len(moved) > 1:
+    else:
         if support[-1] > phi_star.n:
             raise ValueError(f"label {support[-1]} outside 1..{phi_star.n}")
         rows = phi_star.table

@@ -136,8 +136,10 @@ def shortest_swaps(raw: CostMatrix) -> ShortestSwaps:
     """
     n = raw.n
     dist = [list(row) for row in raw.table]
+    # one label list: the n^2 entries share its n int objects
+    labels = list(range(n))
     hop: list[list[int | None]] = [
-        [j if dist[i][j] != INF else None for j in range(n)] for i in range(n)
+        [j if d != INF else None for j, d in zip(labels, row)] for row in dist
     ]
     for k in range(n):
         row_k = dist[k]

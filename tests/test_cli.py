@@ -570,12 +570,17 @@ def test_integer_costs_at_the_float_range_limit(tmp_path, capsys):
     # the largest accepted integer total runs through every command
     top = int(1.7976931348623157e308) // 30
     f = tmp_path / "edge.cost"
-    f.write_text(f"n 3\n1 2 {top // 2}\n2 3 {top - top // 2}\n")
-    for argv in (("optimize", str(f)), ("decompose", str(f), "(1 2 3)", "--expand"),
-                 ("decompose", str(f), "(1 3)", "--method", "merge", "--expand"),
-                 ("decompose", str(f), "(1 2 3)", "--trust-raw"), ("oracle", str(f), "(1 2 3)")):
-        code, _, err = run(capsys, *argv)
-        assert (code, err) == (0, ""), argv
+    table = f"n 3\n1 2 {top // 2}\n2 3 {top - top // 2}\n"
+    argvs = (("optimize", str(f)), ("decompose", str(f), "(1 2 3)", "--expand"),
+             ("decompose", str(f), "(1 3)", "--method", "merge", "--expand"),
+             ("decompose", str(f), "(1 2 3)", "--trust-raw"), ("oracle", str(f), "(1 2 3)"))
+    f.write_text(table)
+    once = [run(capsys, *argv) for argv in argvs]
+    assert all((code, err) == (0, "") for code, _, err in once)
+    # a pair listed again repeats its cost and counts once toward the total
+    for again in (f"1 2 {top // 2}\n", f"2 1 {top // 2}\n"):
+        f.write_text(table + again)
+        assert [run(capsys, *argv) for argv in argvs] == once, again
     f.write_text(f"n 3\n1 2 {top // 2}\n2 3 {top - top // 2 + 1}\n")
     code, _, err = run(capsys, "optimize", str(f))
     assert (code, err) == (1, "error: line 3: integer costs sum past the float range\n")

@@ -67,6 +67,17 @@ def test_from_pairs():
         from_pairs(3, [(1, 4, 5)])
     with pytest.raises(ValueError):
         from_pairs(3, [(1, 2, -2)])
+    # a pair listed again counts once toward the int total, at its limit too
+    top = int(sys.float_info.max) // 30    # the largest accepted total at n = 3
+    entries = [(1, 2, top // 2), (2, 3, top - top // 2)]
+    for again in ((1, 2, top // 2), (2, 1, top // 2)):
+        assert from_pairs(3, entries + [again]) == from_pairs(3, entries)
+    with pytest.raises(ValueError, match="integer costs sum past the float range"):
+        from_pairs(3, [(1, 2, top // 2), (2, 3, top - top // 2 + 1)])
+    # the later listing is stored, and an int replacing an equal float counts
+    assert type(from_pairs(2, [(1, 2, 5), (2, 1, 5.0)]).cost(1, 2)) is float
+    with pytest.raises(ValueError, match="integer costs sum past the float range"):
+        from_pairs(3, [(1, 2, 1e308), (2, 1, int(1e308))])
 
 
 def test_helpers():

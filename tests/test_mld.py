@@ -80,6 +80,8 @@ def test_dp_tiny_cycles():
     star = optimized(dp4_raw())
     d, cost = min_cost_mld(Cycle((3,)), star)
     assert len(d) == 0 and cost == 0
+    with pytest.raises(ValueError, match="needs optimized costs"):
+        min_cost_mld(Cycle((3,)), dp4_raw())
     d, cost = min_cost_mld(Cycle((2, 4)), star)
     assert [(t.a, t.b) for t in d] == [(2, 4)] and cost == 3
     with pytest.raises(ValueError):
@@ -90,6 +92,8 @@ def test_mld_cost_matches_the_rebuilt_cost():
     star = optimized(dp4_raw())
     assert mld_cost(Cycle((1, 2, 3, 4)), star) == 8
     assert mld_cost(Cycle((3,)), star) == 0
+    with pytest.raises(ValueError, match="needs optimized costs"):
+        mld_cost(Cycle((3,)), dp4_raw())
     gap = from_pairs(4, [(1, 2, 1), (3, 4, 1)]).assume_optimized()
     with pytest.raises(InfeasibleError):
         mld_cost(Cycle((1, 2, 3, 4)), gap)
@@ -157,6 +161,8 @@ def test_std_single_label():
     opt = optimized(sparse5_raw())
     d, cost = std_decomposition(Cycle((2,)), opt)
     assert len(d) == 0 and cost == 0
+    with pytest.raises(ValueError, match="needs optimized costs"):
+        std_decomposition(Cycle((2,)), sparse5_raw())
 
 
 def test_ring10_cycle_quantities():
@@ -268,6 +274,10 @@ def test_metric_path_mcd_frozen():
     assert validate_decomposition(d, permutation_from_cycles(5, [(1, 2, 3, 4, 5)]))
     # half the ring sum: (1+2+1+3+7) / 2
     assert cost == cycle_floor(Cycle((1, 2, 3, 4, 5)), table)
+    # a 1-cycle takes the same path, label check included
+    assert metric_path_mcd(Cycle((3,)), path) == (Decomposition(), 0)
+    with pytest.raises(ValueError, match=r"^cycle label 7 outside 1\.\.3$"):
+        metric_path_mcd(Cycle((7,)), DefiningPath((1, 2, 3), (1, 1)))
 
 
 def test_metric_path_mcd_long_cycle_needs_no_recursion():
