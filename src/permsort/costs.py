@@ -17,12 +17,13 @@ integer instances are exact.
 Each number is checked once where it enters: cost and weight tokens in
 ``_parse_value``, which knows their line, and ``from_pairs`` costs before
 it hands them on; listed pairs and their int total in ``_set_pair``, where
-a pair listed again must repeat its cost and counts once; path weights and
-their sums in ``DefiningPath``; hand-built tables in ``CostMatrix._check``,
-which bounds a raw table's largest int entry and the weight of its int
-spanning forest, both at most the int total the parser bounds and the int
-weight sum a path's tables are built from, and an optimized table's largest
-int entry, so that any 2n entries sum to a float.
+a pair listed again must repeat its cost and counts once (the table records
+which pairs were listed, holding None until a pair's first listing); path
+weights and their sums in ``DefiningPath``; hand-built tables in
+``CostMatrix._check``, which bounds a raw table's largest int entry and the
+weight of its int spanning forest, both at most the int total the parser
+bounds and the int weight sum a path's tables are built from, and an
+optimized table's largest int entry, so that any 2n entries sum to a float.
 ``_freeze`` wraps tables computed from checked numbers without a recheck.
 ``check_table_size`` refuses an n x n table past ``TABLE_LIMIT`` before it
 is allocated; the two allocators, ``_fresh`` and ``metric_path``, call it
@@ -213,7 +214,7 @@ def check_table_size(n: int) -> None:
                              f"an n x n table would hold {n * n} entries")
 
 
-def _fresh(n: int, fill: Number) -> list[list[Number]]:
+def _fresh(n: int, fill: Number | None) -> list[list[Number | None]]:
     check_table_size(n)
     rows = [[fill] * n for _ in range(n)]
     for i in range(n):
@@ -229,22 +230,20 @@ def _freeze(rows: Sequence[Sequence[Number]], kind: str) -> CostMatrix:
     return m
 
 
-def _set_pair(rows: list[list[Number]], listed: set, a: int, b: int, v: Number, total: int) -> int:
+def _set_pair(rows: list[list[Number | None]], a: int, b: int, v: Number, total: int) -> int:
     """Write a listed (a, b, cost) entry, its cost already checked, to both
-    halves; return the int total of the stored entries. A pair listed again
-    must repeat its cost, and the later listing replaces the earlier one."""
+    halves; return the int total of the stored entries. The table records
+    which pairs were listed, holding None until a pair's first listing. A pair
+    listed again must repeat its cost, and the later listing replaces it."""
     n = len(rows)
     if a == b or not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"bad pair ({a}, {b}) for n={n}")
     v += 0    # -0.0 + 0 is 0.0: a zero cost is never stored as -0.0
-    key = (min(a, b), max(a, b))
-    if key in listed:
-        old = rows[a - 1][b - 1]
-        if old != v:
-            raise ValueError(f"conflicting duplicate for pair {key}")
-        if isinstance(old, int):
-            total -= old
-    listed.add(key)
+    old = rows[a - 1][b - 1]
+    if old is not None and old != v:
+        raise ValueError(f"conflicting duplicate for pair ({min(a, b)}, {max(a, b)})")
+    if isinstance(old, int):
+        total -= old
     if isinstance(v, int):
         total += v
         if not _ints_fit(total, n):
@@ -253,18 +252,23 @@ def _set_pair(rows: list[list[Number]], listed: set, a: int, b: int, v: Number, 
     return total
 
 
+def _freeze_listed(rows: list[list[Number | None]]) -> CostMatrix:
+    for row in rows:    # in place: a pair never listed costs inf
+        row[:] = [INF if v is None else v for v in row]
+    return _freeze(rows, "raw")
+
+
 def from_pairs(n: int, entries: Iterable[tuple[int, int, Number]]) -> CostMatrix:
     """Build a table from (a, b, cost) triples; unlisted pairs default to inf."""
     if n < 1:
         raise ValueError("need n >= 1")
-    rows = _fresh(n, INF)
-    listed: set[tuple[int, int]] = set()
+    rows = _fresh(n, None)
     total = 0
     for a, b, v in entries:
         if not _is_valid_cost(v):
             raise ValueError(f"bad cost {v!r} for pair ({a}, {b})")
-        total = _set_pair(rows, listed, a, b, v, total)
-    return _freeze(rows, "raw")
+        total = _set_pair(rows, a, b, v, total)
+    return _freeze_listed(rows)
 
 
 def metric_path(path: DefiningPath) -> CostMatrix:
@@ -325,8 +329,7 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def _parse_table(lines: list[tuple[int, str]]) -> CostMatrix:
-    lineno, head = lines[0]
+def _parse_table(lineno: int, head: str, lines: Iterator[tuple[int, str]]) -> CostMatrix:
     parts = head.split()
     if len(parts) != 2 or parts[0] != "n":
         raise CostParseError(f"expected 'n <size>', got {head!r}", lineno)
@@ -336,10 +339,9 @@ def _parse_table(lines: list[tuple[int, str]]) -> CostMatrix:
         raise CostParseError(f"bad size {parts[1]!r}", lineno) from None
     if n < 1:
         raise CostParseError(f"bad size {n}", lineno)
-    rows = _fresh(n, INF)
-    listed: set[tuple[int, int]] = set()
+    rows = _fresh(n, None)
     total = 0
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         toks = line.split()
         if len(toks) != 3:
             raise CostParseError(f"expected 'a b cost', got {line!r}", lineno)
@@ -349,22 +351,20 @@ def _parse_table(lines: list[tuple[int, str]]) -> CostMatrix:
             raise CostParseError(f"bad pair in {line!r}", lineno) from None
         v = _parse_value(toks[2], lineno)
         try:
-            total = _set_pair(rows, listed, a, b, v, total)
+            total = _set_pair(rows, a, b, v, total)
         except ValueError as exc:
             raise CostParseError(str(exc), lineno) from None
-    return _freeze(rows, "raw")
+    return _freeze_listed(rows)
 
 
 def _parse_path(lines: list[tuple[int, str]]) -> DefiningPath:
-    # lines[0] is the 'path' header
-    if len(lines) != 3:
+    if len(lines) != 2:
         raise CostParseError("a path file needs an order line and a weight line")
-    lineno, order_line = lines[1]
+    (order_lineno, order_line), (lineno, weight_line) = lines
     try:
         order = tuple(int(t) for t in order_line.split())
     except ValueError:
-        raise CostParseError(f"bad path order {order_line!r}", lineno) from None
-    lineno, weight_line = lines[2]
+        raise CostParseError(f"bad path order {order_line!r}", order_lineno) from None
     weights = tuple(_parse_value(t, lineno) for t in weight_line.split())
     try:
         return DefiningPath(order, weights)
@@ -374,10 +374,10 @@ def _parse_path(lines: list[tuple[int, str]]) -> DefiningPath:
 
 def parse_cost_input(text: str) -> CostMatrix | DefiningPath:
     """A cost table, or a defining path when the first content line is 'path'."""
-    lines = list(_content_lines(text))
-    if not lines:
-        raise CostParseError("empty cost file")
-    return (_parse_path if lines[0][1] == "path" else _parse_table)(lines)
+    lines = _content_lines(text)
+    for lineno, head in lines:    # only the first content line; a table streams the rest
+        return _parse_path(list(lines)) if head == "path" else _parse_table(lineno, head, lines)
+    raise CostParseError("empty cost file")
 
 
 def _format_value(v: Number) -> str:

@@ -6,6 +6,12 @@ these numbers rather than against a recomputed quantity.
 """
 from permsort import from_pairs
 
+
+def pairs_dict(matrix):
+    """{(a, b): cost} for every pair a < b of a table."""
+    return {(a, b): v for a, b, v in matrix.entries()}
+
+
 # Four labels; the sweep rewrites the two expensive swaps through cheap ones:
 # (1 4) via (3 4)(1 3)(3 4) for 8, (2 3) via (3 4)(2 4)(3 4) for 11.
 OPT4_ENTRIES = [

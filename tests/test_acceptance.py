@@ -45,6 +45,7 @@ from frozen import (
     dp4_raw,
     mod5_raw,
     opt4_raw,
+    pairs_dict,
     random_table,
     relax6_raw,
     ring10_distance,
@@ -76,10 +77,6 @@ def best_of(fn, repeats=10) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def pairs_dict(matrix):
-    return {(a, b): v for a, b, v in matrix.entries()}
 
 
 def test_criterion_01():

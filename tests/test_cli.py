@@ -378,7 +378,8 @@ def test_flags_the_method_does_not_read(tmp_path, capsys):
 def test_parse_error_carries_line_number(tmp_path, capsys):
     for text, error in (("n 3\n1 2 1\n1 3 -4\n", "line 3: bad cost value '-4'"),
                         ("n 3\n1 x 2\n", "line 2: bad pair in '1 x 2'"),
-                        ("path\n1 x 3\n1 1\n", "line 2: bad path order '1 x 3'")):
+                        ("path\n1 x 3\n1 1\n", "line 2: bad path order '1 x 3'"),
+                        ("n 3\n1 2 inf\n2 1 5\n", "line 3: conflicting duplicate for pair (1, 2)")):
         f = tmp_path / "bad"
         f.write_text(text)
         assert run(capsys, "decompose", str(f), "(1 2)") == (1, "", f"error: {error}\n")

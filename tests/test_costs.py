@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -61,6 +62,10 @@ def test_from_pairs():
     assert m.kind == "raw"
     with pytest.raises(ValueError):
         from_pairs(3, [(1, 2, 5), (2, 1, 6)])
+    # a pair listed as inf is listed, though inf is also the unlisted default
+    with pytest.raises(ValueError, match=r"conflicting duplicate for pair \(1, 2\)"):
+        from_pairs(3, [(1, 2, INF), (2, 1, 5)])
+    assert from_pairs(3, [(1, 2, INF), (2, 1, INF)]).cost(1, 2) == INF
     with pytest.raises(ValueError):
         from_pairs(3, [(1, 1, 5)])
     with pytest.raises(ValueError):
@@ -130,6 +135,10 @@ def test_parse_cost_file():
     ("n 3\n1 2\n", 2),
     ("n 3\n1 2 5\n1 3 -4\n", 3),
     ("n 3\n1 2 5\n1 2 6\n", 3),
+    # a pair listed as inf is listed: it matches the unlisted default, not 5
+    ("n 3\n1 2 inf\n2 1 5\n", 3),
+    # a comment and a blank line keep their line numbers
+    ("n 3\n# c\n\n1 2 5\n1 2 6\n", 5),
     ("n 3\n4 2 5\n", 2),
     ("n 3\n1 1 5\n", 2),
     ("n 3\n1 2 soup\n", 2),
@@ -232,6 +241,23 @@ def test_cost_header_past_the_table_limit_is_refused():
     # refused at the header line, before the n x n rows are allocated
     with pytest.raises(SizeLimitError, match=f"n={TABLE_LIMIT + 1} exceeds the cost table limit"):
         parse_cost_input(f"n {TABLE_LIMIT + 1}\n1 2 1\n")
+
+
+def test_parsing_keeps_one_table_and_no_list_of_lines():
+    # a dense n = 200 table is 19,900 lines in a 0.2 MB file: the lines split
+    # from it take 1.3 MB and the table under 1 MB, while a list of its
+    # content lines or a set of its pair keys would add about 3 MB each
+    rng = random.Random(200)
+    text = "n 200\n" + "".join(f"{a} {b} {rng.randint(1, 100)}\n"
+                               for a in range(1, 201) for b in range(a + 1, 201))
+    tracemalloc.start()
+    try:
+        table = parse_cost_input(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.n == 200 and INF not in table.table[0]
+    assert peak < 3 * 2**20
 
 
 @pytest.mark.parametrize("build", ["from_pairs", "metric_path", "extended_metric_path"])

@@ -28,6 +28,7 @@ from frozen import (
     DP4_STAR,
     dp4_raw,
     mod5_raw,
+    pairs_dict,
     random_table,
     ring10_raw,
     sparse5_raw,
@@ -43,10 +44,6 @@ def cycle_floor(cycle, table):
     # the permutation lower bound of one cycle, over the table's distances
     p = permutation_from_cycles(table.n, [cycle])
     return permutation_lower_bound(p, shortest_swaps(table).dist)
-
-
-def pairs_dict(matrix):
-    return {(a, b): v for a, b, v in matrix.entries()}
 
 
 def test_dp4_interval_table():

@@ -28,6 +28,7 @@ from frozen import (
     SPARSE5_STAR,
     mod5_raw,
     opt4_raw,
+    pairs_dict,
     random_table,
     relax6_raw,
     sparse5_raw,
@@ -42,15 +43,11 @@ from reference_routes import (
 )
 
 
-def as_dict(matrix):
-    return {(a, b): v for a, b, v in matrix.entries()}
-
-
 def test_substitution_sweep_frozen_tables():
-    assert as_dict(optimize_costs(opt4_raw()).optimized) == OPT4_STAR
-    assert as_dict(optimize_costs(sparse5_raw()).optimized) == SPARSE5_STAR
+    assert pairs_dict(optimize_costs(opt4_raw()).optimized) == OPT4_STAR
+    assert pairs_dict(optimize_costs(sparse5_raw()).optimized) == SPARSE5_STAR
     # mod5 is already at its fixpoint
-    assert as_dict(optimize_costs(mod5_raw()).optimized) == as_dict(mod5_raw())
+    assert pairs_dict(optimize_costs(mod5_raw()).optimized) == pairs_dict(mod5_raw())
 
 
 def test_optimized_table_kind():
@@ -69,7 +66,7 @@ def test_witness_records_the_winning_substitution():
 
 def test_both_routes_agree_on_frozen_instances():
     for table in (opt4_raw(), sparse5_raw(), mod5_raw(), relax6_raw()):
-        assert as_dict(optimize_costs(table).optimized) == as_dict(all_pairs_optimize(table))
+        assert pairs_dict(optimize_costs(table).optimized) == pairs_dict(all_pairs_optimize(table))
 
 
 def test_both_routes_agree_on_random_instances():
@@ -77,7 +74,7 @@ def test_both_routes_agree_on_random_instances():
     for _ in range(60):
         n = rng.randint(2, 9)
         table = random_table(n, rng, inf_share=0.2)
-        assert as_dict(optimize_costs(table).optimized) == as_dict(all_pairs_optimize(table))
+        assert pairs_dict(optimize_costs(table).optimized) == pairs_dict(all_pairs_optimize(table))
 
 
 def test_optimizing_is_idempotent():
