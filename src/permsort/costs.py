@@ -302,6 +302,9 @@ def extended_metric_path(path: DefiningPath) -> CostMatrix:
 #     2 1 4 1
 # '#' starts a comment; blank lines are skipped.
 
+_CHUNK = 1 << 16    # characters of a file split into lines at a time
+
+
 def _parse_value(tok: str, lineno: int) -> Number:
     """A non-negative int or float token, or the literal 'inf'."""
     if tok == "inf":
@@ -322,8 +325,22 @@ def _parse_value(tok: str, lineno: int) -> Number:
     return v + 0    # '-0.0' is stored as 0.0
 
 
+def _raw_lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, split one chunk at a time.
+
+    Each chunk is cut just after a "\\n", which ends a line whichever break
+    it belongs to ("\\r\\n" included), so the chunks' lines are the text's;
+    only one chunk's list is alive at a time.
+    """
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield from text[start:cut].splitlines()
+        start = cut
+
+
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_raw_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line

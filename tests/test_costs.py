@@ -244,20 +244,21 @@ def test_cost_header_past_the_table_limit_is_refused():
 
 
 def test_parsing_keeps_one_table_and_no_list_of_lines():
-    # a dense n = 200 table is 19,900 lines in a 0.2 MB file: the lines split
-    # from it take 1.3 MB and the table under 1 MB, while a list of its
-    # content lines or a set of its pair keys would add about 3 MB each
-    rng = random.Random(200)
-    text = "n 200\n" + "".join(f"{a} {b} {rng.randint(1, 100)}\n"
-                               for a in range(1, 201) for b in range(a + 1, 201))
+    # a dense n = 400 table is 79,800 lines in a 0.8 MB file: its rows and
+    # their frozen copy take 2.5 MiB, while the whole file's list of lines
+    # would add 3.9 MiB, and a list of its content lines or a set of its pair
+    # keys more still
+    rng = random.Random(400)
+    text = "n 400\n" + "".join(f"{a} {b} {rng.randint(1, 100)}\n"
+                               for a in range(1, 401) for b in range(a + 1, 401))
     tracemalloc.start()
     try:
         table = parse_cost_input(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.n == 200 and INF not in table.table[0]
-    assert peak < 3 * 2**20
+    assert table.n == 400 and INF not in table.table[0]
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("build", ["from_pairs", "metric_path", "extended_metric_path"])

@@ -11,6 +11,7 @@ import pytest
 
 from permsort import (
     INF,
+    CostMatrix,
     Decomposition,
     Transposition,
     all_pairs_optimize,
@@ -136,6 +137,18 @@ def ring10_disconnected():
 
     # two components: 1-2-3 and 4-5
     return from_pairs(5, [(1, 2, 1), (2, 3, 1), (4, 5, 1)])
+
+
+def test_triangle_check_reads_the_loops_own_sums():
+    # mirrored entries 2**53 and 2.0**53 are equal but not alike: the loop
+    # sums 3 + 2**53 exactly, below 2**53 + 4, where 3 + 2.0**53 rounds to
+    # 2**53 + 4, so a check that read rows for columns would pass this table
+    raw = CostMatrix(3, ((0, 3, 2**53 + 4), (3, 0, 2**53), (2**53 + 4, 2.0**53, 0)))
+    engine = shortest_swaps(raw)
+    dist = [[0, 3, 2**53 + 3], [3, 0, 2**53], [2**53 + 3, 2.0**53, 0]]
+    assert [[(type(v), v) for v in row] for row in engine.dist] == \
+        [[(type(v), v) for v in row] for row in dist]
+    assert engine.hop == [[0, 1, 1], [0, 1, 2], [1, 1, 2]]
 
 
 def test_d1_never_exceeds_d2():

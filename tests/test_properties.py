@@ -2,7 +2,8 @@
 
 Random integer tables with zero and infinite entries, n <= 9. The engine's
 distances and next hops must equal those of the Floyd-Warshall loop over
-every ordered pair, types included, on every value family; its
+every ordered pair, types included, on every value family and on metric and
+near-metric tables, where its triangle check may skip the loop; its
 phi*, distances and expansions are checked against the reference routes in
 ``reference_routes`` (the substitution sweep ``optimize_costs`` and the
 per-source ``bellman_ford``) and against the 2n - 3 length bound of a
@@ -20,18 +21,21 @@ exactly, floats and ties included; so must phi* and every route against
 the two passes with argmin tables, and ``mld_cost`` and the splits found
 per visited interval against the full interval table, number types
 included. Cost files, path files, one-line and cycle notation must read
-back what was written, and every table builder's output must pass the full
-``CostMatrix`` check it skips. The command line, fed small cost and path
+back what was written, the reader's chunked line split must give the lines
+and line numbers of ``str.splitlines``, and every table builder's output
+must pass the full ``CostMatrix`` check it skips. The command line, fed small cost and path
 files with hostile tokens, must exit 0, 1, 3 or 4 without a traceback,
 print nothing on an error, and print only decompositions that multiply back
 at their printed cost.
 """
 import contextlib
 import io
+import math
 import random
 import re
 import sys
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 
@@ -70,7 +74,7 @@ from permsort import (  # noqa: E402
     validate_decomposition,
 )
 from permsort.cli import main  # noqa: E402
-from permsort.costs import _format_value, tolerance  # noqa: E402
+from permsort.costs import _content_lines, _format_value, _raw_lines, tolerance  # noqa: E402
 from permsort.errors import CostParseError, InfeasibleError  # noqa: E402
 from permsort.mld import _rebuild, mld_cost  # noqa: E402
 
@@ -322,6 +326,49 @@ def test_triangle_engine_equals_the_square_loop(raw):
 
 
 @st.composite
+def metric_tables(draw, max_n=9):
+    """L1 and L2 point sets, int and float path metrics, and near-metric
+    tables with one entry raised above a two-swap route.
+
+    Points may coincide (zero costs), and points in different groups cost
+    inf; float rounding breaks the triangle inequality in some tables.
+    """
+    n = draw(st.integers(2, max_n))
+    family = draw(st.sampled_from(["l1 int", "l1 float", "l2 float", "path int", "path float"]))
+    if family.startswith("path"):
+        weights = st.integers(0, 9) if family == "path int" else st.floats(0, 10, allow_nan=False)
+        order = draw(st.permutations(range(1, n + 1)))
+        raw = metric_path(DefiningPath(order, draw(st.lists(weights, min_size=n - 1, max_size=n - 1))))
+    else:
+        coord = st.integers(0, 4) if family == "l1 int" else st.floats(0, 10, allow_nan=False)
+        points = draw(st.lists(st.tuples(coord, coord, st.integers(0, 1)), min_size=n, max_size=n))
+        distance = math.dist if family == "l2 float" else (lambda p, q: abs(p[0] - q[0]) + abs(p[1] - q[1]))
+        raw = from_pairs(n, [(a + 1, b + 1, distance(p[:2], q[:2]) if p[2] == q[2] else INF)
+                             for a, p in enumerate(points) for b, q in enumerate(points) if a < b])
+    if n >= 3 and draw(st.booleans()):
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        a, b = draw(st.one_of(st.just(pairs[-1]), st.sampled_from(pairs)))
+        c = draw(st.sampled_from([c for c in range(1, n + 1) if c not in (a, b)]))
+        detour = raw.cost(a, c) + raw.cost(c, b)
+        assume(detour != INF)
+        entries = {(x, y): v for x, y, v in raw.entries()}
+        entries[a, b] = detour + draw(st.sampled_from([1, 0.5]))
+        raw = from_pairs(n, [(x, y, v) for (x, y), v in entries.items()])
+    return raw
+
+
+@PROPERTY
+@given(metric_tables())
+def test_triangle_engine_equals_the_square_loop_on_metric_tables(raw):
+    # a table that passes the engine's triangle check is returned as it is:
+    # distances with their types, and next hops, as the loop leaves them
+    engine = shortest_swaps(raw)
+    dist, hop = floyd_warshall_square(raw)
+    assert _typed_rows(engine.dist) == _typed_rows(dist)
+    assert engine.hop == hop
+
+
+@st.composite
 def cycles_on_tables(draw, max_k=10):
     values = draw(st.sampled_from([
         st.integers(0, 6),
@@ -462,6 +509,23 @@ def test_cost_file_round_trip(raw):
     parsed = parse_cost_input(text)
     assert _typed(parsed) == _typed(raw)
     assert format_cost_file(parsed) == text
+
+
+# every break str.splitlines knows, "\r\n" among them, with blank, comment
+# and content lines between
+LINE_PIECES = st.sampled_from(["\r\n", "\r", "\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                               "\u2028", "\u2029", " ", "# c", "1 2 3", "n 3"])
+
+
+@PROPERTY
+@given(st.lists(LINE_PIECES).map("".join), st.integers(1, 8))
+def test_chunked_lines_equal_the_whole_split(text, chunk):
+    # a chunk of 1-8 characters puts a cut after nearly every "\n"
+    with mock.patch("permsort.costs._CHUNK", chunk):
+        assert list(_raw_lines(text)) == text.splitlines()
+        got = list(_content_lines(text))
+    stripped = ((lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(text.splitlines(), 1))
+    assert got == [(lineno, line) for lineno, line in stripped if line]
 
 
 PATH_CASES = st.integers(2, 8).flatmap(lambda n: st.tuples(
