@@ -20,11 +20,13 @@ it hands them on; listed pairs and their int total in ``_set_pair``, where
 a pair listed again must repeat its cost and counts once (the table records
 which pairs were listed, holding None until a pair's first listing); path
 weights and their sums in ``DefiningPath``; hand-built tables in
-``CostMatrix._check``, which bounds a raw table's largest int entry and the
-weight of its int spanning forest, both at most the int total the parser
-bounds and the int weight sum a path's tables are built from, and an
-optimized table's largest int entry, so that any 2n entries sum to a float.
-``_freeze`` wraps tables computed from checked numbers without a recheck.
+``CostMatrix._check``, which refuses a mirrored entry unlike its partner
+in type or value and a diagonal entry other than the int 0, and bounds a
+raw table's largest int entry and the weight of its int spanning forest,
+both at most the int total the parser bounds and the int weight sum a
+path's tables are built from, and an optimized table's largest int entry,
+so that any 2n entries sum to a float. ``_freeze`` wraps tables computed
+from checked numbers without a recheck, freezing their rows in place.
 ``check_table_size`` refuses an n x n table past ``TABLE_LIMIT`` before it
 is allocated; the two allocators, ``_fresh`` and ``metric_path``, call it
 first, so every builder and the parser are guarded.
@@ -101,7 +103,8 @@ def tolerance(*values: Number) -> Number:
 
 
 class CostMatrix(Frozen):
-    """Full symmetric table with a zero diagonal that is never read."""
+    """Full symmetric table: each mirrored entry has its partner's type and
+    value, and the diagonal, which the phi* passes read, holds int zeros."""
 
     __slots__ = _fields = ("n", "table", "kind")
 
@@ -110,7 +113,7 @@ class CostMatrix(Frozen):
         self._check()
 
     def _check(self):
-        """Every entry, the shape and the int bound of its kind: the full check."""
+        """Shape, every entry and its mirror, and its kind's int bound: the full check."""
         if self.kind not in ("raw", "optimized"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.n < 1:
@@ -119,12 +122,13 @@ class CostMatrix(Frozen):
             raise ValueError("table shape does not match n")
         top = 0
         for i in range(self.n):
-            if self.table[i][i] != 0:
-                raise ValueError("diagonal must be zero")
+            d = self.table[i][i]
+            if type(d) is not int or d != 0:
+                raise ValueError(f"diagonal entry {d!r} at ({i + 1}, {i + 1}) is not the int 0")
             for j in range(i + 1, self.n):
-                v = self.table[i][j]
-                if v != self.table[j][i]:
-                    raise ValueError(f"asymmetric entry at ({i + 1}, {j + 1})")
+                v, w = self.table[i][j], self.table[j][i]
+                if type(v) is not type(w) or v != w:
+                    raise ValueError(f"asymmetric entry at ({i + 1}, {j + 1}): {v!r} and {w!r}")
                 if not _is_valid_cost(v):
                     raise ValueError(f"bad cost {v!r} at ({i + 1}, {j + 1})")
                 if isinstance(v, int) and v > top:
@@ -155,7 +159,7 @@ class CostMatrix(Frozen):
 
     def assume_optimized(self) -> "CostMatrix":
         """Relabel as optimized without optimizing. Use deliberately."""
-        return _freeze(self.table, "optimized")
+        return _freeze(list(self.table), "optimized")
 
 
 class DefiningPath(Frozen):
@@ -222,11 +226,13 @@ def _fresh(n: int, fill: Number | None) -> list[list[Number | None]]:
     return rows
 
 
-def _freeze(rows: Sequence[Sequence[Number]], kind: str) -> CostMatrix:
-    # skips CostMatrix._check: callers build square symmetric zero-diagonal
-    # rows from checked costs, their sums, or DefiningPath's finite prefix sums
+def _freeze(rows: list[Sequence[Number]], kind: str) -> CostMatrix:
+    # skips CostMatrix._check: callers build rows that meet its rules from
+    # checked costs, their sums, or DefiningPath's finite prefix sums
+    for i, row in enumerate(rows):
+        rows[i] = tuple(row)    # in place, so no table is held twice
     m = object.__new__(CostMatrix)
-    Frozen.__init__(m, len(rows), tuple(tuple(r) for r in rows), kind)
+    Frozen.__init__(m, len(rows), tuple(rows), kind)
     return m
 
 

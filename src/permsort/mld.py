@@ -47,7 +47,7 @@ from typing import Callable
 
 from .costs import INF, CostMatrix, DefiningPath, Number, tolerance
 from .errors import ContractError, InfeasibleError
-from .permutation import Cycle, Decomposition, Permutation, Transposition, validate_decomposition
+from .permutation import Cycle, Decomposition, Transposition, validate_decomposition
 
 Edge = tuple[int, int]
 
@@ -233,16 +233,8 @@ def metric_path_mcd(cycle: Cycle, path: DefiningPath) -> tuple[Decomposition, Nu
 
 
 def _check(d: Decomposition, cycle: Cycle, expected_len: int):
-    """d has expected_len swaps and multiplies to cycle, checked on its k labels.
-
-    The labels are renamed to their positions 1..k, so the check costs O(k)
-    whatever the largest label.
-    """
+    """d has expected_len swaps and multiplies to cycle, in O(k)."""
     if len(d) != expected_len:
         raise ContractError(f"{len(d)} transpositions for a {cycle.k}-cycle")
-    index = {label: i for i, label in enumerate(cycle.elements, 1)}
-    on_support = all(t.a in index and t.b in index for t in d)
-    if not (on_support and validate_decomposition(
-            Decomposition(tuple(Transposition(index[t.a], index[t.b]) for t in d)),
-            Permutation(tuple(range(2, cycle.k + 1)) + (1,)))):
+    if not validate_decomposition(d, cycle):
         raise ContractError(f"decomposition {d} does not multiply to {cycle}")

@@ -23,9 +23,8 @@ once and mirrors the distance and the next hop; its D and next hops equal
 those of the loop over every ordered pair, entry for entry. A table that
 already satisfies the triangle inequality, such as a path metric or integer
 points under L1, skips the loop: a check that adds the loop's own operands
-in its order, row i plus column j (a hand-built table may mirror an int
-with an equal float), finds that no relaxation would succeed, and the table
-is its own D. The same object serves the lower bounds (which read D) and the
+in its order finds that no relaxation would succeed, and the table is its
+own D. The same object serves the lower bounds (which read D) and the
 expansion of an optimized swap back into raw swaps (a palindrome along the
 argmin route, at most 2n - 3 swaps); the argmin edge (u, v) is found per
 route, in O(n), when an expansion asks for it. ``all_pairs_optimize`` is
@@ -40,7 +39,7 @@ from typing import Sequence
 
 from .costs import INF, CostMatrix, Number, _freeze, _fresh
 from .errors import ContractError, InfeasibleError
-from .permutation import Decomposition, Transposition
+from .permutation import Cycle, Decomposition, Transposition, validate_decomposition
 
 
 class ShortestSwaps:
@@ -135,22 +134,18 @@ def shortest_swaps(raw: CostMatrix) -> ShortestSwaps:
     with the same sum, as x + y == y + x bit for bit. The hops it mirrors,
     hop[i][k] and hop[j][k], cannot move during step k, since
     d(i, k) + d(k, k) = d(i, k); so dist and hop equal, entry for entry and
-    type for type, those of the loop over every ordered pair, when the
-    mirrored entries of the table are alike (every table the parser and the
-    builders make). The comparison runs in C (map/compress); only improved
-    entries are visited in Python.
+    type for type, those of the loop over every ordered pair. The
+    comparison runs in C (map/compress); only improved entries are visited
+    in Python.
 
-    Before the loop, every pair i < j is checked, column by column: the
-    minimum over k of d(i, k) + d(k, j), row i plus column j, the loop's
-    own operands in its order, must equal d(i, j). The terms k = i and
-    k = j are d(i, j), so a pair passes exactly when no k would relax it.
-    When every pair passes, no test of step 0 succeeds, step 0 leaves the
-    table as it was, and so does every later step; the copied rows and the
-    first next hops are then the loop's result, entry for entry and type
-    for type. The check reads columns, not rows: a hand-built table may
-    mirror an int with an equal float, and only the column sums round as
-    the loop's do. It stops at the first pair that fails, and then the
-    loop runs unchanged.
+    Before the loop, every pair i < j is checked: the minimum over k of
+    d(i, k) + d(k, j), rows i and j, the loop's own operands in its order,
+    must equal d(i, j). The terms k = i and k = j are d(i, j), so a pair
+    passes exactly when no k would relax it. When every pair passes, no
+    test of step 0 succeeds, step 0 leaves the table as it was, and so does
+    every later step; the copied rows and the first next hops are then the
+    loop's result, entry for entry and type for type. The check stops at
+    the first pair that fails, and then the loop runs unchanged.
     """
     n = raw.n
     dist = [list(row) for row in raw.table]
@@ -159,9 +154,7 @@ def shortest_swaps(raw: CostMatrix) -> ShortestSwaps:
     hop: list[list[int | None]] = [
         [j if d != INF else None for j, d in zip(labels, row)] for row in dist
     ]
-    # zip builds each column as the check reaches it: no n x n copy
-    if all(min(map(add, dist[i], col)) == dist[i][j]
-           for j, col in enumerate(zip(*raw.table)) for i in range(j)):
+    if all(min(map(add, dist[i], dist[j])) == dist[i][j] for j in range(n) for i in range(j)):
         return ShortestSwaps(raw, dist, hop)
     for k in range(n):
         row_k = dist[k]
@@ -209,9 +202,7 @@ def expand_transposition(a: int, b: int, engine: ShortestSwaps) -> Decomposition
     path = engine.route(*key)
     steps = [(engine.raw.cost(u, v), min(u, v), max(u, v)) for u, v in zip(path, path[1:])]
     out = Decomposition(tuple(_palindrome(path, steps.index(max(steps)))))
-    n = max(key[1], out.max_label())
-    target = Decomposition((Transposition(*key),)).product(n)
-    if out.product(n) != target:
+    if not validate_decomposition(out, Cycle(key)):
         raise ContractError(f"expansion of {key} does not multiply back")
     return out
 

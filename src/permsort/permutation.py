@@ -4,7 +4,8 @@ A permutation is stored by its one-line images: entry i-1 of ``images`` is
 the image of i. Products compose right to left, so in ``compose(q, p)`` the
 permutation ``p`` acts first. Transposition sequences are kept in written
 order: the leftmost transposition of a product is the one applied last.
-``validate_decomposition`` enforces that orientation.
+``_moves`` multiplies every sequence out; ``validate_decomposition``
+enforces that orientation.
 
 Everything here is immutable and hashable: the classes are ``__slots__``
 classes on ``values.Frozen``, which compare, hash and print by their fields
@@ -115,28 +116,18 @@ class Decomposition(Frozen):
         return iter(self.transpositions)
 
     def product(self, n: int) -> Permutation:
-        """Multiply the sequence out, rightmost transposition acting first.
-
-        Each swap exchanges two labels among the images, found through the
-        inverse, so the whole product takes O(len + n).
-        """
+        """Multiply the sequence out, rightmost transposition acting first,
+        in O(len + n); every label it touches must lie in 1..n."""
         images = list(range(1, n + 1))
-        where = list(range(-1, n))    # where[v] is the index holding image v
-        for t in reversed(self.transpositions):
-            a, b = t.a, t.b
-            if b > n:
-                raise ValueError(f"label {b} outside 1..{n}")
-            ia, ib = where[a], where[b]
-            images[ia], images[ib] = b, a
-            where[a], where[b] = ib, ia
+        for x, v in _moves(self).items():
+            if x > n:
+                raise ValueError(f"label {x} outside 1..{n}")
+            images[x - 1] = v
         return Permutation(tuple(images))
 
     def cost(self, costs) -> float:
         """Total cost of the sequence under a cost table (entries may repeat)."""
         return sum(costs.cost(t.a, t.b) for t in self.transpositions)
-
-    def max_label(self) -> int:
-        return max((t.b for t in self.transpositions), default=1)
 
     def __str__(self) -> str:
         return "".join(str(t) for t in self.transpositions)
@@ -197,11 +188,30 @@ def permutation_from_cycles(n: int, cycle_list: Iterable[Sequence[int] | Cycle])
     return Permutation(tuple(images))
 
 
-def validate_decomposition(d: Decomposition, target: Permutation) -> bool:
-    """True iff the written-order product of d equals target, in O(len + n)."""
-    if d.max_label() > target.n:
+def _moves(d: Decomposition) -> dict[int, int]:
+    """Image under d's written-order product of each label d touches, in O(len):
+    from the right, each swap (a b) exchanges a and b among the images, so
+    at[v], the label whose image is v, swaps its entries a and b."""
+    at: dict[int, int] = {}
+    for t in reversed(d.transpositions):
+        a, b = t.a, t.b
+        at[a], at[b] = at.get(b, b), at.get(a, a)
+    return {x: v for v, x in at.items()}
+
+
+def validate_decomposition(d: Decomposition, target: Permutation | Cycle) -> bool:
+    """True iff the written-order product of d equals target: a permutation
+    of 1..n, which d may touch no label past, in O(len + n), or a cycle, in
+    O(len + k). Only the labels d touches are followed."""
+    moves = _moves(d)
+    if isinstance(target, Cycle):
+        want = zip(target.elements, target.elements[1:] + target.elements[:1])
+    elif max(moves, default=1) > target.n:
         return False
-    return d.product(target.n) == target
+    else:
+        want = enumerate(target.images, 1)
+    # a label fixed on either side is left out: a 1-cycle moves nothing
+    return {x: v for x, v in moves.items() if x != v} == {x: v for x, v in want if x != v}
 
 
 # Text round trips. One-line form is a single whitespace-separated row of

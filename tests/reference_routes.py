@@ -507,7 +507,7 @@ def expand_by_reference(a: int, b: int, source: OptimizerReport | PathTable,
     else:
         raise TypeError(f"cannot expand from {type(source).__name__}")
     out = Decomposition(tuple(seq))
-    n = max(key[1], out.max_label())
+    n = max(t.b for t in (Transposition(*key), *out))
     if out.product(n) != Decomposition((Transposition(*key),)).product(n):
         raise ContractError(f"expansion of {key} does not multiply back")
     return out

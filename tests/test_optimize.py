@@ -140,15 +140,19 @@ def ring10_disconnected():
 
 
 def test_triangle_check_reads_the_loops_own_sums():
-    # mirrored entries 2**53 and 2.0**53 are equal but not alike: the loop
-    # sums 3 + 2**53 exactly, below 2**53 + 4, where 3 + 2.0**53 rounds to
-    # 2**53 + 4, so a check that read rows for columns would pass this table
-    raw = CostMatrix(3, ((0, 3, 2**53 + 4), (3, 0, 2**53), (2**53 + 4, 2.0**53, 0)))
-    engine = shortest_swaps(raw)
-    dist = [[0, 3, 2**53 + 3], [3, 0, 2**53], [2**53 + 3, 2.0**53, 0]]
-    assert [[(type(v), v) for v in row] for row in engine.dist] == \
-        [[(type(v), v) for v in row] for row in dist]
-    assert engine.hop == [[0, 1, 1], [0, 1, 2], [1, 1, 2]]
+    # mirrored entries 2**53 and 2.0**53 are equal but not alike, so the
+    # table is refused. Alike, rows are columns and the check adds the
+    # loop's own operands: 3 + 2**53 is exact, below 2**53 + 4, so the loop
+    # runs, where 3 + 2.0**53 rounds to 2**53 + 4 and the table is its own D
+    with pytest.raises(ValueError, match=r"^asymmetric entry at \(2, 3\): "):
+        CostMatrix(3, ((0, 3, 2**53 + 4), (3, 0, 2**53), (2**53 + 4, 2.0**53, 0)))
+    for big, d13, hop in ((2**53, 2**53 + 3, [[0, 1, 1], [0, 1, 2], [1, 1, 2]]),
+                          (2.0**53, 2**53 + 4, [[0, 1, 2], [0, 1, 2], [0, 1, 2]])):
+        engine = shortest_swaps(CostMatrix(3, ((0, 3, 2**53 + 4), (3, 0, big), (2**53 + 4, big, 0))))
+        dist = [[0, 3, d13], [3, 0, big], [d13, big, 0]]
+        assert [[(type(v), v) for v in row] for row in engine.dist] == \
+            [[(type(v), v) for v in row] for row in dist]
+        assert engine.hop == hop
 
 
 def test_d1_never_exceeds_d2():

@@ -15,8 +15,9 @@ bound <= M <= L <= S <= 4M, its own witnesses, the exactness of
 ``metric-exact`` on path distances and L <= 2M on adjacent-only paths.
 ``metric_path_mcd`` must give the swaps and the cost, bit for bit, of the
 segment tree converted by ``tree_decomposition``, on int, float and zero
-path weights. The interval DP, the cycle merge and the transposition
-product must equal their straightforward routes in ``reference_routes``
+path weights. The interval DP, the cycle merge, and the transposition
+product and its validation against permutations and cycles, labels past n
+included, must equal their straightforward routes in ``reference_routes``
 exactly, floats and ties included; so must phi* and every route against
 the two passes with argmin tables, and ``mld_cost`` and the splits found
 per visited interval against the full interval table, number types
@@ -444,17 +445,41 @@ def test_nontrivial_cycles_are_the_cycles_past_fixed_points(images):
 
 @st.composite
 def transposition_sequences(draw, max_n=12):
-    n = draw(st.integers(2, max_n))
-    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n - 1)), max_size=30))
+    """A sequence on labels up to n or up to n + 2, maybe followed by its own
+    reverse, which moves every label back; a permutation of 1..n; and a
+    cycle, maybe a 1-cycle, on labels up to n + 2."""
+    n = draw(st.integers(1, max_n))
+    top = draw(st.sampled_from([n + 2, max(n, 2)]))
+    pairs = draw(st.lists(st.tuples(st.integers(1, top), st.integers(1, top - 1)), max_size=30))
     # the second label skips the first, so the two always differ
-    return n, Decomposition(tuple(Transposition(a, b + (b >= a)) for a, b in pairs))
+    swaps = [Transposition(a, b + (b >= a)) for a, b in pairs]
+    if draw(st.booleans()):
+        swaps += swaps[::-1]
+    images = draw(st.permutations(range(1, n + 1)))
+    ring = draw(st.lists(st.integers(1, n + 2), min_size=1, max_size=n + 2, unique=True))
+    return n, Decomposition(swaps), Permutation(images), Cycle(ring)
 
 
 @PROPERTY
 @given(transposition_sequences())
 def test_product_equals_the_fold_of_single_swaps(case):
-    n, d = case
-    assert d.product(n) == product_by_fold(d, n)
+    # and so does validation against a permutation or a cycle
+    n, d, other, ring = case
+    try:
+        want = product_by_fold(d, n)
+    except ValueError:    # a label past n
+        want = None
+        with pytest.raises(ValueError, match=rf"^label \d+ outside 1..{n}$"):
+            d.product(n)
+    else:
+        assert d.product(n) == want
+    for target in (want, other) if want else (other,):
+        assert validate_decomposition(d, target) == (target == want)
+    # a cycle has no n: it is read on every label in play
+    top = max(n, *ring.elements, *(t.b for t in d))
+    whole = product_by_fold(d, top)
+    for target in [ring] + nontrivial_cycles(whole)[-1:]:
+        assert validate_decomposition(d, target) == (whole == permutation_from_cycles(top, [target]))
 
 
 @st.composite
