@@ -178,13 +178,12 @@ def _cmd_decompose(args) -> str:
     joins = _parse_joins(args.join) if args.join is not None else None
 
     if args.method == "metric-exact":
-        d, cost = decompose(p, raw, "metric-exact")
-        dist = raw    # path distances already are shortest
+        table = dist = raw    # path distances already are shortest
     else:
         engine = shortest_swaps(raw)
-        phi = raw.assume_optimized() if args.trust_raw else engine.optimized
-        d, cost = decompose(p, phi, args.method, joins=joins)
+        table = raw.assume_optimized() if args.trust_raw else engine.optimized
         dist = engine.dist
+    d, cost = decompose(p, table, args.method, joins=joins)
     lower_bound = permutation_lower_bound(p, dist)
 
     lines = [f"permutation: {format_one_line(p)}",

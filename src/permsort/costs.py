@@ -34,6 +34,7 @@ first, so every builder and the parser are guarded.
 from __future__ import annotations
 
 import sys
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import TABLE_LIMIT, CostParseError, SizeLimitError
@@ -381,7 +382,7 @@ def _parse_table(lineno: int, head: str, lines: Iterator[tuple[int, str]]) -> Co
 
 
 def _parse_path(lines: list[tuple[int, str]]) -> DefiningPath:
-    if len(lines) != 2:
+    if len(lines) != 2:    # of at most three: a third line is read only to be refused
         raise CostParseError("a path file needs an order line and a weight line")
     (order_lineno, order_line), (lineno, weight_line) = lines
     try:
@@ -399,7 +400,7 @@ def parse_cost_input(text: str) -> CostMatrix | DefiningPath:
     """A cost table, or a defining path when the first content line is 'path'."""
     lines = _content_lines(text)
     for lineno, head in lines:    # only the first content line; a table streams the rest
-        return _parse_path(list(lines)) if head == "path" else _parse_table(lineno, head, lines)
+        return _parse_path(list(islice(lines, 3))) if head == "path" else _parse_table(lineno, head, lines)
     raise CostParseError("empty cost file")
 
 

@@ -42,6 +42,7 @@ C(1, 1) = 0, so it comes back with no swaps and an int cost 0.
 """
 from __future__ import annotations
 
+from functools import reduce
 from operator import add
 from typing import Callable
 
@@ -102,11 +103,11 @@ def _split(tables: tuple[list[list[Number]], ...], i: int, j: int) -> Edge:
     return next(s for s in range(i, r) if ri[s - i] + row[s + 1][r - s - 1] + tail + edge == best), r
 
 
-def _rebuild(labels: tuple[int, ...], split: Callable, i: int, j: int) -> list[Transposition]:
-    """Positions i..j, each split(i, j) asked for once: (s+1..r), (i r), (r..j), (i..s).
-    C(i, j) is finite, and so, its terms being non-negative, is every part of its split."""
+def _rebuild(labels: tuple[int, ...], split: Callable) -> list[Transposition]:
+    """Positions 1..k, each split(i, j) asked for once: (s+1..r), (i r), (r..j), (i..s).
+    C(1, k) is finite, and so, its terms being non-negative, is every part of its split."""
     out: list[Transposition] = []
-    stack: list[tuple[int, int] | Transposition] = [(i, j)]
+    stack: list[tuple[int, int] | Transposition] = [(1, len(labels))]
     while stack:
         item = stack.pop()
         if isinstance(item, Transposition):
@@ -144,11 +145,10 @@ def min_cost_mld(cycle: Cycle, costs: CostMatrix) -> tuple[Decomposition, Number
     Returns the rebuilt sequence and its cost C(1, k). Raises
     InfeasibleError when every spanning tree needs an infinite edge.
     """
-    k = cycle.k
     tables = _fill(cycle, costs)
     total = _feasible_cost(cycle, tables)
-    d = Decomposition(tuple(_rebuild(cycle.elements, lambda i, j: _split(tables, i, j), 1, k)))
-    _check(d, cycle, expected_len=k - 1)
+    d = Decomposition(tuple(_rebuild(cycle.elements, lambda i, j: _split(tables, i, j))))
+    _check(d, cycle)
     return d, total
 
 
@@ -173,7 +173,7 @@ def std_decomposition(cycle: Cycle, costs: CostMatrix) -> tuple[Decomposition, N
         total += ring[t]
         seq.append(Transposition(labels[t], labels[(t + 1) % k]))
     d = Decomposition(tuple(seq))
-    _check(d, cycle, expected_len=k - 1)
+    _check(d, cycle)
     return d, total
 
 
@@ -185,9 +185,9 @@ def metric_path_mcd(cycle: Cycle, path: DefiningPath) -> tuple[Decomposition, Nu
     later of its nearest earlier-along-the-path neighbours on either side.
     The tree's edges are non-crossing and cost half the sum of the
     per-element distances, the unbeatable floor. Every edge cost is the
-    path's own prefix-sum difference, summed in pre-order (parent edge,
-    left subtree, right subtree). ``_rebuild`` spells the tree out as one
-    split of the interval recurrence per node, O(k) in all.
+    path's own prefix-sum difference, added in pre-order (parent edge, left
+    subtree, right subtree), the floor's in cycle order. ``_rebuild`` spells
+    the tree out as one split of the interval recurrence per node, O(k) in all.
     """
     k = cycle.k
     if max(cycle.elements) > path.n:
@@ -215,26 +215,25 @@ def metric_path_mcd(cycle: Cycle, path: DefiningPath) -> tuple[Decomposition, Nu
             return i, right[i]
         return nearer[i] - 1, nearer[i]
 
-    edge_costs: list[Number] = []
+    tree_cost: Number = 0
     todo = [(1, right[1])]
     while todo:
         u, v = todo.pop()
         if v:
-            edge_costs.append(path.distance(labels[u - 1], labels[v - 1]))
+            tree_cost += path.distance(labels[u - 1], labels[v - 1])
             todo += [(v, right[v]), (v, left[v])]
-    tree_cost: Number = sum(edge_costs)
     ring = cycle.elements
-    ring_sum: Number = sum(path.distance(ring[t], ring[(t + 1) % k]) for t in range(k))
+    ring_sum: Number = reduce(add, map(path.distance, ring, ring[1:] + ring[:1]), 0)
     if abs(2 * tree_cost - ring_sum) > tolerance(2 * tree_cost, ring_sum):
         raise ContractError("min-Cartesian tree misses the half-total floor")
-    d = Decomposition(tuple(_rebuild(labels, split, 1, k)))
-    _check(d, cycle, expected_len=k - 1)
+    d = Decomposition(tuple(_rebuild(labels, split)))
+    _check(d, cycle)
     return d, tree_cost
 
 
-def _check(d: Decomposition, cycle: Cycle, expected_len: int):
-    """d has expected_len swaps and multiplies to cycle, in O(k)."""
-    if len(d) != expected_len:
+def _check(d: Decomposition, cycle: Cycle):
+    """d has k - 1 swaps and multiplies to the k-cycle, in O(k)."""
+    if len(d) != cycle.k - 1:
         raise ContractError(f"{len(d)} transpositions for a {cycle.k}-cycle")
     if not validate_decomposition(d, cycle):
         raise ContractError(f"decomposition {d} does not multiply to {cycle}")

@@ -1,12 +1,12 @@
 """Decomposing arbitrary permutations, cycle by cycle or merged.
 
 Disjoint cycles commute, so a permutation can be decomposed one cycle at a
-time and the pieces concatenated. ``decompose`` is the one route that sums
-the pieces: with 'mld' its cost is L, the paper's interval-DP total, and
-with 'std' it is S, the chain total. Sometimes gluing helps instead: joining
-the cycles into one big cycle with cheap extra transpositions, decomposing
-that, and prepending the joins' inverses can beat the per-cycle total
-because the bigger cycle has more routing freedom; method 'merge' does so.
+time and the pieces concatenated. ``decompose`` sums them in one loop over
+the cycles: under 'mld' its cost is L, the paper's interval-DP total, and
+under 'std' S, the chain total; the identity costs the int 0. Gluing can
+help instead: 'merge' joins the cycles into one with cheap transpositions,
+whose inverses start its sequence and total, and loops over that one
+cycle, whose greater routing freedom can beat the per-cycle total.
 
 ``merge_cycles`` picks the joins by Kruskal's algorithm over phi*: the
 swaps between moved elements of different cycles are sorted once by cost,
@@ -154,29 +154,24 @@ def decompose(
         raise ValueError("metric-exact needs a defining-path file")
     if joins is not None and method != "merge":
         raise ValueError(f"joins apply to method 'merge' only, not {method!r}")
-    if p.is_identity() and not joins:
-        return Decomposition(), 0
-
-    if method == "merge":
-        # the joins' inverses up front, then an MLD of the merged cycle
+    cycles = nontrivial_cycles(p)
+    seq: list[Transposition] = []
+    total: Number = 0
+    if method == "merge" and (cycles or joins):
+        # the joins' inverses up front, then an MLD of the one merged cycle
         tau, merged = merge_cycles(p, costs, joins)
-        mld, sigma_cost = min_cost_mld(merged, costs)
-        out = Decomposition(tuple(reversed(tau.transpositions)) + mld.transpositions)
-        total = tau.cost(costs) + sigma_cost
-        broken = "merged decomposition does not multiply back to the input"
-    else:
-        per_cycle = {"mld": min_cost_mld, "std": std_decomposition,
-                     "metric-exact": metric_path_mcd}[method]
-        seq: list[Transposition] = []
-        total = 0
-        for c in nontrivial_cycles(p):
-            d, piece = per_cycle(c, costs)
-            seq.extend(d.transpositions)
-            total += piece
-        out = Decomposition(tuple(seq))
-        broken = "per-cycle decomposition does not multiply back to the input"
+        seq += reversed(tau.transpositions)
+        total = tau.cost(costs)
+        cycles = [merged]
+    solve = {"std": std_decomposition, "metric-exact": metric_path_mcd}.get(method, min_cost_mld)
+    for c in cycles:
+        d, piece = solve(c, costs)
+        seq += d.transpositions
+        total += piece
+    out = Decomposition(tuple(seq))
     if not validate_decomposition(out, p):
-        raise ContractError(broken)
+        kind = "merged" if method == "merge" else "per-cycle"
+        raise ContractError(f"{kind} decomposition does not multiply back to the input")
     if total == INF:
         # every piece is finite, so their sum passed the largest double
         raise InfeasibleError("decomposition cost sums past the float range")

@@ -11,9 +11,10 @@ D(i, u(i)), D the shortest-path distances of the ``ShortestSwaps`` engine
 it is handed; the caller reads phi* from the same engine. The floor is
 consistent: a swap (a b) of cost w moves two images, each distance term
 changes by at most D(a, b) <= w, so h(u) <= w + h(v). A swap changes two
-terms, so each neighbour's floor costs O(1). The first pop of
-the identity gives M; the search then closes every state below M whose
-g + h is within M plus the ``tolerance`` slack (none on integer tables).
+terms, so each neighbour's floor costs O(1); the start's floor adds its n
+terms left to right, in label order. The first pop of the identity gives
+M; the search then closes every state below M whose g + h is within M
+plus the ``tolerance`` slack (none on integer tables).
 
 The printed witness is Dijkstra's: walking back from the identity, each
 step takes the tight predecessor Dijkstra pops first. The identity is the
@@ -28,9 +29,10 @@ and ``mcd_exact`` raises InfeasibleError.
 
 Every key the search compares stays below 8n times the sum of the finite
 weights: a distance is at most that sum, the floor at most n times it and
-M at most 2(n - 1) times it. Where that product overflows a float, the
-floor is dropped to 0 rather than let a distance, the floor or a key
-round to inf; the search then pops in g order, as Dijkstra does.
+M at most 2(n - 1) times it. Where that product, the weights added left
+to right in pair order, overflows a float, the floor is dropped to 0
+rather than let a distance, the floor or a key round to inf; the search
+then pops in g order, as Dijkstra does.
 
 The search explodes factorially in the worst case; the limit guard keeps
 it from being called on sizes where "exact" means "never returns". It is
@@ -39,6 +41,8 @@ for tests and the CLI oracle command, not for production sorting.
 from __future__ import annotations
 
 import heapq
+from functools import reduce
+from operator import add
 
 from .costs import INF, Number, tolerance
 from .errors import DEFAULT_LIMIT, ContractError, InfeasibleError, SizeLimitError
@@ -72,14 +76,14 @@ def mcd_exact(p: Permutation, engine: ShortestSwaps,
     _check_limit(n, limit)
     # finite swaps in lexicographic pair order: the scan order of every pop
     swaps = [(a, b, w) for a, b, w in costs.entries() if w != INF]
-    if 8 * n * sum(w for _, _, w in swaps) == INF:
+    if 8 * n * reduce(add, (w for _, _, w in swaps), 0) == INF:
         # floats near the largest double: a distance, the floor or a key
         # could overflow, so the floor drops to 0 and the search is Dijkstra's
         dist = [[0] * n for _ in range(n)]
     else:
         dist = engine.dist
     start = p.images
-    floor = sum(dist[i][x - 1] for i, x in enumerate(start))
+    floor = reduce(add, (dist[i][x - 1] for i, x in enumerate(start)), 0)
     # an infinite floor: some label cannot reach its place; otherwise the
     # swaps inside each connected component generate every permutation of it
     closed = _closed_states(start, floor, swaps, dist) if floor != INF else set()

@@ -14,6 +14,8 @@ and refuse assignment, as frozen dataclasses do.
 from __future__ import annotations
 
 import re
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import CostParseError
@@ -126,8 +128,8 @@ class Decomposition(Frozen):
         return Permutation(tuple(images))
 
     def cost(self, costs) -> float:
-        """Total cost of the sequence under a cost table (entries may repeat)."""
-        return sum(costs.cost(t.a, t.b) for t in self.transpositions)
+        """Total cost under a cost table (entries may repeat), added left to right."""
+        return reduce(add, (costs.cost(t.a, t.b) for t in self.transpositions), 0)
 
     def __str__(self) -> str:
         return "".join(str(t) for t in self.transpositions)

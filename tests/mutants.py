@@ -73,7 +73,7 @@ MUTANTS = [
            ("tests/test_properties.py::test_product_equals_the_fold_of_single_swaps",),
            "a sequence through a label past n that moves it back validates against a permutation of 1..n"),
     Mutant("mld-check-length", "mld.py",
-           "    if len(d) != expected_len:\n"
+           "    if len(d) != cycle.k - 1:\n"
            "        raise ContractError(f\"{len(d)} transpositions for a {cycle.k}-cycle\")\n", "",
            ("tests/test_contracts.py::test_contract_checks_raise_their_messages",),
            "a short decomposition is reported as a wrong product, not by its length"),
@@ -123,6 +123,38 @@ MUTANTS = [
            'cut = text.find("\\r", start + _CHUNK) + 1 or len(text)',
            ("tests/test_properties.py::test_chunked_lines_equal_the_whole_split",),
            'a cut between "\\r" and "\\n" splits one line break in two'),
+    Mutant("merge-prefix-not-reversed", "multicycle.py",
+           "seq += reversed(tau.transpositions)", "seq += tau.transpositions",
+           ("tests/test_multicycle.py::test_merged_decompose_starts_with_the_joins_inverses",),
+           "joins that share a label are undone in the wrong order, so the product is not p"),
+    Mutant("rebuild-short-interval", "mld.py",
+           "= [(1, len(labels))]", "= [(1, len(labels) - 1)]",
+           ("tests/test_mld.py::test_dp4_reconstruction", "tests/test_mld.py::test_metric_path_mcd_frozen"),
+           "the last position is never split off, so the sequence misses its swaps and is refused"),
+    Mutant("path-reads-two-lines", "costs.py",
+           "islice(lines, 3)", "islice(lines, 2)",
+           ("tests/test_costs.py::test_a_path_file_is_refused_at_its_first_line_past_the_weights",),
+           "a content line after the weights is never read, and the path is accepted"),
+    Mutant("bench-wrong-index", "bench.py",
+           "yield _trial_pair(kmin, trials, i, seed)", "yield _trial_pair(kmin, trials, i + workers, seed)",
+           ("tests/test_cli.py::test_bench_recomputes_a_failed_child_stride",),
+           "a trial computed here is another trial of the same worker"),
+    Mutant("bench-single-floats", "bench.py",
+           'RECORD = struct.Struct("dd")', 'RECORD = struct.Struct("ff")',
+           ("tests/test_cli.py::test_bench_rows_do_not_depend_on_the_worker_count",),
+           "a child's pairs are rounded to single precision, so the rows depend on the CPU count"),
+    Mutant("bench-short-read-yields-nothing", "bench.py",
+           "        else:    # a short read is the end of a child that died\n"
+           "            pipes[w] = None\n",
+           "        elif pipes[w]:\n"
+           "            pipes[w] = None\n"
+           "        else:\n",
+           ("tests/test_cli.py::test_bench_recomputes_a_failed_child_stride",),
+           "the trial of a child's short read is skipped, so every later pair shifts by one"),
+    Mutant("bench-no-sigkill", "bench.py",
+           "os.kill(pid, signal.SIGKILL)", "pass",
+           ("tests/test_cli.py::test_bench_reaps_its_children_when_its_own_stride_raises",),
+           "a failing sweep waits for each child's current trial, here a 60 s sleep, before it raises"),
 ]
 
 

@@ -55,7 +55,7 @@ use them:
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, product as _product, repeat
 from operator import add, lt
 from typing import Mapping, Sequence
@@ -174,7 +174,7 @@ def segment(path: DefiningPath, a: int, b: int) -> tuple[Number, Number]:
     if i == j:
         raise ValueError("segment endpoints must differ")
     chunk = path.weights[i:j]
-    return sum(chunk), max(chunk)
+    return reduce(add, chunk, 0), max(chunk)
 
 
 def extended_metric_path_optimized(path: DefiningPath) -> CostMatrix:
@@ -683,7 +683,7 @@ def tree_decomposition(cycle: Cycle, edges: list[Edge]) -> Decomposition:
             raise ValueError(f"tree edge ({u}, {v}) leaves the cycle support")
     seq = _tree_rec(list(labels), [tuple(sorted(e)) for e in edges])
     d = Decomposition(tuple(seq))
-    _check(d, cycle, expected_len=cycle.k - 1)
+    _check(d, cycle)
     return d
 
 

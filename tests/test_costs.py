@@ -263,6 +263,26 @@ def test_parsing_keeps_one_table_and_no_list_of_lines():
     assert peak < 2 * 2**20
 
 
+def test_a_path_file_is_refused_at_its_first_line_past_the_weights():
+    message = "a path file needs an order line and a weight line"
+    for short in ("path\n", "path\n1 2\n", "path\n1 2\n5\n9 9\n"):
+        with pytest.raises(CostParseError) as caught:
+            parse_cost_input(short)
+        assert str(caught.value) == message
+    # 200,000 lines past the weights, 0.8 MB: listing their (line number,
+    # text) pairs takes over 25 MiB, and reading stops at the first
+    text = "path\n1 2\n5\n" + "9 9\n" * 200_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(CostParseError) as caught:
+            parse_cost_input(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == message
+    assert peak < 2 * 2**20
+
+
 @pytest.mark.parametrize("build", ["from_pairs", "metric_path", "extended_metric_path"])
 def test_table_builders_refuse_past_the_table_limit(build):
     # TABLE_LIMIT + 1 labels: a builder that skipped the guard would

@@ -105,7 +105,7 @@ def test_rebuild_follows_a_deep_split_chain():
     k = 1500
     split = tuple((None,) * k + ((i, k),) for i in range(k + 1))
     cyc = Cycle(tuple(range(1, k + 1)))
-    seq = _rebuild(cyc.elements, lambda i, j: split[i][j], 1, k)
+    seq = _rebuild(cyc.elements, lambda i, j: split[i][j])
     assert len(seq) == k - 1
     assert [(t.a, t.b) for t in seq[:2]] == [(k - 1, k), (k - 2, k)]
     assert validate_decomposition(Decomposition(tuple(seq)), permutation_from_cycles(k, [cyc]))

@@ -1,6 +1,8 @@
 """Whole-permutation strategies, per-cycle and merged, and the bounds around them."""
 import math
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -104,14 +106,30 @@ def test_merged_decompose_two_rings():
     assert d.transpositions[0] == Transposition(1, 2)
 
 
+def test_merged_decompose_starts_with_the_joins_inverses():
+    # joins that share a label do not commute: tau' applies them in the
+    # order given, so its inverse lists them in that order
+    p = parse_cycles("(1 2)(3 4)(5 6)", 6)
+    star = all_pairs_optimize(complete(6, 1))
+    d, cost = decompose(p, star, "merge", joins=[(2, 3), (3, 5)])
+    assert d.transpositions[:2] == (Transposition(2, 3), Transposition(3, 5))
+    assert validate_decomposition(d, p)
+    assert cost == 2 + 5    # two joins, then an MLD of the merged 6-cycle
+
+
 def test_decompose_identity_every_method():
+    # no cycle, so no piece: every method returns no swaps at the int 0, and
+    # no solver asks a raw table for its kind
     p = Permutation((1, 2, 3))
-    engine = shortest_swaps(complete(3, 1))
-    for method in ("mld", "std", "merge"):
-        d, cost = decompose(p, engine.optimized, method)
-        assert d == Decomposition()
-        assert cost == 0
-        assert permutation_lower_bound(p, engine.dist) == 0.0
+    raw = complete(3, 1)
+    engine = shortest_swaps(raw)
+    cases = [("mld", raw), ("std", raw), ("merge", raw),
+             ("mld", engine.optimized), ("std", engine.optimized), ("merge", engine.optimized),
+             ("metric-exact", DefiningPath((2, 1, 3), (1.5, 2.5)))]
+    for method, costs in cases:
+        d, cost = decompose(p, costs, method)
+        assert (d, type(cost), cost) == (Decomposition(), int, 0), method
+    assert permutation_lower_bound(p, engine.dist) == 0.0
 
 
 def test_decompose_takes_joins_under_merge_only():
@@ -120,9 +138,10 @@ def test_decompose_takes_joins_under_merge_only():
     for method in ("mld", "std"):
         with pytest.raises(ValueError, match=f"^joins apply to method 'merge' only, not '{method}'$"):
             decompose(swap, engine.optimized, method, joins=[(5, 9)])
-    # the identity takes no shortcut past forced joins
-    with pytest.raises(ValueError, match=r"^join \(1, 2\) touches a fixed element$"):
-        decompose(Permutation((1, 2, 3)), engine.optimized, "merge", joins=[(1, 2)])
+    # forced joins on the identity are merged, and refused as on any fixed element
+    for costs in (engine.optimized, complete(3, 1)):
+        with pytest.raises(ValueError, match=r"^join \(1, 2\) touches a fixed element$"):
+            decompose(Permutation((1, 2, 3)), costs, "merge", joins=[(1, 2)])
 
 
 def test_decompose_rejects_unknown_method():
@@ -132,7 +151,7 @@ def test_decompose_rejects_unknown_method():
 
 def test_decompose_metric_exact_needs_path():
     star = all_pairs_optimize(complete(5, 1))
-    # checked before the identity shortcut, so the identity is refused too
+    # checked before any cycle is looked at, so the identity is refused too
     for p in (FIVE_CYCLE, Permutation((1, 2, 3, 4, 5))):
         with pytest.raises(ValueError, match="^metric-exact needs a defining-path file$"):
             decompose(p, star, "metric-exact")
@@ -274,4 +293,4 @@ def test_random_strategies_respect_bounds():
             assert validate_decomposition(d, p)
             assert cost == {"mld": big_l, "std": big_s, "merge": merged}[method]
         # the value-only DP that bench reads sums to the same L
-        assert sum(mld_cost(c, star) for c in nontrivial_cycles(p)) == big_l
+        assert reduce(add, (mld_cost(c, star) for c in nontrivial_cycles(p)), 0) == big_l

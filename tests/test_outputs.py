@@ -9,7 +9,7 @@ recorded once, from the repository root, with
     PYTHONPATH=src:tests python -c "import test_outputs; test_outputs.record()"
 
 and is recorded again only for a change that means to alter some output,
-from the tree before that change.
+or adds commands, from the tree before that change.
 """
 import io
 import json
@@ -63,11 +63,23 @@ def _inputs() -> dict[str, str]:
     rng.shuffle(order)
     path = "path\n{}\n{}\n".format(" ".join(map(str, order)),
                                    " ".join(str(rng.randint(1, 9)) for _ in range(6)))
+    # one-decimal costs: their sums round, so a total's bytes depend on the
+    # order its terms are added in, which must be the same on every Python
+    rng = random.Random(15)
+    tenths = _table(14, [(a, b, rng.randint(1, 50) / 10)
+                         for a in range(1, 15) for b in range(a + 1, 15)])
+    rng = random.Random(31)
+    order = list(range(1, 31))
+    rng.shuffle(order)
+    tenths_path = "path\n{}\n{}\n".format(" ".join(map(str, order)),
+                                          " ".join(str(rng.randint(1, 50) / 10) for _ in range(29)))
     return {"dense12.cost": _dense(12, 12), "sparse12.cost": _sparse(12, 13),
             "dense40.cost": _dense(40, 40), "sparse40.cost": _sparse(40, 41),
             "ties.cost": ties, "split.cost": split, "line.path": path,
+            "tenths.cost": tenths, "tenths.path": tenths_path,
             "p12.perm": _shuffled(12, 120), "p40.perm": _shuffled(40, 400),
-            "p7.perm": _shuffled(7, 70)}
+            "p7.perm": _shuffled(7, 70), "p14.perm": _shuffled(14, 150),
+            "p30.perm": _shuffled(30, 310)}
 
 
 def _decompose(costs: str, perm: str, method: str, *flags: str) -> tuple[str, ...]:
@@ -115,6 +127,12 @@ COMMANDS = [
     ("oracle", "line.path", "p7.perm"),
     ("oracle", "dense12.cost", "p12.perm"),
     ("bench", "3", "6", "--trials", "3"),
+    _decompose("tenths.cost", "p14.perm", "mld", "--expand"),
+    _decompose("tenths.cost", "p14.perm", "std", "--expand"),
+    _decompose("tenths.cost", "p14.perm", "merge"),
+    _decompose("tenths.cost", "p14.perm", "merge", "--expand"),
+    _decompose("tenths.path", "p30.perm", "metric-exact"),
+    _decompose("tenths.path", "p30.perm", "mld", "--expand"),
 ]
 
 
