@@ -5,98 +5,71 @@ reflects the cheapest route that realizes the swap, then decompose each
 cycle (or the merged cycle) against the optimized table. Every solver,
 the oracle's ``mcd_exact`` included, returns ``(Decomposition, cost)`` or
 raises InfeasibleError. The oracle cross-checks everything exhaustively on
-small instances; it, and with it ``heapq``, is imported on first use of
-``mcd_exact``, so commands other than ``oracle`` never load it.
+small instances.
+
+``import permsort`` loads no module. Each public name loads its module
+when it is first read, and each command loads only what it runs, so
+commands other than ``oracle`` never load the oracle.
 """
-from .costs import (
-    CostMatrix,
-    DefiningPath,
-    INF,
-    extended_metric_path,
-    format_cost_file,
-    format_path_file,
-    from_pairs,
-    metric_path,
-    parse_cost_input,
-)
-from .errors import ContractError, CostParseError, InfeasibleError, SizeLimitError
-from .mld import (
-    metric_path_mcd,
-    min_cost_mld,
-    std_decomposition,
-)
-from .multicycle import (
-    decompose,
-    merge_cycles,
-    permutation_lower_bound,
-)
-from .optimize import (
-    ShortestSwaps,
-    all_pairs_optimize,
-    expand_decomposition,
-    expand_transposition,
-    shortest_swaps,
-)
-from .permutation import (
-    Cycle,
-    Decomposition,
-    Permutation,
-    Transposition,
-    compose,
-    format_cycles,
-    format_one_line,
-    nontrivial_cycles,
-    parse_cycles,
-    parse_one_line,
-    permutation_from_cycles,
-    validate_decomposition,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
+_HOME = {    # each public name and the module that defines it
+    "CostMatrix": "costs",
+    "DefiningPath": "costs",
+    "INF": "costs",
+    "extended_metric_path": "costs",
+    "format_cost_file": "costs",
+    "format_path_file": "costs",
+    "from_pairs": "costs",
+    "metric_path": "costs",
+    "parse_cost_input": "costs",
+    "ContractError": "errors",
+    "CostParseError": "errors",
+    "InfeasibleError": "errors",
+    "SizeLimitError": "errors",
+    "metric_path_mcd": "mld",
+    "min_cost_mld": "mld",
+    "std_decomposition": "mld",
+    "decompose": "multicycle",
+    "merge_cycles": "multicycle",
+    "permutation_lower_bound": "multicycle",
+    "ShortestSwaps": "optimize",
+    "all_pairs_optimize": "optimize",
+    "expand_decomposition": "optimize",
+    "expand_transposition": "optimize",
+    "shortest_swaps": "optimize",
+    "mcd_exact": "oracle",
+    "Cycle": "permutation",
+    "Decomposition": "permutation",
+    "Permutation": "permutation",
+    "Transposition": "permutation",
+    "compose": "permutation",
+    "format_cycles": "permutation",
+    "format_one_line": "permutation",
+    "nontrivial_cycles": "permutation",
+    "parse_cycles": "permutation",
+    "parse_one_line": "permutation",
+    "permutation_from_cycles": "permutation",
+    "validate_decomposition": "permutation",
+}
+# the modules that hold the public names, and values, whose Frozen they subclass
+_MODULES = {*_HOME.values(), "values"}
+
+__all__ = sorted(_HOME)
+
+
 def __getattr__(name: str):
-    if name == "mcd_exact":
-        from . import oracle
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _MODULES:
+        value = import_module(f".{name}", __name__)
+    else:    # never __main__, whose import runs the command line
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
-__all__ = [
-    "ContractError",
-    "CostMatrix",
-    "CostParseError",
-    "Cycle",
-    "Decomposition",
-    "DefiningPath",
-    "INF",
-    "InfeasibleError",
-    "Permutation",
-    "ShortestSwaps",
-    "SizeLimitError",
-    "Transposition",
-    "all_pairs_optimize",
-    "compose",
-    "decompose",
-    "expand_decomposition",
-    "expand_transposition",
-    "extended_metric_path",
-    "format_cost_file",
-    "format_cycles",
-    "format_one_line",
-    "format_path_file",
-    "from_pairs",
-    "mcd_exact",
-    "merge_cycles",
-    "metric_path",
-    "metric_path_mcd",
-    "min_cost_mld",
-    "nontrivial_cycles",
-    "parse_cost_input",
-    "parse_cycles",
-    "parse_one_line",
-    "permutation_from_cycles",
-    "permutation_lower_bound",
-    "shortest_swaps",
-    "std_decomposition",
-    "validate_decomposition",
-]
+def __dir__():
+    return sorted({*globals(), *__all__})

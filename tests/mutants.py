@@ -104,7 +104,7 @@ MUTANTS = [
            "states on the closing bound stay open, so the replayed witness changes"),
     Mutant("float-tolerance-zero", "costs.py",
            "return 1e-9 * max(1.0, *(abs(v) for v in values))", "return 0",
-           ("tests/test_mld.py::test_metric_path_mcd_float_weights_meet_the_floor",),
+           ("tests/test_mld.py::test_metric_path_mcd_floor_gap_shows_in_several_ring_orders",),
            "float sums compared exactly: a tree that meets the floor up to rounding is refused"),
     Mutant("merge-ties-larger-pair", "multicycle.py",
            "for _, a, b in links:", "for _, a, b in sorted(links, key=lambda x: (x[0], -x[1], -x[2])):",
@@ -154,7 +154,21 @@ MUTANTS = [
     Mutant("bench-no-sigkill", "bench.py",
            "os.kill(pid, signal.SIGKILL)", "pass",
            ("tests/test_cli.py::test_bench_reaps_its_children_when_its_own_stride_raises",),
-           "a failing sweep waits for each child's current trial, here a 60 s sleep, before it raises"),
+           "a failing sweep waits for each child's current trial, here a sleep just past the bound, "
+           "before it raises"),
+    Mutant("astar-edge-weight-twice", "oracle.py",
+           "ng = g + w", "ng = g + w + w",
+           ("tests/test_properties.py::test_astar_equals_the_reference_dijkstra",),
+           "the search prices each swap twice and closes other states, so the replayed witness changes"),
+    Mutant("std-divided-by-five", "mld.py",
+           "total += ring[t]", "total += ring[t] / 5",
+           ("tests/test_properties.py::test_bounds_chain_around_the_exhaustive_minimum",),
+           "S is reported at a fifth of the chain's cost, below M"),
+    Mutant("dp-other-association", "mld.py",
+           "map(add, map(add, bi, reversed(cj)), pi)", "map(add, bi, map(add, reversed(cj), pi))",
+           ("tests/test_outputs.py::test_output_matches_the_recording"
+            "[decompose tenths.cost p14.perm --method merge]",),
+           "the interval DP adds its three terms in another order, so float totals change their bytes"),
 ]
 
 
@@ -192,8 +206,10 @@ def main() -> int:
         if m.equivalent:
             print(f"equivalent  {m.name}: {m.equivalent}")
             continue
+        t0 = time.perf_counter()
         killed = run(m)
-        print(f"{'killed' if killed else 'SURVIVED':<11} {m.name}: {m.reason}", flush=True)
+        print(f"{'killed' if killed else 'SURVIVED':<11} {time.perf_counter() - t0:5.1f} s  {m.name}: {m.reason}",
+              flush=True)
         if not killed:
             survived.append(m.name)
     print(f"{len(survived)} survived, {time.perf_counter() - start:.0f} s")

@@ -263,6 +263,27 @@ def test_only_the_oracle_command_loads_the_oracle(tmp_path):
                 "multiprocessing", "concurrent.futures"} & sweep
 
 
+def test_import_permsort_loads_a_module_when_a_name_is_first_read():
+    script = dedent("""\
+        import sys
+        import permsort
+        def loaded():
+            return {m for m in sys.modules if m.startswith("permsort.")}
+        assert not loaded(), loaded()
+        assert set(permsort.__all__) <= set(dir(permsort))
+        permsort.decompose
+        assert "decompose" in vars(permsort)
+        assert "permsort.multicycle" in loaded(), loaded()
+        assert not {"permsort.oracle", "permsort.bench"} & loaded(), loaded()
+        for name in ("costs", "errors", "mld", "multicycle", "optimize", "permutation", "values"):
+            assert getattr(permsort, name) is sys.modules["permsort." + name]
+        assert not hasattr(permsort, "__main__")    # importing it would run the command line
+        print("ok")
+    """)
+    proc = _python("-c", script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
 def test_decompose_identity(tmp_path, capsys):
     src = cost_file(tmp_path, "sparse", sparse5_raw())
     code, out, _ = run(capsys, "decompose", src, "1 2 3 4 5")
@@ -876,8 +897,13 @@ def _fails(pair):
     raise RuntimeError("failed")
 
 
+# a failing sweep must end within REAP_S seconds; a hung child sleeps just
+# past that, so a parent that waited for it fails the bound
+REAP_S = 30
+
+
 def _hangs(pair):
-    time.sleep(60)    # a child the parent waited for would hold it here
+    time.sleep(REAP_S + 1)    # a child the parent waited for would hold it here
 
 
 def test_bench_recomputes_a_failed_child_stride(monkeypatch):
@@ -915,7 +941,7 @@ def test_bench_reaps_its_children_when_its_own_stride_raises(monkeypatch):
         with pytest.raises(RuntimeError, match="failed"):
             bench_rows(3, 6, 3, 5)
         _assert_no_child_left()
-        assert time.perf_counter() - t0 < 30
+        assert time.perf_counter() - t0 < REAP_S
 
 
 def test_bench_memory_does_not_grow_with_the_trials(monkeypatch):

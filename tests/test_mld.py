@@ -300,6 +300,17 @@ def test_metric_path_mcd_float_weights_meet_the_floor():
     assert cost == pytest.approx(cycle_floor(cyc, table))
 
 
+def test_metric_path_mcd_floor_gap_shows_in_several_ring_orders():
+    # twice the tree sum is 3.1999999999999997, and the ring sums to 3.2 from
+    # its smallest label, from its path-earliest label and reversed, so the
+    # tolerance is needed whichever of those orders the ring is added in
+    path = DefiningPath((4, 3, 1, 2), (0.7, 0.7, 0.2))
+    cyc = Cycle((1, 3, 4, 2))
+    d, cost = metric_path_mcd(cyc, path)
+    assert validate_decomposition(d, permutation_from_cycles(4, [cyc]))
+    assert cost == pytest.approx(cycle_floor(cyc, metric_path(path)))
+
+
 def test_metric_path_mcd_random_orders():
     rng = random.Random(54)
     for _ in range(30):
