@@ -20,21 +20,16 @@ The production route is ``shortest_swaps``: one Floyd-Warshall pass for D
 with next hops, then two min-plus passes for phi* by value only, O(n^3) in
 total. The tables are symmetric, so the pass relaxes each unordered pair
 once and mirrors the distance and the next hop; its D and next hops equal
-those of the loop over every ordered pair, entry for entry. A table that
-already satisfies the triangle inequality, such as a path metric or integer
-points under L1, skips the loop: a check that adds the loop's own operands
-in its order finds that no relaxation would succeed, and the table is its
-own D. The same object serves the lower bounds (which read D) and the
-expansion of an optimized swap back into raw swaps (a palindrome along the
-argmin route, at most 2n - 3 swaps); the argmin edge (u, v) is found per
-route, in O(n), when an expansion asks for it. ``all_pairs_optimize`` is
-its table.
+those of the loop over every ordered pair, entry for entry. The same
+object serves the lower bounds (which read D) and the expansion of an
+optimized swap back into raw swaps (a palindrome along the argmin route,
+at most 2n - 3 swaps); the argmin edge (u, v) is found per route, in O(n),
+when an expansion asks for it. ``all_pairs_optimize`` is its table.
 """
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress, repeat
-from operator import add, lt
+from operator import add
 from typing import Sequence
 
 from .costs import INF, CostMatrix, Number, _freeze, _fresh
@@ -134,18 +129,10 @@ def shortest_swaps(raw: CostMatrix) -> ShortestSwaps:
     with the same sum, as x + y == y + x bit for bit. The hops it mirrors,
     hop[i][k] and hop[j][k], cannot move during step k, since
     d(i, k) + d(k, k) = d(i, k); so dist and hop equal, entry for entry and
-    type for type, those of the loop over every ordered pair. The
-    comparison runs in C (map/compress); only improved entries are visited
-    in Python.
-
-    Before the loop, every pair i < j is checked: the minimum over k of
-    d(i, k) + d(k, j), rows i and j, the loop's own operands in its order,
-    must equal d(i, j). The terms k = i and k = j are d(i, j), so a pair
-    passes exactly when no k would relax it. When every pair passes, no
-    test of step 0 succeeds, step 0 leaves the table as it was, and so does
-    every later step; the copied rows and the first next hops are then the
-    loop's result, entry for entry and type for type. The check stops at
-    the first pair that fails, and then the loop runs unchanged.
+    type for type, those of the loop over every ordered pair. Within one
+    step (k, i) the loop reads no entry that step writes: row_i[j] is
+    written after it is read, and the mirror dist[j][i] lies in column i,
+    which row k (k != i) meets only at j = i, outside the triangle.
     """
     n = raw.n
     dist = [list(row) for row in raw.table]
@@ -154,8 +141,6 @@ def shortest_swaps(raw: CostMatrix) -> ShortestSwaps:
     hop: list[list[int | None]] = [
         [j if d != INF else None for j, d in zip(labels, row)] for row in dist
     ]
-    if all(min(map(add, dist[i], dist[j])) == dist[i][j] for j in range(n) for i in range(j)):
-        return ShortestSwaps(raw, dist, hop)
     for k in range(n):
         row_k = dist[k]
         for i in range(n):
@@ -165,12 +150,13 @@ def shortest_swaps(raw: CostMatrix) -> ShortestSwaps:
                 continue
             hop_i = hop[i]
             via = hop_i[k]
-            for j in compress(range(i + 1, n),
-                              map(lt, map(add, repeat(d_ik), row_k[i + 1:]), row_i[i + 1:])):
-                row_i[j] = dist[j][i] = d_ik + row_k[j]
-                hop_i[j] = via
-                hop_j = hop[j]
-                hop_j[i] = hop_j[k]
+            for j in range(i + 1, n):
+                s = d_ik + row_k[j]
+                if s < row_i[j]:
+                    row_i[j] = dist[j][i] = s
+                    hop_i[j] = via
+                    hop_j = hop[j]
+                    hop_j[i] = hop_j[k]
     return ShortestSwaps(raw, dist, hop)
 
 

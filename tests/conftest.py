@@ -6,8 +6,7 @@ from permsort import CostMatrix, ShortestSwaps
 @pytest.fixture
 def engines_built(monkeypatch):
     """Every ShortestSwaps built during the test: one per ``shortest_swaps``
-    call, whether its Floyd-Warshall loop ran or its triangle check found
-    the table already closed.
+    call, each a run of its Floyd-Warshall loop.
 
     The hook sits on the class, so it sees every construction whatever name
     a module imported the engine under.

@@ -41,25 +41,7 @@ class Mutant(NamedTuple):
     equivalent: str | None = None
 
 
-TRIANGLE = "if all(min(map(add, dist[i], dist[j])) == dist[i][j] for j in range(n) for i in range(j)):"
-
 MUTANTS = [
-    Mutant("triangle-le", "optimize.py", TRIANGLE, TRIANGLE.replace(" == ", " <= "),
-           ("tests/test_optimize.py::test_triangle_check_reads_the_loops_own_sums",),
-           "every pair passes, since the term k = i is d(i, j): the loop never runs"),
-    Mutant("triangle-last-column", "optimize.py", TRIANGLE, TRIANGLE.replace("range(n)", "range(n - 1)"),
-           ("tests/test_optimize.py::test_triangle_check_reads_the_loops_own_sums",),
-           "the pairs (i, n) go unchecked, so a detour to n is missed"),
-    Mutant("triangle-skips-inf", "optimize.py", TRIANGLE,
-           TRIANGLE.replace("== dist[i][j] for", "== dist[i][j] or dist[i][j] == INF for"),
-           ("tests/test_properties.py::test_triangle_engine_equals_the_square_loop",),
-           "an unlisted pair with a finite detour keeps distance inf"),
-    Mutant("triangle-columns", "optimize.py", TRIANGLE,
-           TRIANGLE.replace("dist[j]))", "[row[j] for row in dist]))"),
-           ("tests/test_optimize.py::test_triangle_check_reads_the_loops_own_sums",),
-           "the check adds column j, as the loop does, instead of row j",
-           equivalent="CostMatrix refuses a mirror unlike its partner, so column j is row j, "
-                      "entry for entry and type for type"),
     Mutant("table-type-test", "costs.py",
            "if type(v) is not type(w) or v != w:", "if v != w:",
            ("tests/test_costs.py::test_library_input_checks_raise_their_messages",),
@@ -82,10 +64,13 @@ MUTANTS = [
            ("tests/test_mld.py::test_std_single_label",),
            "a 1-cycle target wants its label moved to itself, so no empty sequence matches it"),
     Mutant("floyd-warshall-le", "optimize.py",
-           "map(lt, map(add, repeat(d_ik), row_k[i + 1:]), row_i[i + 1:])",
-           "map(lambda x, y: x <= y, map(add, repeat(d_ik), row_k[i + 1:]), row_i[i + 1:])",
-           ("tests/test_properties.py::test_triangle_engine_equals_the_square_loop",),
+           "if s < row_i[j]:", "if s <= row_i[j]:",
+           ("tests/test_optimize.py::test_engine_equals_the_square_loop_at_forty_labels",),
            "a tie relaxes, so next hops (and a tied int or float distance) change"),
+    Mutant("floyd-warshall-hop-via", "optimize.py",
+           "hop_j[i] = hop_j[k]", "hop_j[i] = via",
+           ("tests/test_optimize.py::test_engine_equals_the_square_loop_at_forty_labels",),
+           "the mirrored hop from j to i is i's first step towards k, not j's, so paths from j change"),
     Mutant("route-last-v", "optimize.py",
            "v = via.index(min(via))", "v = len(via) - 1 - via[::-1].index(min(via))",
            ("tests/test_properties.py::test_value_only_kernels_equal_the_argmin_passes",),

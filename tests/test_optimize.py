@@ -17,6 +17,7 @@ from permsort import (
     all_pairs_optimize,
     expand_decomposition,
     expand_transposition,
+    from_pairs,
     shortest_swaps,
     validate_decomposition,
 )
@@ -37,6 +38,7 @@ from frozen import (
 from reference_routes import (
     bellman_ford,
     expand_by_reference,
+    floyd_warshall_square,
     optimize_costs,
     recover_path,
     transposition_min_cost_exact,
@@ -141,15 +143,54 @@ def ring10_disconnected():
 
 def test_triangle_check_reads_the_loops_own_sums():
     # mirrored entries 2**53 and 2.0**53 are equal but not alike, so the
-    # table is refused. Alike, rows are columns and the check adds the
-    # loop's own operands: 3 + 2**53 is exact, below 2**53 + 4, so the loop
-    # runs, where 3 + 2.0**53 rounds to 2**53 + 4 and the table is its own D
+    # table is refused. Alike, the loop compares its own sums: 3 + 2**53 is
+    # exact, below 2**53 + 4, so the pair (1, 3) relaxes through 2, where
+    # 3 + 2.0**53 rounds to 2**53 + 4, ties, and the table is its own D
     with pytest.raises(ValueError, match=r"^asymmetric entry at \(2, 3\): "):
         CostMatrix(3, ((0, 3, 2**53 + 4), (3, 0, 2**53), (2**53 + 4, 2.0**53, 0)))
     for big, d13, hop in ((2**53, 2**53 + 3, [[0, 1, 1], [0, 1, 2], [1, 1, 2]]),
                           (2.0**53, 2**53 + 4, [[0, 1, 2], [0, 1, 2], [0, 1, 2]])):
         engine = shortest_swaps(CostMatrix(3, ((0, 3, 2**53 + 4), (3, 0, big), (2**53 + 4, big, 0))))
         dist = [[0, 3, d13], [3, 0, big], [d13, big, 0]]
+        assert [[(type(v), v) for v in row] for row in engine.dist] == \
+            [[(type(v), v) for v in row] for row in dist]
+        assert engine.hop == hop
+
+
+def _tables_at_forty(rng):
+    """Dense int 1..100, a random tree plus n pairs, dense uniform [0, 1)
+    floats, L1 distances on a 10 x 10 grid, and two components with inf
+    between them; n = 40."""
+    n = 40
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    sparse = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+    while len(sparse) < 2 * n - 1:
+        sparse.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+    points = [None] + [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(n)]
+    labels = rng.sample(range(1, n + 1), n)
+    # each half is connected by a chain through its sorted labels
+    first, second = sorted(labels[:n // 2]), sorted(labels[n // 2:])
+    chains = {*zip(first, first[1:]), *zip(second, second[1:])}
+
+    def l1(a, b):
+        return abs(points[a][0] - points[b][0]) + abs(points[a][1] - points[b][1])
+
+    return [
+        from_pairs(n, [(a, b, rng.randint(1, 100)) for a, b in pairs]),
+        from_pairs(n, [(a, b, rng.randint(1, 100)) for a, b in sorted(sparse)]),
+        from_pairs(n, [(a, b, rng.random()) for a, b in pairs]),
+        from_pairs(n, [(a, b, l1(a, b)) for a, b in pairs]),
+        from_pairs(n, [(a, b, rng.randint(1, 100)) for a, b in pairs
+                       if (a, b) in chains or (a in first) == (b in first) and rng.random() < 0.3]),
+    ]
+
+
+def test_engine_equals_the_square_loop_at_forty_labels():
+    # the properties stop at n = 9; these tables are large enough for long
+    # detours, many improvements per step and, on the grid, many ties
+    for raw in _tables_at_forty(random.Random(40)):
+        engine = shortest_swaps(raw)
+        dist, hop = floyd_warshall_square(raw)
         assert [[(type(v), v) for v in row] for row in engine.dist] == \
             [[(type(v), v) for v in row] for row in dist]
         assert engine.hop == hop

@@ -3,7 +3,7 @@
 Random integer tables with zero and infinite entries, n <= 9. The engine's
 distances and next hops must equal those of the Floyd-Warshall loop over
 every ordered pair, types included, on every value family and on metric and
-near-metric tables, where its triangle check may skip the loop; its
+near-metric tables, where ties and float rounding decide relaxations; its
 phi*, distances and expansions are checked against the reference routes in
 ``reference_routes`` (the substitution sweep ``optimize_costs`` and the
 per-source ``bellman_ford``) and against the 2n - 3 length bound of a
@@ -363,8 +363,8 @@ def metric_tables(draw, max_n=9):
 @PROPERTY
 @given(metric_tables())
 def test_triangle_engine_equals_the_square_loop_on_metric_tables(raw):
-    # a table that passes the engine's triangle check is returned as it is:
-    # distances with their types, and next hops, as the loop leaves them
+    # on a metric table no relaxation succeeds and every hop stays direct;
+    # a near-metric one relaxes one pair, and float rounding may relax more
     engine = shortest_swaps(raw)
     dist, hop = floyd_warshall_square(raw)
     assert _typed_rows(engine.dist) == _typed_rows(dist)
