@@ -45,7 +45,6 @@ _HOME = {    # each public name and the module that defines it
     "Decomposition": "permutation",
     "Permutation": "permutation",
     "Transposition": "permutation",
-    "compose": "permutation",
     "format_cycles": "permutation",
     "format_one_line": "permutation",
     "nontrivial_cycles": "permutation",

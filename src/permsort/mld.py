@@ -55,7 +55,7 @@ Edge = tuple[int, int]
 
 def _require_optimized(cycle: Cycle, costs: CostMatrix):
     """An optimized table that holds every label of the cycle."""
-    if costs.kind != "optimized":
+    if not isinstance(costs, CostMatrix) or costs.kind != "optimized":
         raise ValueError(
             "this routine needs optimized costs; optimize the table first "
             "or use assume_optimized() to trust it as is"
@@ -190,6 +190,8 @@ def metric_path_mcd(cycle: Cycle, path: DefiningPath) -> tuple[Decomposition, Nu
     the tree out as one split of the interval recurrence per node, O(k) in all.
     """
     k = cycle.k
+    if not isinstance(path, DefiningPath):
+        raise ValueError("metric_path_mcd needs a defining path, not a cost table")
     if max(cycle.elements) > path.n:
         raise ValueError(f"cycle label {max(cycle.elements)} outside 1..{path.n}")
     pos = path.positions

@@ -37,7 +37,7 @@ from .permutation import (
     Decomposition,
     Permutation,
     Transposition,
-    compose,
+    _moves,
     nontrivial_cycles,
     validate_decomposition,
 )
@@ -127,7 +127,8 @@ def merge_cycles(
                 break
 
     tau = Decomposition(tuple(reversed(applied)))
-    merged_cycles = nontrivial_cycles(compose(tau.product(p.n), p))
+    moves = _moves(tau)    # sigma' = tau' * p: p acts first
+    merged_cycles = nontrivial_cycles(Permutation(tuple(moves.get(v, v) for v in p.images)))
     if len(merged_cycles) != 1 or set(merged_cycles[0].elements) != set(support):
         raise ContractError("joining product did not produce one cycle over the moved elements")
     return tau, merged_cycles[0]
@@ -150,7 +151,8 @@ def decompose(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
-    if method == "metric-exact" and not isinstance(costs, DefiningPath):
+    # a defining path serves metric-exact, and metric-exact only
+    if (method == "metric-exact") != isinstance(costs, DefiningPath):
         raise ValueError("metric-exact needs a defining-path file")
     if joins is not None and method != "merge":
         raise ValueError(f"joins apply to method 'merge' only, not {method!r}")

@@ -81,6 +81,8 @@ class ShortestSwaps:
 
     def path(self, a: int, b: int) -> list[int]:
         """Labels of a cheapest ordinary path from a to b, both ends included."""
+        if not (1 <= a <= self.raw.n and 1 <= b <= self.raw.n):
+            raise ValueError(f"pair ({a}, {b}) outside 1..{self.raw.n}")
         i, j = a - 1, b - 1
         if self.dist[i][j] == INF:
             raise InfeasibleError(f"vertex {b} is unreachable from {a}")
@@ -103,6 +105,8 @@ class ShortestSwaps:
         """
         if a == b:
             raise ValueError("need two distinct labels")
+        if not (1 <= a <= self.raw.n and 1 <= b <= self.raw.n):
+            raise ValueError(f"pair ({a}, {b}) outside 1..{self.raw.n}")
         i, j = a - 1, b - 1
         optimized, left, twice, edges = self._swap_tables
         if optimized.table[i][j] == INF:

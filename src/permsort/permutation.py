@@ -1,11 +1,10 @@
 """Permutation algebra over the ground set {1, ..., n}.
 
 A permutation is stored by its one-line images: entry i-1 of ``images`` is
-the image of i. Products compose right to left, so in ``compose(q, p)`` the
-permutation ``p`` acts first. Transposition sequences are kept in written
-order: the leftmost transposition of a product is the one applied last.
-``_moves`` multiplies every sequence out; ``validate_decomposition``
-enforces that orientation.
+the image of i. Transposition sequences are kept in written order: the
+leftmost transposition of a product is the one applied last. ``_moves``
+multiplies every sequence out; ``validate_decomposition`` enforces that
+orientation.
 
 Everything here is immutable and hashable: the classes are ``__slots__``
 classes on ``values.Frozen``, which compare, hash and print by their fields
@@ -117,35 +116,12 @@ class Decomposition(Frozen):
     def __iter__(self):
         return iter(self.transpositions)
 
-    def product(self, n: int) -> Permutation:
-        """Multiply the sequence out, rightmost transposition acting first,
-        in O(len + n); every label it touches must lie in 1..n."""
-        images = list(range(1, n + 1))
-        for x, v in _moves(self).items():
-            if x > n:
-                raise ValueError(f"label {x} outside 1..{n}")
-            images[x - 1] = v
-        return Permutation(tuple(images))
-
     def cost(self, costs) -> float:
         """Total cost under a cost table (entries may repeat), added left to right."""
         return reduce(add, (costs.cost(t.a, t.b) for t in self.transpositions), 0)
 
     def __str__(self) -> str:
         return "".join(str(t) for t in self.transpositions)
-
-
-def compose(outer: Permutation, inner: Permutation) -> Permutation:
-    """Product outer*inner: ``inner`` acts first.
-
-    >>> p = permutation_from_cycles(4, [(1, 2, 4)])
-    >>> q = permutation_from_cycles(4, [(2, 1, 3)])
-    >>> nontrivial_cycles(compose(p, q))[0].elements
-    (1, 3, 4)
-    """
-    if outer.n != inner.n:
-        raise ValueError("size mismatch")
-    return Permutation(tuple(outer.images[j - 1] for j in inner.images))
 
 
 def nontrivial_cycles(p: Permutation) -> list[Cycle]:

@@ -154,6 +154,41 @@ MUTANTS = [
            ("tests/test_outputs.py::test_output_matches_the_recording"
             "[decompose tenths.cost p14.perm --method merge]",),
            "the interval DP adds its three terms in another order, so float totals change their bytes"),
+    Mutant("merge-order", "multicycle.py",
+           "tuple(moves.get(v, v) for v in p.images)",
+           "tuple(p.images[moves.get(v, v) - 1] for v in range(1, p.n + 1))",
+           ("tests/test_outputs.py::test_output_matches_the_recording"
+            "[decompose dense12.cost p12.perm --method merge]",),
+           "the merged cycle is p * tau', not tau' * p, so the merged sequence changes"),
+    Mutant("path-label-range", "optimize.py",
+           '"""Labels of a cheapest ordinary path from a to b, both ends included."""\n'
+           "        if not (1 <= a <= self.raw.n and 1 <= b <= self.raw.n):",
+           '"""Labels of a cheapest ordinary path from a to b, both ends included."""\n'
+           "        if False:",
+           ("tests/test_optimize.py::test_path_and_route_refuse_labels_outside_the_table",),
+           "label 0 reads label n's row through index -1, and label n + 1 ends in an IndexError"),
+    Mutant("route-label-range", "optimize.py",
+           'raise ValueError("need two distinct labels")\n'
+           "        if not (1 <= a <= self.raw.n and 1 <= b <= self.raw.n):",
+           'raise ValueError("need two distinct labels")\n'
+           "        if False:",
+           ("tests/test_optimize.py::test_path_and_route_refuse_labels_outside_the_table",),
+           "label 0 reads label n's rows through index -1, and label n + 1 ends in an IndexError"),
+    Mutant("decompose-path-one-way", "multicycle.py",
+           'if (method == "metric-exact") != isinstance(costs, DefiningPath):',
+           'if (method == "metric-exact") > isinstance(costs, DefiningPath):',
+           ("tests/test_multicycle.py::test_a_cost_source_of_the_wrong_type_is_refused",),
+           "a defining path reaches the table routes of mld, std and merge"),
+    Mutant("optimized-needs-no-table", "mld.py",
+           'if not isinstance(costs, CostMatrix) or costs.kind != "optimized":',
+           'if costs.kind != "optimized":',
+           ("tests/test_multicycle.py::test_a_cost_source_of_the_wrong_type_is_refused",),
+           "a defining path handed to min_cost_mld or std_decomposition ends in an AttributeError"),
+    Mutant("metric-path-takes-a-table", "mld.py",
+           "    if not isinstance(path, DefiningPath):\n"
+           '        raise ValueError("metric_path_mcd needs a defining path, not a cost table")\n', "",
+           ("tests/test_multicycle.py::test_a_cost_source_of_the_wrong_type_is_refused",),
+           "a cost table handed to metric_path_mcd ends in an AttributeError"),
 ]
 
 

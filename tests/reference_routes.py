@@ -38,8 +38,9 @@ can require equal results:
 Library routines that no command calls live here too, with the tests that
 use them:
 
-- ``apply_transposition`` and ``cayley_length``: one swap applied to a
-  permutation, and the fewest swaps that sort it;
+- ``apply_transposition``, ``compose`` and ``cayley_length``: one swap
+  applied to a permutation, the product of two permutations, and the
+  fewest swaps that sort a permutation;
 - ``cycles``: every cycle of a permutation, fixed points included, the
   reference for ``nontrivial_cycles``;
 - ``mld_table`` and ``MldTable``: the interval DP with every split, by the
@@ -103,6 +104,11 @@ def apply_transposition(p: Permutation, t: Transposition) -> Permutation:
         elif v == b:
             images[i] = a
     return Permutation(tuple(images))
+
+
+def compose(outer: Permutation, inner: Permutation) -> Permutation:
+    """Product outer*inner: ``inner`` acts first."""
+    return Permutation(tuple(outer.images[j - 1] for j in inner.images))
 
 
 def cycles(p: Permutation) -> list[Cycle]:
@@ -508,7 +514,7 @@ def expand_by_reference(a: int, b: int, source: OptimizerReport | PathTable,
         raise TypeError(f"cannot expand from {type(source).__name__}")
     out = Decomposition(tuple(seq))
     n = max(t.b for t in (Transposition(*key), *out))
-    if out.product(n) != Decomposition((Transposition(*key),)).product(n):
+    if product_by_fold(out, n) != product_by_fold(Decomposition((Transposition(*key),)), n):
         raise ContractError(f"expansion of {key} does not multiply back")
     return out
 

@@ -899,7 +899,7 @@ def _fails(pair):
 
 # a failing sweep must end within REAP_S seconds; a hung child sleeps just
 # past that, so a parent that waited for it fails the bound
-REAP_S = 30
+REAP_S = 5
 
 
 def _hangs(pair):

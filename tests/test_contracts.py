@@ -67,7 +67,7 @@ CASES = [
     ([],
      lambda: metric_path_mcd(Cycle((1, 2, 3)), _path_with_falling_prefix()),
      ContractError, "min-Cartesian tree misses the half-total floor"),
-    ([(multicycle, "compose", lambda f: lambda outer, inner: inner)],
+    ([(multicycle, "_moves", lambda f: lambda d: {})],
      lambda: merge_cycles(parse_cycles("(1 2)(3 4)", 4), shortest_swaps(LINE4).optimized),
      ContractError, "joining product did not produce one cycle over the moved elements"),
     ([(multicycle, "min_cost_mld", lambda f: _wrong_mld)],

@@ -7,6 +7,7 @@ from operator import add
 import pytest
 
 from permsort import (
+    Cycle,
     Decomposition,
     DefiningPath,
     InfeasibleError,
@@ -17,11 +18,14 @@ from permsort import (
     from_pairs,
     merge_cycles,
     metric_path,
+    metric_path_mcd,
+    min_cost_mld,
     nontrivial_cycles,
     parse_cycles,
     parse_one_line,
     permutation_lower_bound,
     shortest_swaps,
+    std_decomposition,
     validate_decomposition,
 )
 from permsort.mld import mld_cost
@@ -155,6 +159,24 @@ def test_decompose_metric_exact_needs_path():
     for p in (FIVE_CYCLE, Permutation((1, 2, 3, 4, 5))):
         with pytest.raises(ValueError, match="^metric-exact needs a defining-path file$"):
             decompose(p, star, "metric-exact")
+
+
+UNIT_PATH = DefiningPath((1, 2, 3, 4, 5), (1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: decompose(FIVE_CYCLE, UNIT_PATH, "mld"), "^metric-exact needs a defining-path file$"),
+    (lambda: decompose(FIVE_CYCLE, UNIT_PATH, "std"), "^metric-exact needs a defining-path file$"),
+    (lambda: decompose(FIVE_CYCLE, UNIT_PATH, "merge"), "^metric-exact needs a defining-path file$"),
+    (lambda: min_cost_mld(Cycle((1, 2, 3)), UNIT_PATH), "needs optimized costs"),
+    (lambda: std_decomposition(Cycle((1, 2, 3)), UNIT_PATH), "needs optimized costs"),
+    (lambda: metric_path_mcd(Cycle((1, 2, 3)), metric_path(UNIT_PATH)),
+     "^metric_path_mcd needs a defining path, not a cost table$"),
+])
+def test_a_cost_source_of_the_wrong_type_is_refused(call, message):
+    # a defining path serves metric-exact alone, and a table every other route
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_decompose_std_unreachable():

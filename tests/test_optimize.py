@@ -40,6 +40,7 @@ from reference_routes import (
     expand_by_reference,
     floyd_warshall_square,
     optimize_costs,
+    product_by_fold,
     recover_path,
     transposition_min_cost_exact,
     transposition_path_cost,
@@ -262,7 +263,7 @@ def test_expansions_are_odd_valid_and_cost_equal():
                 via_witness = expand_by_reference(a, b, report, raw)
                 via_table = expand_by_reference(a, b, bellman_ford(raw, a), raw)
                 via_engine = expand_transposition(a, b, engine)
-                target = Decomposition((Transposition(a, b),)).product(n)
+                target = product_by_fold(Decomposition((Transposition(a, b),)), n)
                 for d in (via_witness, via_table, via_engine):
                     assert len(d) % 2 == 1
                     assert validate_decomposition(d, target)
@@ -287,7 +288,7 @@ def test_expand_decomposition_preserves_product():
     engine = shortest_swaps(raw)
     d = Decomposition((Transposition(4, 5), Transposition(2, 3)))
     wide = expand_decomposition(d, engine)
-    assert wide.product(5) == d.product(5)
+    assert product_by_fold(wide, 5) == product_by_fold(d, 5)
     assert wide.cost(raw) == engine.optimized.cost(4, 5) + engine.optimized.cost(2, 3)
 
 
@@ -302,3 +303,15 @@ def test_expand_guards():
         expand_by_reference(1, 2, "nope", opt4_raw())
     with pytest.raises(ValueError):
         expand_transposition(2, 2, shortest_swaps(opt4_raw()))
+
+
+def test_path_and_route_refuse_labels_outside_the_table():
+    # label 0 would read label n's row through index -1, and n + 1 no row
+    engine = shortest_swaps(from_pairs(3, [(1, 2, 1), (2, 3, 1), (1, 3, 5)]))
+    for a, b in ((0, 2), (-1, 2), (2, 0), (4, 1), (1, 4)):
+        with pytest.raises(ValueError, match=rf"^pair \({a}, {b}\) outside 1..3$"):
+            engine.path(a, b)
+        with pytest.raises(ValueError, match=rf"^pair \({a}, {b}\) outside 1..3$"):
+            engine.route(a, b)
+    assert engine.path(2, 2) == [2]
+    assert engine.route(1, 3) == [1, 2, 3]

@@ -7,7 +7,6 @@ from permsort import (
     Decomposition,
     Permutation,
     Transposition,
-    compose,
     format_cycles,
     format_one_line,
     nontrivial_cycles,
@@ -18,7 +17,7 @@ from permsort import (
 )
 from permsort.errors import CostParseError
 
-from reference_routes import apply_transposition, cayley_length
+from reference_routes import apply_transposition, cayley_length, compose
 
 
 def random_permutation(n, rng):
@@ -70,16 +69,6 @@ def test_cycle_as_permutation():
         permutation_from_cycles(8, [c])
 
 
-def test_compose_applies_inner_first():
-    p = permutation_from_cycles(3, [(1, 2)])
-    q = permutation_from_cycles(3, [(2, 3)])
-    # (1 2)(2 3) read right to left sends 3 to 2 to 1
-    assert compose(p, q).images[3 - 1] == 1
-    assert compose(p, q).images == (2, 3, 1)
-    with pytest.raises(ValueError):
-        compose(p, Permutation(range(1, 5)))
-
-
 def test_apply_transposition_swaps_the_two_images():
     p = Permutation((2, 3, 4, 5, 1))
     q = apply_transposition(p, Transposition(1, 2))
@@ -112,10 +101,13 @@ def test_parity_and_cayley_length():
 
 def test_product_multiplies_right_to_left():
     d = Decomposition((Transposition(1, 2), Transposition(2, 3)))
-    assert d.product(3).images == (2, 3, 1)
-    assert [c.elements for c in nontrivial_cycles(d.product(3))] == [(1, 2, 3)]
+    # (1 2)(2 3) read right to left sends 3 to 2 to 1: (2 3 1), not its inverse
+    assert validate_decomposition(d, Permutation((2, 3, 1)))
+    assert not validate_decomposition(d, Permutation((3, 1, 2)))
+    assert validate_decomposition(d, Cycle((1, 2, 3)))
+    assert not validate_decomposition(d, Cycle((1, 3, 2)))
     assert str(d) == "(1 2)(2 3)"
-    assert Decomposition().product(2).is_identity()
+    assert validate_decomposition(Decomposition(), Permutation(range(1, 3)))
 
 
 def test_validate_decomposition():
