@@ -16,9 +16,9 @@ integer instances are exact.
 
 Each number is checked once where it enters: cost and weight tokens in
 ``_parse_value``, which knows their line, and ``from_pairs`` costs before
-it hands them on; listed pairs and their int total in ``_set_pair``, where
-a pair listed again must repeat its cost and counts once (the table records
-which pairs were listed, holding None until a pair's first listing); path
+it hands them on; listed pairs and their int total in ``_listed``, the
+one loop behind ``from_pairs``, the reader and ``extended_metric_path``,
+where a pair listed again must repeat its cost and counts once; path
 weights and their sums in ``DefiningPath``; hand-built tables in
 ``CostMatrix._check``, which refuses a mirrored entry unlike its partner
 in type or value and a diagonal entry other than the int 0, and bounds a
@@ -237,29 +237,28 @@ def _freeze(rows: list[Sequence[Number]], kind: str) -> CostMatrix:
     return m
 
 
-def _set_pair(rows: list[list[Number | None]], a: int, b: int, v: Number, total: int) -> int:
-    """Write a listed (a, b, cost) entry, its cost already checked, to both
-    halves; return the int total of the stored entries. The table records
-    which pairs were listed, holding None until a pair's first listing. A pair
-    listed again must repeat its cost, and the later listing replaces it."""
-    n = len(rows)
-    if a == b or not (1 <= a <= n and 1 <= b <= n):
-        raise ValueError(f"bad pair ({a}, {b}) for n={n}")
-    v += 0    # -0.0 + 0 is 0.0: a zero cost is never stored as -0.0
-    old = rows[a - 1][b - 1]
-    if old is not None and old != v:
-        raise ValueError(f"conflicting duplicate for pair ({min(a, b)}, {max(a, b)})")
-    if isinstance(old, int):
-        total -= old
-    if isinstance(v, int):
-        total += v
-        if not _ints_fit(total, n):
-            raise ValueError("integer costs sum past the float range")
-    rows[a - 1][b - 1] = rows[b - 1][a - 1] = v
-    return total
-
-
-def _freeze_listed(rows: list[list[Number | None]]) -> CostMatrix:
+def _listed(n: int, entries: Iterable[tuple[int, int, Number]]) -> CostMatrix:
+    """The raw table of listed (a, b, cost) entries, their costs already
+    checked; a pair never listed costs inf. The table records which pairs
+    were listed, holding None until a pair's first listing. A pair listed
+    again must repeat its cost: the later listing replaces it and counts
+    once toward the int total."""
+    rows = _fresh(n, None)
+    total = 0
+    for a, b, v in entries:
+        if a == b or not (1 <= a <= n and 1 <= b <= n):
+            raise ValueError(f"bad pair ({a}, {b}) for n={n}")
+        v += 0    # -0.0 + 0 is 0.0: a zero cost is never stored as -0.0
+        old = rows[a - 1][b - 1]
+        if old is not None and old != v:
+            raise ValueError(f"conflicting duplicate for pair ({min(a, b)}, {max(a, b)})")
+        if isinstance(old, int):
+            total -= old
+        if isinstance(v, int):
+            total += v
+            if not _ints_fit(total, n):
+                raise ValueError("integer costs sum past the float range")
+        rows[a - 1][b - 1] = rows[b - 1][a - 1] = v
     for row in rows:    # in place: a pair never listed costs inf
         row[:] = [INF if v is None else v for v in row]
     return _freeze(rows, "raw")
@@ -269,13 +268,14 @@ def from_pairs(n: int, entries: Iterable[tuple[int, int, Number]]) -> CostMatrix
     """Build a table from (a, b, cost) triples; unlisted pairs default to inf."""
     if n < 1:
         raise ValueError("need n >= 1")
-    rows = _fresh(n, None)
-    total = 0
-    for a, b, v in entries:
-        if not _is_valid_cost(v):
-            raise ValueError(f"bad cost {v!r} for pair ({a}, {b})")
-        total = _set_pair(rows, a, b, v, total)
-    return _freeze_listed(rows)
+
+    def checked() -> Iterator[tuple[int, int, Number]]:
+        for a, b, v in entries:
+            if not _is_valid_cost(v):
+                raise ValueError(f"bad cost {v!r} for pair ({a}, {b})")
+            yield a, b, v
+
+    return _listed(n, checked())
 
 
 def metric_path(path: DefiningPath) -> CostMatrix:
@@ -291,12 +291,7 @@ def metric_path(path: DefiningPath) -> CostMatrix:
 
 def extended_metric_path(path: DefiningPath) -> CostMatrix:
     """Only consecutive path pairs are finite; everything else costs inf."""
-    n = path.n
-    rows = _fresh(n, INF)
-    for i in range(n - 1):
-        a, b = path.order[i], path.order[i + 1]
-        rows[a - 1][b - 1] = rows[b - 1][a - 1] = path.weights[i]
-    return _freeze(rows, "raw")
+    return _listed(path.n, zip(path.order, path.order[1:], path.weights))
 
 
 # File format. Cost tables:
@@ -363,22 +358,25 @@ def _parse_table(lineno: int, head: str, lines: Iterator[tuple[int, str]]) -> Co
         raise CostParseError(f"bad size {parts[1]!r}", lineno) from None
     if n < 1:
         raise CostParseError(f"bad size {n}", lineno)
-    rows = _fresh(n, None)
-    total = 0
-    for lineno, line in lines:
-        toks = line.split()
-        if len(toks) != 3:
-            raise CostParseError(f"expected 'a b cost', got {line!r}", lineno)
-        try:
-            a, b = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise CostParseError(f"bad pair in {line!r}", lineno) from None
-        v = _parse_value(toks[2], lineno)
-        try:
-            total = _set_pair(rows, a, b, v, total)
-        except ValueError as exc:
-            raise CostParseError(str(exc), lineno) from None
-    return _freeze_listed(rows)
+
+    def listing() -> Iterator[tuple[int, int, Number]]:
+        nonlocal lineno    # the line just read, for an error _listed raises
+        for lineno, line in lines:
+            toks = line.split()
+            if len(toks) != 3:
+                raise CostParseError(f"expected 'a b cost', got {line!r}", lineno)
+            try:
+                a, b = int(toks[0]), int(toks[1])
+            except ValueError:
+                raise CostParseError(f"bad pair in {line!r}", lineno) from None
+            yield a, b, _parse_value(toks[2], lineno)
+
+    try:
+        return _listed(n, listing())
+    except CostParseError:
+        raise
+    except ValueError as exc:
+        raise CostParseError(str(exc), lineno) from None
 
 
 def _parse_path(lines: list[tuple[int, str]]) -> DefiningPath:

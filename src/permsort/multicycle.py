@@ -54,8 +54,10 @@ def permutation_lower_bound(p: Permutation, dist: Sequence[Sequence[Number]] | D
     """
     if isinstance(dist, DefiningPath):
         n, distance = dist.n, dist.distance
-    else:
+    elif isinstance(dist, Sequence):
         n, distance = len(dist), lambda a, b: dist[a - 1][b - 1]
+    else:
+        raise ValueError("permutation_lower_bound needs rows of distances or a defining path")
     total: Number = 0
     halves: Number = 0    # the floor where the plain total passes the largest double
     for c in nontrivial_cycles(p):
@@ -83,6 +85,8 @@ def merge_cycles(
     separate cycles, ties to the smaller pair. Explicit ``joins`` override
     the greedy picks and must each link two separate cycles.
     """
+    if not isinstance(phi_star, CostMatrix):
+        raise ValueError("merge_cycles needs a cost table")
     moved = nontrivial_cycles(p)
     # a forced join on the identity fails below, as on any fixed element
     if not moved and not joins:

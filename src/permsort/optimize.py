@@ -66,13 +66,17 @@ class ShortestSwaps:
         edges = [list(row) for row in self.raw.table]
         for i in range(n):
             edges[i][i] = INF    # the zero diagonal is not an edge
-        left = [[min(map(add, row, e)) for e in edges] for row in twice]
+        # a term is finite only when its labels share a component, so a cell
+        # whose D is inf takes no minimum: all n of its sums are inf
+        left = [[min(map(add, row, e)) if d != INF else INF for d, e in zip(dist_a, edges)]
+                for dist_a, row in zip(self.dist, twice)]
         rows = _fresh(n, INF)
-        for a in range(n):
+        for a, dist_a in enumerate(self.dist):
             # the upper triangle is kept and mirrored, so float rounding
             # cannot make the table asymmetric
             for b in range(a + 1, n):
-                rows[a][b] = rows[b][a] = min(map(add, left[a], twice[b]))
+                if dist_a[b] != INF:
+                    rows[a][b] = rows[b][a] = min(map(add, left[a], twice[b]))
         return _freeze(rows, "optimized"), left, twice, edges
 
     @property
@@ -103,14 +107,10 @@ class ShortestSwaps:
         revisit a vertex; every loop is cut out, which cannot raise the swap
         path cost.
         """
-        if a == b:
-            raise ValueError("need two distinct labels")
-        if not (1 <= a <= self.raw.n and 1 <= b <= self.raw.n):
-            raise ValueError(f"pair ({a}, {b}) outside 1..{self.raw.n}")
-        i, j = a - 1, b - 1
         optimized, left, twice, edges = self._swap_tables
-        if optimized.table[i][j] == INF:
+        if optimized.cost(a, b) == INF:    # refuses a == b and labels outside 1..n
             raise InfeasibleError(f"pair ({a}, {b}) has no finite-cost realisation")
+        i, j = a - 1, b - 1
         via = list(map(add, left[i], twice[j]))
         v = via.index(min(via))    # ties: the first met, as min() keeps it
         once = list(map(add, twice[i], edges[v]))

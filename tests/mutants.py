@@ -167,13 +167,24 @@ MUTANTS = [
            "        if False:",
            ("tests/test_optimize.py::test_path_and_route_refuse_labels_outside_the_table",),
            "label 0 reads label n's row through index -1, and label n + 1 ends in an IndexError"),
-    Mutant("route-label-range", "optimize.py",
-           'raise ValueError("need two distinct labels")\n'
-           "        if not (1 <= a <= self.raw.n and 1 <= b <= self.raw.n):",
-           'raise ValueError("need two distinct labels")\n'
-           "        if False:",
+    Mutant("route-label-range", "costs.py",
+           "if not (1 <= a <= self.n and 1 <= b <= self.n):", "if False:",
            ("tests/test_optimize.py::test_path_and_route_refuse_labels_outside_the_table",),
-           "label 0 reads label n's rows through index -1, and label n + 1 ends in an IndexError"),
+           "route reads its pair through CostMatrix.cost: label 0 reads label n's rows through "
+           "index -1, and label n + 1 ends in an IndexError"),
+    Mutant("phi-skip-raw-row", "optimize.py",
+           "for dist_a, row in zip(self.dist, twice)]", "for dist_a, row in zip(self.raw.table, twice)]",
+           ("tests/test_outputs.py::test_output_matches_the_recording[optimize sparse40.cost]",),
+           "the phi* passes skip every cell two or more edges apart, so those entries stay inf"),
+    Mutant("merge-needs-no-table", "multicycle.py",
+           "    if not isinstance(phi_star, CostMatrix):\n"
+           '        raise ValueError("merge_cycles needs a cost table")\n', "",
+           ("tests/test_costs.py::test_library_input_checks_raise_their_messages",),
+           "a defining path handed to merge_cycles ends in an AttributeError"),
+    Mutant("lower-bound-takes-a-table", "multicycle.py",
+           "elif isinstance(dist, Sequence):", "elif True:",
+           ("tests/test_costs.py::test_library_input_checks_raise_their_messages",),
+           "a cost table handed to permutation_lower_bound ends in a TypeError"),
     Mutant("decompose-path-one-way", "multicycle.py",
            'if (method == "metric-exact") != isinstance(costs, DefiningPath):',
            'if (method == "metric-exact") > isinstance(costs, DefiningPath):',

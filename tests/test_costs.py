@@ -96,10 +96,11 @@ def test_a_zero_is_stored_as_positive_zero():
     assert math.copysign(1, from_pairs(2, [(1, 2, -0.0)]).cost(1, 2)) == 1
     assert math.copysign(1, parse_cost_input("n 2\n1 2 -0.0\n").cost(1, 2)) == 1
     assert math.copysign(1, parse_cost_input("path\n1 2\n-0.0\n").weights[0]) == 1
+    assert math.copysign(1.0, extended_metric_path(DefiningPath((1, 2), (-0.0,))).cost(1, 2)) == 1.0
 
 
 def test_a_hand_built_negative_zero_prints_as_zero():
-    # the constructors keep -0.0; the writer prints it as 0.0
+    # CostMatrix and DefiningPath keep a hand-built -0.0; the writer prints it as 0.0
     assert format_cost_file(CostMatrix(2, ((0, -0.0), (-0.0, 0)))) == "n 2\n1 2 0.0\n"
     path = DefiningPath((1, 2), (-0.0,))
     assert format_cost_file(extended_metric_path(path)) == "n 2\n1 2 0.0\n"
@@ -439,6 +440,13 @@ def test_library_input_checks_raise_their_messages():
          "cycle label 3 outside 1..2"),
         (lambda: merge_cycles(parse_cycles("(1 2)(3 4)", 4), from_pairs(3, [(1, 2, 1)])),
          "label 4 outside 1..3"),
+        # a cost source of the wrong type, which the command line never hands on
+        (lambda: merge_cycles(parse_cycles("(1 2)(3 4)", 4), DefiningPath((1, 2, 3, 4), (1, 1, 1))),
+         "merge_cycles needs a cost table"),
+        (lambda: merge_cycles(parse_cycles("(1 2)(3 4)", 4), DefiningPath((1, 2, 3, 4), (1, 1, 1)), [(1, 3)]),
+         "merge_cycles needs a cost table"),
+        (lambda: permutation_lower_bound(parse_cycles("(1 2)", 3), from_pairs(3, [(1, 2, 1)])),
+         "permutation_lower_bound needs rows of distances or a defining path"),
         (lambda: mcd_exact(parse_cycles("(1 2)", 2), shortest_swaps(from_pairs(3, [(1, 2, 1)]))),
          "cost table is for n=3, permutation has n=2"),
     ]

@@ -314,4 +314,6 @@ def test_path_and_route_refuse_labels_outside_the_table():
         with pytest.raises(ValueError, match=rf"^pair \({a}, {b}\) outside 1..3$"):
             engine.route(a, b)
     assert engine.path(2, 2) == [2]
+    with pytest.raises(ValueError, match=r"^cost of a trivial swap \(2, 2\) requested$"):
+        engine.route(2, 2)
     assert engine.route(1, 3) == [1, 2, 3]

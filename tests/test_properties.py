@@ -154,11 +154,24 @@ def _typed_rows(rows):
     return [[(type(v), v) for v in row] for row in rows]
 
 
+@st.composite
+def component_tables(draw, max_n=14, values=MIXED_VALUES):
+    # labels dealt to 1-4 components; every pair across two of them is inf
+    n = draw(st.integers(1, max_n))
+    part = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    costs = draw(st.lists(st.one_of(values, st.just(INF)), min_size=len(pairs), max_size=len(pairs)))
+    return from_pairs(n, [(a, b, v if part[a - 1] == part[b - 1] else INF)
+                          for (a, b), v in zip(pairs, costs)])
+
+
 @PROPERTY
-@given(tables(values=MIXED_VALUES))
+@given(st.one_of(tables(values=MIXED_VALUES), component_tables()))
 def test_value_only_kernels_equal_the_argmin_passes(raw):
     # phi* by value only, and each route's argmin edge found when it is
-    # asked for, against the two passes that store an argmin table each
+    # asked for, against the two passes that store an argmin table each;
+    # the value-only passes skip the cells D marks inf, the argmin passes
+    # take every minimum
     engine = shortest_swaps(raw)
     rows, left_u, right_v = swap_tables_with_argmins(engine)
     star = engine.optimized.table
