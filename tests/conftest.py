@@ -1,6 +1,29 @@
+import os
+
 import pytest
 
 from permsort import CostMatrix, ShortestSwaps
+
+
+@pytest.fixture(autouse=True)
+def exit_only_in_forked_children(monkeypatch):
+    """``os._exit`` raises in the pytest process itself, so code that would
+    end the run there, and pytest's exit code with it, fails its test
+    instead. A forked child keeps the real ``os._exit``; one that returns
+    into pytest leaves by it at its test's teardown, so it never runs the
+    tests after its own."""
+    pytest_pid = os.getpid()
+    real_exit = os._exit
+
+    def guarded_exit(code):
+        if os.getpid() == pytest_pid:
+            raise RuntimeError(f"os._exit({code}) called in the pytest process")
+        real_exit(code)
+
+    monkeypatch.setattr(os, "_exit", guarded_exit)
+    yield
+    if os.getpid() != pytest_pid:
+        real_exit(1)
 
 
 @pytest.fixture

@@ -200,6 +200,18 @@ MUTANTS = [
            '        raise ValueError("metric_path_mcd needs a defining path, not a cost table")\n', "",
            ("tests/test_multicycle.py::test_a_cost_source_of_the_wrong_type_is_refused",),
            "a cost table handed to metric_path_mcd ends in an AttributeError"),
+    Mutant("table-limit-refused", "costs.py",
+           "if n > TABLE_LIMIT:", "if n >= TABLE_LIMIT:",
+           ("tests/test_costs.py::test_the_table_limit_itself_is_allowed",),
+           "a table of exactly TABLE_LIMIT labels is refused"),
+    Mutant("bench-parent-runs-the-child", "bench.py",
+           "if pid == 0:", "if pid != 0:",
+           ("tests/test_cli.py::test_bench_rows_do_not_depend_on_the_worker_count",),
+           "the parent runs a worker's stride and leaves by os._exit, while the child returns into the caller"),
+    Mutant("std-skips-the-cheapest-pair", "mld.py",
+           "skip = max(range(k),", "skip = min(range(k),",
+           ("tests/test_mld.py::test_the_unit_path_rotation_is_tight_for_l_le_2m_and_s_le_4m",),
+           "the chain skips its cheapest consecutive pair, so S rises above its closed form"),
 ]
 
 

@@ -23,7 +23,7 @@ from permsort import (
     parse_cycles,
 )
 from permsort import costs as costs_module
-from permsort.costs import tolerance
+from permsort.costs import check_table_size, tolerance
 from permsort.errors import TABLE_LIMIT, CostParseError, SizeLimitError
 from permsort.mld import metric_path_mcd
 from permsort.multicycle import merge_cycles, permutation_lower_bound
@@ -242,6 +242,11 @@ def test_cost_header_past_the_table_limit_is_refused():
     # refused at the header line, before the n x n rows are allocated
     with pytest.raises(SizeLimitError, match=f"n={TABLE_LIMIT + 1} exceeds the cost table limit"):
         parse_cost_input(f"n {TABLE_LIMIT + 1}\n1 2 1\n")
+
+
+def test_the_table_limit_itself_is_allowed():
+    # the check reads only n, so the limit is tried without allocating its four million entries
+    assert check_table_size(TABLE_LIMIT) is None
 
 
 def test_parsing_keeps_one_table_and_no_list_of_lines():

@@ -7,12 +7,15 @@ from permsort import (
     Cycle,
     Decomposition,
     DefiningPath,
+    Permutation,
     Transposition,
     all_pairs_optimize,
     from_pairs,
+    mcd_exact,
     metric_path,
     metric_path_mcd,
     min_cost_mld,
+    nontrivial_cycles,
     permutation_from_cycles,
     permutation_lower_bound,
     shortest_swaps,
@@ -204,6 +207,21 @@ def test_dp_beats_nothing_below_the_lower_bound():
         lb = cycle_floor(cyc, table)
         _, std_cost = std_decomposition(cyc, star)
         assert lb <= cost <= std_cost
+
+
+def test_the_unit_path_rotation_is_tight_for_l_le_2m_and_s_le_4m():
+    # unit costs on the pairs (i, i + 1) only, and p(i) = i + (n - 1)/2 mod n, one n-cycle for odd n:
+    # M = LB = (n^2 - 1)/4, L = (n - 1)^2/2 and S = (n - 1)^2 - 2, so L/M tends to 2 and S/M to 4
+    for n in [*range(3, 62, 2), 101]:
+        engine = shortest_swaps(from_pairs(n, [(i, i + 1, 1) for i in range(1, n)]))
+        p = Permutation(tuple((i + (n - 1) // 2) % n + 1 for i in range(n)))
+        (cycle,) = nontrivial_cycles(p)
+        lb = permutation_lower_bound(p, engine.dist)
+        dp, chain = mld_cost(cycle, engine.optimized), std_decomposition(cycle, engine.optimized)[1]
+        assert (dp, chain, lb) == ((n - 1) ** 2 // 2, (n - 1) ** 2 - 2, (n * n - 1) / 4)
+        assert type(dp) is int and type(chain) is int
+        if n <= 9:
+            assert mcd_exact(p, engine, limit=9)[1] == lb
 
 
 def test_dp_matches_enumeration_on_random_tables():
