@@ -12,6 +12,8 @@ decomposer that lies exits 2 rather than printing garbage.
 from __future__ import annotations
 
 import argparse
+import gc
+import marshal
 import os
 import sys
 from pathlib import Path
@@ -53,6 +55,12 @@ _EXIT_CODES = {
 
 BENCH_MIN_K = 3
 BENCH_MAX_K = 14
+
+# decompose --trust-raw forks its lower bound's Floyd-Warshall at this many
+# labels or more. On L1-grid tables with one n-cycle or an involution, the
+# fastest of 20-40 cold commands on 2 vCPUs lost 1-8 ms to the fork at
+# n = 5..48, broke even at 56-64 and gained 15-17 ms of about 125 at 100
+FORK_MIN_N = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,6 +173,69 @@ def _cmd_optimize(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fork_lower_bound(p, raw: CostMatrix):
+    """A forked child that writes the lower bound of p over raw's shortest
+    distances down a pipe, as (its pid, the pipe's read end); None, and no
+    child, below FORK_MIN_N labels, on one CPU, without ``os.fork`` or
+    ``os.sched_getaffinity``, or when the fork fails."""
+    if (raw.n < FORK_MIN_N or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return None
+    # collections in either process skip what is frozen: the child copies
+    # no page of the parent's by touching its objects
+    gc.freeze()
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:    # no process to spare: the bound is computed here
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        # leave by os._exit: it flushes no stdio buffer inherited from the
+        # parent and runs no atexit handler; marshal keeps the bound's type
+        try:
+            os.close(rfd)
+            with open(wfd, "wb") as pipe:    # closed first: the parent reads EOF at once
+                pipe.write(marshal.dumps(permutation_lower_bound(p, shortest_swaps(raw).dist)))
+            os._exit(0)
+        finally:    # only when something above raised
+            os._exit(1)
+    os.close(wfd)
+    return pid, open(rfd, "rb")
+
+
+def _reap(child) -> float | None:
+    """The bound a child of ``_fork_lower_bound`` sent, or None when it did
+    not exit 0; the child is reaped either way."""
+    pid, pipe = child
+    with pipe:
+        record = pipe.read()
+    status = os.waitpid(pid, 0)[1]
+    return marshal.loads(record) if status == 0 and record else None
+
+
+def _trusted(p, raw: CostMatrix, method: str, joins):
+    """``decompose`` on the raw table taken as optimized, and the lower bound
+    over its shortest distances. The decomposition never reads those, so a
+    child of ``_fork_lower_bound`` may compute the bound meanwhile; this
+    process computes it whenever the child did not deliver it, and kills
+    and reaps the child before a failed decomposition's error leaves."""
+    child = _fork_lower_bound(p, raw)
+    try:
+        result = decompose(p, raw.assume_optimized(), method, joins=joins)
+    except BaseException:
+        if child:
+            import signal    # only on this path
+            os.kill(child[0], signal.SIGKILL)
+            _reap(child)
+        raise
+    lower_bound = _reap(child) if child else None
+    if lower_bound is None:
+        lower_bound = permutation_lower_bound(p, shortest_swaps(raw).dist)
+    return result, lower_bound
+
+
 def _cmd_decompose(args) -> str:
     # which flags the method reads, decided before any file is read
     if args.join is not None and args.method != "merge":
@@ -177,14 +248,16 @@ def _cmd_decompose(args) -> str:
     p = _load_permutation(args.perm, raw.n)
     joins = _parse_joins(args.join) if args.join is not None else None
 
-    if args.method == "metric-exact":
-        table = dist = raw    # path distances already are shortest
+    if args.trust_raw:
+        (d, cost), lower_bound = _trusted(p, raw, args.method, joins)
     else:
-        engine = shortest_swaps(raw)
-        table = raw.assume_optimized() if args.trust_raw else engine.optimized
-        dist = engine.dist
-    d, cost = decompose(p, table, args.method, joins=joins)
-    lower_bound = permutation_lower_bound(p, dist)
+        if args.method == "metric-exact":
+            table = dist = raw    # path distances already are shortest
+        else:
+            engine = shortest_swaps(raw)
+            table, dist = engine.optimized, engine.dist
+        d, cost = decompose(p, table, args.method, joins=joins)
+        lower_bound = permutation_lower_bound(p, dist)
 
     lines = [f"permutation: {format_one_line(p)}",
              f"cycles: {format_cycles(nontrivial_cycles(p))}",

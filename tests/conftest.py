@@ -46,6 +46,30 @@ def engines_built(monkeypatch):
 
 
 @pytest.fixture
+def engine_builders(monkeypatch, tmp_path):
+    """A function that returns the pid of the process behind each
+    ShortestSwaps built since its last call, forked children included: each
+    construction appends its pid to a file, which the function reads and
+    empties."""
+    log = tmp_path / "engine-builders"
+    log.write_text("")
+    init = ShortestSwaps.__init__
+
+    def logging_init(self, *args, **kwargs):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        init(self, *args, **kwargs)
+
+    def drain():
+        pids = [int(pid) for pid in log.read_text().split()]
+        log.write_text("")
+        return pids
+
+    monkeypatch.setattr(ShortestSwaps, "__init__", logging_init)
+    return drain
+
+
+@pytest.fixture
 def tables_checked(monkeypatch):
     """Every CostMatrix whose entries were all checked during the test.
 

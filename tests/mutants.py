@@ -9,8 +9,8 @@ and runs the record's nodes from the checkout with
 ``python -m pytest -x -q -p no:cacheprovider`` and the copy first on
 PYTHONPATH. The mutant is killed when they fail; a node that pytest
 cannot find stops the run. A record with an ``equivalent`` note says why
-no valid input tells the mutant from the package, and is not run. Only
-the copy is edited. The runner exits 1 if a mutant survives, or if the
+no valid input tells the mutant from the package, and is not run; its
+nodes run the edited line and pass on the mutant. Only the copy is edited. The runner exits 1 if a mutant survives, or if the
 copy is not the package the tests import.
 
 Pytest does not collect this module; ``tests/test_mutants.py`` checks
@@ -212,6 +212,31 @@ MUTANTS = [
            "skip = max(range(k),", "skip = min(range(k),",
            ("tests/test_mld.py::test_the_unit_path_rotation_is_tight_for_l_le_2m_and_s_le_4m",),
            "the chain skips its cheapest consecutive pair, so S rises above its closed form"),
+    Mutant("trusted-bound-always-recomputed", "cli.py",
+           "    if lower_bound is None:\n", "    if True:\n",
+           ("tests/test_cli.py::test_decompose_runs_one_floyd_warshall",),
+           "decompose --trust-raw runs a second Floyd-Warshall in this process after its child sent the bound"),
+    Mutant("trusted-fork-on-one-cpu", "cli.py",
+           "or len(os.sched_getaffinity(0)) < 2):", "or len(os.sched_getaffinity(0)) >= 2):",
+           ("tests/test_cli.py::test_decompose_runs_one_floyd_warshall",),
+           "decompose --trust-raw forks on one CPU and computes its bound here on two"),
+    Mutant("trusted-child-left-running", "cli.py",
+           "        if child:\n"
+           "            import signal    # only on this path\n"
+           "            os.kill(child[0], signal.SIGKILL)\n"
+           "            _reap(child)\n", "",
+           ("tests/test_cli.py::test_trusted_decompose_kills_its_child_when_the_decomposition_fails",),
+           "a failed decomposition leaves, and its forked child runs on past the command"),
+    Mutant("table-top-ties", "costs.py",
+           "if isinstance(v, int) and v > top:", "if isinstance(v, int) and v >= top:",
+           ("tests/test_cli.py::test_integer_costs_at_the_float_range_limit",),
+           "the running maximum of the int costs is replaced by an equal value",
+           equivalent="a tie stores the value the maximum already holds, so top ends the same"),
+    Mutant("cartesian-tree-ties", "mld.py",
+           "while stack and key[stack[-1]] > key[i]:", "while stack and key[stack[-1]] >= key[i]:",
+           ("tests/test_properties.py::test_metric_path_mcd_equals_the_segment_tree_route",),
+           "equal path positions would pop into the left subtree",
+           equivalent="the keys are the positions of distinct labels along the path, so no two are equal"),
 ]
 
 

@@ -116,9 +116,13 @@ def decompose_on_dense_sparse_and_metric_200_label_tables():
     # a 400-label path with int weights stands for its metric table
     write_perm("long.perm", rng, write_path("long.path", rng, 400))
     for args in ("decompose dense.cost dense.perm --expand", "decompose sparse.cost dense.perm",
-                 "decompose dense.cost dense.perm --method std", "decompose grid.cost dense.perm --trust-raw",
-                 "decompose grid.cost dense.perm --expand", "optimize grid.cost", "decompose long.path long.perm"):
+                 "decompose dense.cost dense.perm --method std", "decompose grid.cost dense.perm --expand",
+                 "optimize grid.cost", "decompose long.path long.perm"):
         run([*PERMSORT, *args.split()], 120)
+    # --trust-raw forks the lower bound's Floyd-Warshall on two CPUs, and computes it here on one
+    trusted = [*PERMSORT, *"decompose grid.cost dense.perm --trust-raw".split()]
+    if run(trusted, 120) != run(["taskset", "-c", "0", *trusted], 120):
+        raise SystemExit("decompose --trust-raw: the output differs on one CPU")
 
 
 def decompose_on_a_dense_table_at_the_table_limit():

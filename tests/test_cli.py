@@ -1,8 +1,10 @@
 """End-to-end command line checks with pinned output."""
+import errno
 import os
 import random
 import re
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -67,6 +69,24 @@ def path_file(tmp_path):
     f = tmp_path / "path5.path"
     f.write_text(format_path_file(PATH5))
     return str(f)
+
+
+# each table method, with and without --expand, under --trust-raw
+TRUSTED_RUNS = [("--method", method, "--trust-raw", *expand)
+                for method in ("mld", "std", "merge") for expand in ((), ("--expand",))]
+
+
+def grid_case(tmp_path, n=cli.FORK_MIN_N):
+    """A cost file of L1 distances between n distinct points of an n x n
+    grid, a metric, so ``--trust-raw`` is exact on it; and a random
+    permutation of 1..n in one-line notation."""
+    rng = random.Random(n)
+    points = [divmod(c, n) for c in rng.sample(range(n * n), n)]
+    table = from_pairs(n, [(a + 1, b + 1, abs(p[0] - q[0]) + abs(p[1] - q[1]))
+                           for a, p in enumerate(points) for b, q in enumerate(points) if a < b])
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    return cost_file(tmp_path, "grid", table), " ".join(map(str, images))
 
 
 def test_optimize_reports_changes(tmp_path, capsys):
@@ -198,17 +218,26 @@ def test_decompose_metric_exact_large_involution_builds_no_table(tmp_path, capsy
     assert "ratio: 1.000000\n" in out
 
 
-def test_decompose_runs_one_floyd_warshall(tmp_path, capsys, engines_built):
-    src = cost_file(tmp_path, "sparse", sparse5_raw())
-    for method in ("mld", "std", "merge"):
-        for flags in ((), ("--trust-raw",), ("--expand",), ("--trust-raw", "--expand")):
-            engines_built.clear()
-            code, _, _ = run(capsys, "decompose", src, "(1 2 3)(4 5)", "--method", method, *flags)
-            assert (code, len(engines_built)) == (0, 1), (method, flags)
-    engines_built.clear()
+def test_decompose_runs_one_floyd_warshall(tmp_path, capsys, monkeypatch, engine_builders):
+    # one per command: in a forked child under --trust-raw on two CPUs and
+    # FORK_MIN_N labels or more, else in this process; phi* at FORK_MIN_N
+    # labels is slow, so one untrusted run there shows that it forks nothing
+    small = cost_file(tmp_path, "sparse", sparse5_raw()), "(1 2 3)(4 5)"
+    large = grid_case(tmp_path)
+    runs = [(small, ("--method", method, *flags)) for method in ("mld", "std", "merge")
+            for flags in ((), ("--trust-raw",), ("--expand",), ("--trust-raw", "--expand"))]
+    runs += [(large, flags) for flags in (*TRUSTED_RUNS, ("--method", "mld"))]
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        for (src, perm), flags in runs:
+            code, _, _ = run(capsys, "decompose", src, perm, *flags)
+            builders = engine_builders()
+            forked = src == large[0] and len(cpus) > 1 and "--trust-raw" in flags
+            assert (code, len(builders), builders[0] != os.getpid()) == (0, 1, forked), (cpus, src, flags)
+            _assert_no_child_left()
     code, _, _ = run(capsys, "decompose", path_file(tmp_path), "(1 2 3 4 5)",
                      "--method", "metric-exact")
-    assert (code, len(engines_built)) == (0, 0)
+    assert (code, engine_builders()) == (0, [])
 
 
 def test_commands_check_no_table_twice(tmp_path, capsys, tables_checked):
@@ -256,11 +285,14 @@ def test_only_the_oracle_command_loads_the_oracle(tmp_path):
     oracle = _imported("-m", "permsort", "oracle", src, "(1 2 3)(4 5)") - bare
     assert "permsort.oracle" in oracle
     assert not {"dataclasses", "inspect", "permsort.bench"} & oracle
+    # both hand-made forks stay: a process pool costs up to about 48 ms to import and start
+    pools = {"multiprocessing", "concurrent.futures"}
     sweep = _imported("-m", "permsort", "bench", "3", "4", "--trials", "1") - bare
     assert "permsort.bench" in sweep
-    # the hand-made fork stays: a process pool costs up to about 48 ms to import and start
-    assert not {"dataclasses", "inspect", "permsort.oracle",
-                "multiprocessing", "concurrent.futures"} & sweep
+    assert not {"dataclasses", "inspect", "permsort.oracle", *pools} & sweep
+    trusted = _imported("-m", "permsort", "decompose", *grid_case(tmp_path), "--trust-raw") - bare
+    assert "permsort.cli" in trusted
+    assert not {"dataclasses", "inspect", "permsort.oracle", "permsort.bench", *pools} & trusted
 
 
 def test_import_permsort_loads_a_module_when_a_name_is_first_read():
@@ -970,6 +1002,99 @@ def test_bench_prints_its_csv_once(tmp_path, capsys):
     proc = _python("-m", "permsort", *argv, "-o", str(dst))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"wrote {dst}\n", "")
     assert dst.read_text() == csv
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs")
+def test_trusted_decompose_prints_the_same_on_one_cpu_and_on_two(tmp_path, capsys, engines_built):
+    # the affinity of this process itself, cut to one CPU and restored
+    src, perm = grid_case(tmp_path)
+    cpus = os.sched_getaffinity(0)
+    try:
+        for flags in TRUSTED_RUNS:
+            printed = []
+            for affinity, here in (({min(cpus)}, 1), (cpus, 0)):
+                os.sched_setaffinity(0, affinity)
+                engines_built.clear()
+                printed.append(run(capsys, "decompose", src, perm, *flags))
+                assert (printed[-1][0], len(engines_built)) == (0, here), (affinity, flags)
+                _assert_no_child_left()
+            assert printed[0] == printed[1], flags
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+def _child_exits_nonzero():
+    os._exit(1)
+
+
+def _child_raises():
+    raise RuntimeError("failed")
+
+
+def _child_is_killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+LOWER_BOUND = cli.permutation_lower_bound    # the real one, before any test patches it
+
+
+def _in_the_child_only(step):
+    """The lower bound, except that a forked child first runs step."""
+    parent = os.getpid()
+
+    def stub(p, dist):
+        if os.getpid() != parent:
+            step()
+        return LOWER_BOUND(p, dist)
+    return stub
+
+
+def test_trusted_decompose_recomputes_a_bound_its_child_did_not_send(tmp_path, capsys, monkeypatch,
+                                                                    engines_built):
+    src, perm = grid_case(tmp_path)
+    for flags in TRUSTED_RUNS:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        inline = run(capsys, "decompose", src, perm, *flags)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for step in (_child_exits_nonzero, _child_raises, _child_is_killed):
+            monkeypatch.setattr(cli, "permutation_lower_bound", _in_the_child_only(step))
+            engines_built.clear()
+            assert run(capsys, "decompose", src, perm, *flags) == inline, (flags, step)
+            assert len(engines_built) == 1    # the bound computed again here
+            _assert_no_child_left()
+
+
+def test_trusted_decompose_computes_its_bound_here_when_the_fork_fails(tmp_path, capsys, monkeypatch,
+                                                                      engines_built):
+    def no_process_to_spare():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    src, perm = grid_case(tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = run(capsys, "decompose", src, perm, "--trust-raw")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", no_process_to_spare)
+    engines_built.clear()
+    assert run(capsys, "decompose", src, perm, "--trust-raw") == inline
+    assert len(engines_built) == 1
+
+
+def test_trusted_decompose_kills_its_child_when_the_decomposition_fails(tmp_path, capsys, monkeypatch):
+    # test_decompose_std_trust_raw_unreachable's bridged ring on FORK_MIN_N
+    # labels, 4 .. n a path; the child hangs just past the bound, so a parent
+    # that waited for it fails the bound
+    n = cli.FORK_MIN_N
+    pairs = [(1, 2, 1), (3, 4, 1), (1, 3, 2)] + [(i, i + 1, 1) for i in range(4, n)]
+    src = cost_file(tmp_path, "bridged", from_pairs(n, pairs))
+    monkeypatch.setattr(cli, "permutation_lower_bound", _in_the_child_only(lambda: time.sleep(REAP_S + 1)))
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "decompose", src, "(1 2 3 4)", "--method", "std", "--trust-raw")
+        assert (code, out, err) == (3, "", "error: cycle (1 2 3 4) has an unreachable consecutive pair\n")
+        _assert_no_child_left()
+        assert time.perf_counter() - t0 < REAP_S
 
 
 def test_bench_range_guards(capsys, monkeypatch):

@@ -12,7 +12,9 @@ M and witness of the plain Dijkstra ``mcd_dijkstra`` bit for bit, on
 integer, float, tie-heavy, zero-heavy and inf-heavy tables. For n <= 8 its
 exhaustive minimum M checks the chain of bounds lower bound <= sharpened
 bound <= M <= L <= S <= 4M, its own witnesses, the exactness of
-``metric-exact`` on path distances and L <= 2M on adjacent-only paths.
+``metric-exact`` on path distances and L <= 2M on adjacent-only paths. On
+unit adjacent-only paths up to n = 60, where M is the inversion count,
+lower bound <= M <= L <= 2M and M <= 2 * lower bound must hold.
 ``metric_path_mcd`` must give the swaps and the cost, bit for bit, of the
 segment tree converted by ``tree_decomposition``, on int, float and zero
 path weights. The interval DP, the cycle merge, and the validation of a
@@ -30,6 +32,7 @@ print nothing on an error, and print only decompositions that multiply back
 at their printed cost.
 """
 import contextlib
+import functools
 import io
 import math
 import random
@@ -516,6 +519,26 @@ def test_adjacent_only_paths_stay_within_twice_the_minimum(path, data):
     m = mcd_exact(p, shortest_swaps(raw), ORACLE_N)[1]
     big_l = decompose(p, star, "mld")[1]
     assert big_l <= 2 * m + tolerance(big_l, m)
+
+
+@functools.lru_cache(maxsize=None)
+def unit_adjacent_engine(n):
+    return shortest_swaps(from_pairs(n, [(i, i + 1, 1) for i in range(1, n)]))
+
+
+@settings(PROPERTY, max_examples=50)
+@given(st.integers(2, 60).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_unit_adjacent_paths_bound_the_inversion_count(images):
+    # only the swaps (i, i + 1) are finite, at cost 1, so M is the inversion
+    # count of p at any n; the floor is half Spearman's footrule, and
+    # Diaconis and Graham's I <= D <= 2I puts M within twice of it
+    n = len(images)
+    engine = unit_adjacent_engine(n)
+    p = Permutation(tuple(images))
+    inv = sum(1 for i in range(n) for j in range(i + 1, n) if images[i] > images[j])
+    lb = permutation_lower_bound(p, engine.dist)
+    big_l = decompose(p, engine.optimized, "mld")[1]
+    assert lb <= inv <= big_l <= 2 * inv and inv <= 2 * lb
 
 
 # Text round trips. Costs cover ints, floats down to the subnormals and up
